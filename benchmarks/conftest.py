@@ -101,15 +101,26 @@ def _experiment_id(nodeid: str) -> str:
     return f"{stem}::{test}"
 
 
-def _git_commit() -> str | None:
+def _git(*args: str) -> str | None:
     try:
         return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=_REPO_ROOT, capture_output=True, text=True, timeout=10,
             check=True,
         ).stdout.strip()
     except Exception:
         return None          # not a git checkout (e.g. a source tarball)
+
+
+def _git_commit() -> str | None:
+    return _git("rev-parse", "HEAD")
+
+
+def _git_dirty() -> bool | None:
+    """Whether the working tree differs from ``HEAD``: the timeline was
+    then measured on uncommitted code, so ``commit`` names only its parent."""
+    status = _git("status", "--porcelain")
+    return None if status is None else bool(status)
 
 
 def pytest_runtest_logreport(report):
@@ -134,6 +145,7 @@ def pytest_sessionfinish(session, exitstatus):
             "machine": platform.machine(),
         },
         "commit": _git_commit(),
+        "dirty": _git_dirty(),
         "wall_seconds": dict(sorted(_bench_wall.items())),
     }
     out.parent.mkdir(parents=True, exist_ok=True)

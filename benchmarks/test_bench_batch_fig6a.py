@@ -44,11 +44,12 @@ GRID = [
     for base, tagged in ((1024, 128), (2048, 256))
 ]
 
-#: Loud-failure floor on the in-session speedup; the committed timeline
-#: records >= 3x on the baseline host (single-core boxes see noisy tails
-#: down to ~2.2x) — finer regressions are caught by the perf guard's
-#: --min-batch-speedup check against that trajectory.
-MIN_SPEEDUP = 2.0
+#: Loud-failure floor on the in-session speedup: two thirds of the median
+#: serial/batched ratio measured once the serial walk gained the batch
+#: walk's specialisations (1.73x over six runs on a shared 2-core host,
+#: 1.43x-1.93x); finer regressions are caught by the perf guard's
+#: --min-batch-speedup check against the committed trajectory.
+MIN_SPEEDUP = 1.15
 
 #: Conservative batched-throughput floor in simulated µops x variants
 #: per wall second (current hosts do 60K+; only a ~5x regression trips).

@@ -52,9 +52,10 @@ BATCH_SPEEDUP_PAIRS = (
     ),
 )
 
-#: Floor on serial/batched wall: the committed trajectory records >= 3x;
-#: 2.0 is the loud-failure line under single-core scheduling noise.
-DEFAULT_MIN_BATCH_SPEEDUP = 2.0
+#: Floor on serial/batched wall: two thirds of the 1.73x median measured
+#: once the serial walk gained the batch walk's specialisations (the same
+#: margin 2.0 had against the >= 3x the batch once had over the old walk).
+DEFAULT_MIN_BATCH_SPEEDUP = 1.15
 
 
 def load(path: Path) -> dict:

@@ -19,6 +19,16 @@ tiebreak).  ``tests/test_batch_parity.py`` proves SimStats bit-identity
 against the serial path; treat any edit here that is not paired with a
 parity run as wrong.
 
+The serial walk now shares most of this walk's specialisations
+(DESIGN.md §11): config and collaborators bound to locals, statistics
+in locals, cheap occupancy counters instead of per-cycle dicts, inline
+L1 hit paths, memoised PC/block halves of the TAGE and D-VTAGE hashes,
+per-static-group attribution metadata, column-slice vector reads, and
+inline FPC advance and compose.  What remains specific to this walk is
+the front end precomputed once and shared by every variant, the
+``eole_4_60`` constants folded in, and the engine and predictor inlined
+with pending blocks as plain lists.
+
 Table state arrives as plain-python column lists — per-variant views of
 variant-stacked ``TableBank`` storage (``make_bank(..., variants=N)``)
 built by :mod:`repro.batch.dispatch`.  The walk pins the python backend

@@ -71,6 +71,11 @@ class BeBoPEngine:
         # per D-VTAGE component that ever provided an attributed prediction.
         self._m_providers: dict[int, object] = {}
         self._prov = False        # fill GroupHandle.prov for the recorder
+        # Attribution metadata per static fetch group: a group's µ-ops are
+        # fixed by its first µ-op and its length (fall-through code of one
+        # block), so (positions, boundaries) of its VP-eligible µ-ops are
+        # computed once per (pc, µ-op index, length).
+        self._group_meta: dict[tuple[int, int, int], tuple[list, list]] = {}
 
     def set_provenance(self, enabled: bool) -> None:
         """Toggle provenance collection (called by the pipeline when a
@@ -103,17 +108,19 @@ class BeBoPEngine:
 
     def _apply_until(self, cycle: int) -> None:
         fixups = self._result_fixups
+        window = self.window
         while fixups and fixups[0][0] <= cycle:
             _, _, pending, slot, value = heapq.heappop(fixups)
-            self.window.correct_entry(pending.block_pc, pending.seq, {slot: value})
+            window.correct_entry(pending.block_pc, pending.seq, {slot: value})
         q = self._deferred
+        update = self.predictor.update
         while q and q[0][0] <= cycle:
             _, pending = q.popleft()
-            self.predictor.update(pending.readout, pending.retired)
+            update(pending.readout, pending.retired)
             # Retire-time invalidation: the LVT now holds this instance's
             # architectural values, so the window entry (predicted values)
             # must stop shadowing it — see SpeculativeWindow.retire.
-            self.window.retire(pending.block_pc, pending.seq)
+            window.retire(pending.block_pc, pending.seq)
 
     def flush_training(self) -> None:
         """Apply every deferred update (end of simulation)."""
@@ -177,18 +184,23 @@ class BeBoPEngine:
         source: str = "lvt",
         spec_seq: int | None = None,
     ) -> tuple[list[PredUse | None], list[Provenance | None] | None]:
-        eligible = [
-            (pos, uop) for pos, uop in enumerate(uops) if uop.is_vp_eligible
-        ]
-        slots = attribute_predictions(
-            readout.byte_tags, [uop.boundary for _pos, uop in eligible]
-        )
-        n_matched = sum(1 for slot in slots if slot is not None)
-        if self._m_on and eligible:
+        first = uops[0]
+        key = (first.pc, first.uop_index, len(uops))
+        meta = self._group_meta.get(key)
+        if meta is None:
+            eligible = [(pos, uop.boundary) for pos, uop in enumerate(uops)
+                        if uop.is_vp_eligible]
+            meta = self._group_meta[key] = (
+                [pos for pos, _b in eligible], [b for _pos, b in eligible]
+            )
+        positions, boundaries = meta
+        slots = attribute_predictions(readout.byte_tags, boundaries)
+        if self._m_on and positions:
             # An attribution miss: a VP-eligible µ-op whose byte boundary
             # matched no prediction slot (§V-B's tag-mismatch case).
-            self._m_attr_requests.inc(len(eligible))
-            missed = len(eligible) - n_matched
+            n_matched = sum(1 for slot in slots if slot is not None)
+            self._m_attr_requests.inc(len(positions))
+            missed = len(positions) - n_matched
             if missed:
                 self._m_attr_misses.inc(missed)
             if n_matched:
@@ -198,7 +210,10 @@ class BeBoPEngine:
             [None] * len(uops) if self._prov else None
         )
         policy = self.policy.value if provs is not None else ""
-        for (pos, _uop), slot in zip(eligible, slots):
+        conf = readout.conf
+        # FPCPolicy.is_confident: only the saturated level is used.
+        max_level = self.predictor.fpc.max_level
+        for pos, slot in zip(positions, slots):
             if slot is None:
                 if provs is not None:
                     # Attribution miss: record it so the timeline can show
@@ -212,12 +227,12 @@ class BeBoPEngine:
                         verdict="no_prediction",
                     )
                 continue
-            confident = usable and self.predictor.is_confident(readout, slot)
-            preds[pos] = PredUse(values[slot], confident, slot=slot)
+            confident = usable and conf[slot] >= max_level
+            preds[pos] = PredUse(values[slot], confident, slot)
             if provs is not None:
                 provs[pos] = Provenance(
                     provider=readout.provider,
-                    conf=readout.conf[slot],
+                    conf=conf[slot],
                     source=source,
                     spec_seq=spec_seq,
                     slot=slot,
@@ -234,7 +249,10 @@ class BeBoPEngine:
         hist: HistoryState,
         reuse: GroupHandle | None = None,
     ) -> GroupHandle:
-        self._apply_until(cycle)
+        fixups = self._result_fixups
+        q = self._deferred
+        if (fixups and fixups[0][0] <= cycle) or (q and q[0][0] <= cycle):
+            self._apply_until(cycle)
         if reuse is None or self.policy.repredicts:
             # Normal fetch, or a policy that generates a new prediction
             # block for the refetched instructions (Ideal / Repred).

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.common.bits import mask, to_signed, to_unsigned
+from repro.common.bits import WORD_MASK, mask
 from repro.common.rng import XorShift64
 from repro.common.errors import (
     ConfigError,
@@ -39,12 +39,7 @@ from repro.common.errors import (
     require_power_of_two,
 )
 from repro.common.tables import Field, make_bank
-from repro.predictors.base import (
-    HistoryState,
-    table_index,
-    tagged_index,
-    tagged_tag,
-)
+from repro.predictors.base import HistoryState, TaggedSlots, table_index
 from repro.predictors.confidence import FPCPolicy
 from repro.predictors.vtage import geometric_history_lengths
 from repro.bebop.attribution import FREE_TAG, update_tag_assignment
@@ -116,6 +111,7 @@ class BlockReadout:
         "alt_strides",
         "last_used",        # last values the adders consumed (may be spec)
         "values",           # composed predictions, filled by compose()
+        "slots",            # (indices, tags) of every tagged component
     )
 
     def __init__(self) -> None:
@@ -203,6 +199,7 @@ class BlockDVTAGE:
         self.table_backend = self._lvt.backend
         self._l_tag = self._lvt.col("tag")
         self._l_last = self._lvt.col("last")
+        self._l_byte = self._lvt.col("byte_tags")
         self._v_strides = self._vt0.col("strides")
         self._v_conf = self._vt0.col("conf")
         self._t_tag = self._tagged.col("tag")
@@ -213,6 +210,13 @@ class BlockDVTAGE:
         self._rng = XorShift64(seed)
         self._updates_since_reset = 0
         self._useful_gen = 0
+        # Vector reads: plain column slices on python lists; numpy columns
+        # go through read_vec so values stay plain ints.
+        self._lists = self.table_backend == "python"
+        self._hash = TaggedSlots(
+            self.history_lengths, self.tagged_index_bits, self.tag_bits,
+            c.tagged_entries,
+        )
 
     def fold_geometry(
         self,
@@ -235,21 +239,11 @@ class BlockDVTAGE:
         tag = (key >> self.base_index_bits) & mask(self.config.lvt_tag_bits)
         return index, tag
 
-    def _component_slot(
-        self, comp: int, key: int, hist: HistoryState
-    ) -> tuple[int, int]:
-        """(flat index into the tagged bank, tag)."""
-        length = self.history_lengths[comp]
-        index = tagged_index(key, hist, length, self.tagged_index_bits)
-        tag = tagged_tag(key, hist, length, self.tag_bits[comp])
-        return comp * self.config.tagged_entries + index, tag
-
-    def _stride_value(self, stored: int) -> int:
-        return to_signed(stored, self.config.stride_bits)
-
-    def _truncate(self, stride: int) -> int:
-        return to_unsigned(to_signed(stride, self.config.stride_bits),
-                           self.config.stride_bits)
+    def _vec(self, bank, col, name: str, index: int) -> list[int]:
+        if self._lists:
+            base = index * self.config.npred
+            return col[base:base + self.config.npred]
+        return bank.read_vec(name, index)
 
     # -- fetch-time read -----------------------------------------------------
 
@@ -257,57 +251,68 @@ class BlockDVTAGE:
         """Read LVT and stride components for a fetch block."""
         key = self._key(block_pc)
         c = self.config
+        npred = c.npred
         out = BlockReadout()
         out.block_pc = block_pc
         out.hist = hist
         lvt_index, lvt_tag = self._lvt_slot(key)
         out.lvt_index = lvt_index
         out.lvt_tag = lvt_tag
-        out.lvt_hit = bool(self._l_tag[lvt_index] == lvt_tag)
-        if out.lvt_hit:
-            out.lvt_last = self._lvt.read_vec("last", lvt_index)
-            out.byte_tags = self._lvt.read_vec("byte_tags", lvt_index)
+        out.lvt_hit = lvt_hit = bool(self._l_tag[lvt_index] == lvt_tag)
+        if lvt_hit:
+            out.lvt_last = self._vec(self._lvt, self._l_last, "last", lvt_index)
+            out.byte_tags = self._vec(
+                self._lvt, self._l_byte, "byte_tags", lvt_index
+            )
         else:
-            out.lvt_last = [0] * c.npred
-            out.byte_tags = [FREE_TAG] * c.npred
-        hits: list[tuple[int, int, int]] = []
+            out.lvt_last = [0] * npred
+            out.byte_tags = [FREE_TAG] * npred
+        out.slots = indices, tags = self._hash.slots(key, hist)
         t_tag = self._t_tag
+        hit = alt = -1
         for comp in range(c.components):
-            index, tag = self._component_slot(comp, key, hist)
-            if t_tag[index] == tag:
-                hits.append((comp, index, tag))
-        if hits:
-            comp, index, tag = hits[-1]
-            out.provider = comp + 1
+            if t_tag[indices[comp]] == tags[comp]:
+                alt = hit
+                hit = comp
+        if hit >= 0:
+            index = indices[hit]
+            out.provider = hit + 1
             out.provider_index = index
-            out.provider_tag = tag
-            out.strides = self._tagged.read_vec("strides", index)
-            out.conf = self._tagged.read_vec("conf", index)
-            if len(hits) > 1:
-                _alt_comp, alt_index, _ = hits[-2]
-                out.alt_strides = self._tagged.read_vec("strides", alt_index)
+            out.provider_tag = tags[hit]
+            out.strides = self._vec(self._tagged, self._t_strides, "strides", index)
+            out.conf = self._vec(self._tagged, self._t_conf, "conf", index)
+            if alt >= 0:
+                out.alt_strides = self._vec(
+                    self._tagged, self._t_strides, "strides", indices[alt]
+                )
             else:
-                out.alt_strides = self._vt0.read_vec(
-                    "strides", table_index(key, self.base_index_bits)
+                out.alt_strides = self._vec(
+                    self._vt0, self._v_strides, "strides", lvt_index
                 )
         else:
-            index = table_index(key, self.base_index_bits)
             out.provider = 0
-            out.provider_index = index
+            out.provider_index = lvt_index
             out.provider_tag = 0
-            out.strides = self._vt0.read_vec("strides", index)
-            out.conf = self._vt0.read_vec("conf", index)
+            out.strides = self._vec(self._vt0, self._v_strides, "strides", lvt_index)
+            out.conf = self._vec(self._vt0, self._v_conf, "conf", lvt_index)
             out.alt_strides = list(out.strides)
         return out
 
     def compose(self, readout: BlockReadout, last_values: list[int]) -> list[int]:
         """Predictions = last values (LVT or speculative window) + strides."""
         readout.last_used = list(last_values)
-        readout.values = [
-            to_unsigned(last_values[m] + self._stride_value(readout.strides[m]), 64)
-            for m in range(self.config.npred)
-        ]
-        return readout.values
+        bits = self.config.stride_bits
+        smask = (1 << bits) - 1
+        sign = 1 << (bits - 1)
+        values = []
+        for last, stored in zip(last_values, readout.strides):
+            # to_unsigned(last + to_signed(stored, stride_bits), 64), inline.
+            stored &= smask
+            if stored >= sign:
+                stored -= smask + 1
+            values.append((last + stored) & WORD_MASK)
+        readout.values = values
+        return values
 
     def is_confident(self, readout: BlockReadout, slot: int) -> bool:
         return self.fpc.is_confident(readout.conf[slot])
@@ -330,23 +335,22 @@ class BlockDVTAGE:
             return {}
         c = self.config
         npred = c.npred
-        key = self._key(readout.block_pc)
-        lvt_index, lvt_tag = self._lvt_slot(key)
+        lvt_index = readout.lvt_index
+        lvt_tag = readout.lvt_tag
         lvt_base = lvt_index * npred
         fresh = bool(self._l_tag[lvt_index] != lvt_tag)
         boundaries = [boundary for boundary, _ in retired]
-        byte_tags = self._lvt.read_vec("byte_tags", lvt_index)
+        byte_tags = self._vec(self._lvt, self._l_byte, "byte_tags", lvt_index)
         assignment, new_tags = update_tag_assignment(
             byte_tags if not fresh else [FREE_TAG] * npred,
             boundaries,
             fresh_allocation=fresh,
             monotonic=c.monotonic_byte_tags,
         )
-        retagged = [
-            s
-            for s in range(npred)
-            if not fresh and new_tags[s] != byte_tags[s]
-        ]
+        if fresh:
+            retagged = ()
+        else:
+            retagged = [s for s in range(npred) if new_tags[s] != byte_tags[s]]
 
         # Locate the provider entry (it may have been reallocated since the
         # read; in that case only the LVT is trained).
@@ -360,7 +364,18 @@ class BlockDVTAGE:
             p_strides, p_conf = self._t_strides, self._t_conf
         p_base = readout.provider_index * npred
 
+        # FPCPolicy.advance, inline: per level, None = certain advance (no
+        # RNG draw, like XorShift64.chance at p >= 1), -1 = never, else the
+        # draw threshold.
+        fpc = self.fpc
+        thresholds = fpc.thresholds
+        max_level = fpc.max_level
+        rng = fpc._rng
+        smask = (1 << c.stride_bits) - 1
         l_last = self._l_last
+        values = readout.values
+        alt_strides = readout.alt_strides
+        strides = readout.strides
         any_wrong = False
         any_useful = False
         observed: dict[int, int] = {}
@@ -370,13 +385,12 @@ class BlockDVTAGE:
             if slot is None:
                 continue  # more results than prediction slots: coverage lost
             slot_actuals[slot] = actual
-            prev_last = int(l_last[lvt_base + slot])
-            observed[slot] = self._truncate(actual - prev_last)
-            predicted = readout.values[slot] if readout.values else None
-            correct = (not fresh) and predicted is not None and predicted == actual
+            # _truncate(actual - prev_last), inline.
+            observed[slot] = (actual - int(l_last[lvt_base + slot])) & smask
+            correct = (not fresh) and bool(values) and values[slot] == actual
             if correct:
                 correct_slots.add(slot)
-                if readout.alt_strides[slot] != readout.strides[slot]:
+                if alt_strides[slot] != strides[slot]:
                     any_useful = True
             else:
                 any_wrong = True
@@ -387,15 +401,19 @@ class BlockDVTAGE:
                 continue
             if provider_live and slot not in retagged:
                 if correct:
-                    p_conf[p_base + slot] = self.fpc.advance(
-                        int(p_conf[p_base + slot])
-                    )
+                    level = int(p_conf[p_base + slot])
+                    if level < max_level:
+                        threshold = thresholds[level]
+                        if threshold is None or (
+                            threshold >= 0 and rng.next_u64() < threshold
+                        ):
+                            p_conf[p_base + slot] = level + 1
                 else:
-                    p_conf[p_base + slot] = self.fpc.reset_level()
+                    p_conf[p_base + slot] = 0
                     p_strides[p_base + slot] = observed[slot]
             elif provider_live:
                 # The slot now belongs to a different instruction: retrain.
-                p_conf[p_base + slot] = self.fpc.reset_level()
+                p_conf[p_base + slot] = 0
                 p_strides[p_base + slot] = observed[slot]
             l_last[lvt_base + slot] = actual
 
@@ -409,16 +427,22 @@ class BlockDVTAGE:
                 self._t_ugen[readout.provider_index] = self._useful_gen
 
         self._l_tag[lvt_index] = lvt_tag
-        self._lvt.write_vec("byte_tags", lvt_index, new_tags)
+        if self._lists:
+            self._l_byte[lvt_base:lvt_base + npred] = new_tags
+        else:
+            self._lvt.write_vec("byte_tags", lvt_index, new_tags)
 
         if any_wrong and not fresh:
-            self._allocate(key, readout, observed, correct_slots)
-        self._tick_useful_reset()
+            self._allocate(readout, observed, correct_slots)
+        # _tick_useful_reset, inline.
+        self._updates_since_reset += 1
+        if self._updates_since_reset >= c.useful_reset_period:
+            self._updates_since_reset = 0
+            self._useful_gen += 1
         return slot_actuals
 
     def _allocate(
         self,
-        key: int,
         readout: BlockReadout,
         observed: dict[int, int],
         correct_slots: set[int],
@@ -429,47 +453,34 @@ class BlockDVTAGE:
         c = self.config
         gen = self._useful_gen
         t_useful, t_ugen = self._t_useful, self._t_ugen
+        indices, tags = readout.slots
         candidates = []
-        slots = []
         for comp in range(readout.provider, c.components):
-            index, tag = self._component_slot(comp, key, readout.hist)
-            slots.append((comp, index, tag))
+            index = indices[comp]
             if t_useful[index] == 0 or t_ugen[index] != gen:
-                candidates.append((comp, index, tag))
+                candidates.append(comp)
         if not candidates:
-            for _comp, index, _tag in slots:
+            for index in indices[readout.provider:]:
                 t_useful[index] = 0
                 t_ugen[index] = gen
             return
-        _comp, index, tag = candidates[self._rng.next_below(len(candidates))]
-        self._t_tag[index] = tag
+        choice = candidates[self._rng.next_below(len(candidates))]
+        index = indices[choice]
+        self._t_tag[index] = tags[choice]
         t_useful[index] = 0
         t_ugen[index] = gen
         base = index * c.npred
         t_strides, t_conf = self._t_strides, self._t_conf
+        propagate = c.propagate_confidence
         for m in range(c.npred):
-            if m in correct_slots:
+            if m in correct_slots or m not in observed:
+                # Correct slots keep the provider's counters; slots not
+                # exercised by this instance inherit the provider too.
                 t_strides[base + m] = readout.strides[m]
-                t_conf[base + m] = (
-                    readout.conf[m] if c.propagate_confidence else 0
-                )
-            elif m in observed:
+                t_conf[base + m] = readout.conf[m] if propagate else 0
+            else:
                 t_strides[base + m] = observed[m]
                 t_conf[base + m] = 0
-            else:
-                # Slot not exercised by this instance: inherit the provider.
-                t_strides[base + m] = readout.strides[m]
-                t_conf[base + m] = (
-                    readout.conf[m] if c.propagate_confidence else 0
-                )
-
-    def _tick_useful_reset(self) -> None:
-        # O(1) periodic reset: bumping the generation makes every entry's
-        # stale useful bit read as 0 without walking the tables.
-        self._updates_since_reset += 1
-        if self._updates_since_reset >= self.config.useful_reset_period:
-            self._updates_since_reset = 0
-            self._useful_gen += 1
 
     # -- reporting -------------------------------------------------------------
 

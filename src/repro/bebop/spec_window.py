@@ -41,6 +41,9 @@ class SpeculativeWindow:
         self.capacity = capacity
         self.tag_bits = tag_bits
         self._entries: list[_WindowEntry] = []
+        # window_tag per block PC: the partial tag is a pure function of
+        # the static block address, so it is folded once per block.
+        self._tags: dict[int, int] = {}
         self.lookups = 0
         self.hits = 0
 
@@ -51,13 +54,17 @@ class SpeculativeWindow:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def _tag(self, block_pc: int) -> int:
+        tag = self._tags.get(block_pc)
+        if tag is None:
+            tag = self._tags[block_pc] = window_tag(block_pc, self.tag_bits)
+        return tag
+
     def insert(self, block_pc: int, seq: int, values: list[int]) -> None:
         """Append a newly predicted block instance at the head."""
         if not self.enabled:
             return
-        self._entries.append(
-            _WindowEntry(window_tag(block_pc, self.tag_bits), seq, list(values))
-        )
+        self._entries.append(_WindowEntry(self._tag(block_pc), seq, list(values)))
         if self.capacity is not None and len(self._entries) > self.capacity:
             # Head overlaps tail: advance both (the oldest entry is lost).
             self._entries.pop(0)
@@ -80,7 +87,7 @@ class SpeculativeWindow:
         if not self.enabled:
             return None
         self.lookups += 1
-        tag = window_tag(block_pc, self.tag_bits)
+        tag = self._tag(block_pc)
         for entry in reversed(self._entries):
             if entry.tag == tag:
                 self.hits += 1
@@ -101,7 +108,7 @@ class SpeculativeWindow:
         """
         if not self.enabled:
             return False
-        tag = window_tag(block_pc, self.tag_bits)
+        tag = self._tag(block_pc)
         for entry in reversed(self._entries):
             if entry.tag == tag and entry.seq == seq:
                 for slot, value in slot_values.items():
@@ -125,7 +132,7 @@ class SpeculativeWindow:
         """
         if not self.enabled:
             return False
-        tag = window_tag(block_pc, self.tag_bits)
+        tag = self._tag(block_pc)
         for i in range(len(self._entries) - 1, -1, -1):
             entry = self._entries[i]
             if entry.tag == tag and entry.seq == seq:

@@ -21,7 +21,7 @@ from repro.common.bits import mask
 from repro.common.rng import XorShift64
 from repro.common.tables import Field, make_bank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
-from repro.predictors.base import HistoryState, tagged_index, tagged_tag
+from repro.predictors.base import HistoryState, TaggedSlots
 from repro.predictors.vtage import geometric_history_lengths
 
 BIMODAL_FIELDS = (
@@ -39,9 +39,15 @@ TAGGED_FIELDS = (
 
 
 class _BranchMeta:
-    """Provider information carried from predict to train."""
+    """Provider information carried from predict to train.
 
-    __slots__ = ("provider", "index", "tag", "alt_taken", "provider_weak")
+    ``slots`` is the ``(indices, tags)`` of every tagged component at
+    predict time (see :class:`~repro.predictors.base.TaggedSlots`), which allocation at
+    train time reuses instead of rehashing.
+    """
+
+    __slots__ = ("provider", "index", "tag", "alt_taken", "provider_weak",
+                 "slots")
 
     def __init__(
         self,
@@ -50,12 +56,14 @@ class _BranchMeta:
         tag: int,
         alt_taken: bool,
         provider_weak: bool,
+        slots: tuple[list[int], list[int]] | None = None,
     ) -> None:
         self.provider = provider
         self.index = index
         self.tag = tag
         self.alt_taken = alt_taken
         self.provider_weak = provider_weak
+        self.slots = slots
 
 
 class TAGEBranchPredictor:
@@ -113,6 +121,11 @@ class TAGEBranchPredictor:
         self._useful_reset_period = useful_reset_period
         self._updates = 0
         self._useful_gen = 0
+        self._bimodal_mask = mask(self.bimodal_index_bits)
+        self._hash = TaggedSlots(
+            self.history_lengths, self.tagged_index_bits, self.tag_bits,
+            tagged_entries,
+        )
 
     def fold_geometry(
         self,
@@ -127,39 +140,32 @@ class TAGEBranchPredictor:
     # -- lookups -----------------------------------------------------------
 
     def _bimodal_index(self, pc: int) -> int:
-        return (pc >> 2) & mask(self.bimodal_index_bits)
-
-    def _slot(self, comp: int, pc: int, hist: HistoryState) -> tuple[int, int]:
-        """(flat index, tag) of ``pc`` in tagged component ``comp``."""
-        length = self.history_lengths[comp]
-        index = tagged_index(pc, hist, length, self.tagged_index_bits)
-        tag = tagged_tag(pc, hist, length, self.tag_bits[comp])
-        return comp * self.tagged_entries + index, tag
+        return (pc >> 2) & self._bimodal_mask
 
     # -- prediction ---------------------------------------------------------
 
     def predict(self, pc: int, hist: HistoryState) -> tuple[bool, _BranchMeta]:
         """Predicted direction plus the metadata train() needs."""
-        hits: list[tuple[int, int, int]] = []
+        slots = self._hash.slots(pc, hist)
+        indices, tags = slots
         t_tag = self._t_tag
+        hit = alt = -1
         for comp in range(self.components):
-            index, tag = self._slot(comp, pc, hist)
-            if t_tag[index] == tag:
-                hits.append((comp, index, tag))
-        base_taken = bool(self._b_ctr[self._bimodal_index(pc)] >= 2)
-        if not hits:
-            meta = _BranchMeta(0, 0, 0, base_taken, False)
-            return base_taken, meta
-        comp, index, tag = hits[-1]
+            if t_tag[indices[comp]] == tags[comp]:
+                alt = hit
+                hit = comp
+        base_taken = bool(self._b_ctr[(pc >> 2) & self._bimodal_mask] >= 2)
+        if hit < 0:
+            return base_taken, _BranchMeta(0, 0, 0, base_taken, False, slots)
+        index = indices[hit]
         ctr = int(self._t_ctr[index])
         taken = ctr >= 4
-        weak = ctr in (3, 4)
-        if len(hits) > 1:
-            _alt_comp, alt_index, _ = hits[-2]
-            alt_taken = bool(self._t_ctr[alt_index] >= 4)
+        weak = ctr == 3 or ctr == 4
+        if alt >= 0:
+            alt_taken = bool(self._t_ctr[indices[alt]] >= 4)
         else:
             alt_taken = base_taken
-        meta = _BranchMeta(comp + 1, index, tag, alt_taken, weak)
+        meta = _BranchMeta(hit + 1, index, tags[hit], alt_taken, weak, slots)
         # Newly allocated (weak) providers are unreliable: optionally trust
         # the alternate prediction instead.
         if weak and self._use_alt_on_new_alloc >= 8:
@@ -172,29 +178,32 @@ class TAGEBranchPredictor:
         self, pc: int, hist: HistoryState, taken: bool, meta: _BranchMeta
     ) -> None:
         """Update with the resolved direction (meta from the predict call)."""
-        if meta.provider == 0:
+        slots = meta.slots
+        if slots is None:
+            slots = self._hash.slots(pc, hist)
+        provider = meta.provider
+        if provider == 0:
             index = self._bimodal_index(pc)
             ctr = int(self._b_ctr[index])
             self._b_ctr[index] = min(3, ctr + 1) if taken else max(0, ctr - 1)
-            provider_taken = meta.alt_taken
-            provider_correct = provider_taken == taken
-            if not provider_correct:
-                self._allocate(pc, hist, 0, taken)
+            if meta.alt_taken != taken:
+                self._allocate(slots, 0, taken)
             self._tick()
             return
         index = meta.index
+        t_useful = self._t_useful
         if self._t_tag[index] == meta.tag:
             ctr = int(self._t_ctr[index])
             provider_taken = ctr >= 4
             provider_correct = provider_taken == taken
             self._t_ctr[index] = min(7, ctr + 1) if taken else max(0, ctr - 1)
             if self._t_ugen[index] != self._useful_gen:
-                self._t_useful[index] = 0
+                t_useful[index] = 0
                 self._t_ugen[index] = self._useful_gen
             if provider_correct and meta.alt_taken != provider_taken:
-                self._t_useful[index] = min(3, int(self._t_useful[index]) + 1)
+                t_useful[index] = min(3, int(t_useful[index]) + 1)
             elif not provider_correct:
-                self._t_useful[index] = max(0, int(self._t_useful[index]) - 1)
+                t_useful[index] = max(0, int(t_useful[index]) - 1)
             if meta.provider_weak and meta.alt_taken != provider_taken:
                 # Track whether trusting the alternate over weak providers
                 # pays off.
@@ -203,28 +212,30 @@ class TAGEBranchPredictor:
                 else:
                     self._use_alt_on_new_alloc = max(0, self._use_alt_on_new_alloc - 1)
             if not provider_correct:
-                self._allocate(pc, hist, meta.provider, taken)
+                self._allocate(slots, provider, taken)
         else:
             # Entry was reallocated between fetch and retire; just allocate.
-            self._allocate(pc, hist, meta.provider, taken)
+            self._allocate(slots, provider, taken)
         self._tick()
 
-    def _allocate(self, pc: int, hist: HistoryState, provider: int, taken: bool) -> None:
+    def _allocate(
+        self, slots: tuple[list[int], list[int]], provider: int, taken: bool
+    ) -> None:
+        indices, tags = slots
         gen = self._useful_gen
+        t_useful, t_ugen = self._t_useful, self._t_ugen
         candidates = []
-        slots = []
         for comp in range(provider, self.components):
-            index, tag = self._slot(comp, pc, hist)
-            slots.append((comp, index, tag))
-            if self._t_ugen[index] != gen:
-                self._t_useful[index] = 0
-                self._t_ugen[index] = gen
-            if self._t_useful[index] == 0:
-                candidates.append((comp, index, tag))
+            index = indices[comp]
+            if t_ugen[index] != gen:
+                t_useful[index] = 0
+                t_ugen[index] = gen
+            if t_useful[index] == 0:
+                candidates.append(comp)
         if not candidates:
             # Every slot was normalized to the current generation above.
-            for _comp, index, _ in slots:
-                self._t_useful[index] = max(0, int(self._t_useful[index]) - 1)
+            for index in indices[provider:]:
+                t_useful[index] = max(0, int(t_useful[index]) - 1)
             return
         # Bias allocation toward shorter histories (classic TAGE heuristic):
         # pick the first candidate with probability 1/2, else uniformly.
@@ -232,11 +243,11 @@ class TAGEBranchPredictor:
             choice = candidates[0]
         else:
             choice = candidates[self._rng.next_below(len(candidates))]
-        _comp, index, tag = choice
-        self._t_tag[index] = tag
+        index = indices[choice]
+        self._t_tag[index] = tags[choice]
         self._t_ctr[index] = 4 if taken else 3
-        self._t_useful[index] = 0
-        self._t_ugen[index] = gen
+        t_useful[index] = 0
+        t_ugen[index] = gen
 
     def _tick(self) -> None:
         # O(1) periodic reset via the generation counter (no table walk).

@@ -123,14 +123,108 @@ class FoldedHistory:
         self._value = 0
 
 
+class FoldLayout:
+    """Where every fold register of a :class:`FoldedHistorySet` lives.
+
+    The set packs all its branch-history fold registers into one integer
+    and all its path-history registers into another (see
+    :class:`_PackedRegisters`), in four regions laid out in registration
+    order: index folds of the branch history, index folds of the path
+    history, tag folds (``width`` bits) and their ``width - 1`` twins, each
+    twin in a ``width``-bit lane aligned with its tag fold.  A layout maps
+    a fold (by :func:`fold_key`) to its lanes; snapshots share their set's
+    layout, so a consumer resolves its lanes once (:meth:`component_lanes`)
+    and then reads any snapshot with a few shifts.
+    """
+
+    __slots__ = ("idx_pairs", "tag_pairs", "idx", "tag", "_blocks")
+
+    def __init__(
+        self,
+        idx_pairs: list[tuple[int, int]],
+        tag_pairs: list[tuple[int, int]],
+        branch_offsets: list[int],
+        path_offsets: list[int],
+    ) -> None:
+        n_idx = len(idx_pairs)
+        n_tag = len(tag_pairs)
+        self.idx_pairs = idx_pairs
+        self.tag_pairs = tag_pairs
+        #: (fold_key, branch lane, path lane, mask) per index fold.
+        self.idx = tuple(
+            (fold_key(length, width), branch_offsets[i], path_offsets[i],
+             (1 << width) - 1)
+            for i, (length, width) in enumerate(idx_pairs)
+        )
+        #: (fold_key, width lane, width-1 lane, mask) per tag fold.
+        self.tag = tuple(
+            (fold_key(length, width), branch_offsets[n_idx + i],
+             branch_offsets[n_idx + n_tag + i], (1 << width) - 1)
+            for i, (length, width) in enumerate(tag_pairs)
+        )
+        self._blocks: dict[tuple, tuple[int, int, int, int] | None] = {}
+
+    def idx_folds(self, bfolds: int, pfolds: int) -> dict[int, int]:
+        return {key: ((bfolds >> b) ^ (pfolds >> p)) & m
+                for key, b, p, m in self.idx}
+
+    def tag_folds(self, bfolds: int) -> dict[int, int]:
+        return {key: ((bfolds >> f1) ^ ((bfolds >> f2) << 1)) & m
+                for key, f1, f2, m in self.tag}
+
+    def component_lanes(
+        self,
+        lengths: tuple[int, ...],
+        index_bits: int,
+        tag_bits: tuple[int, ...],
+    ) -> tuple[int, int, int, int] | None:
+        """Where a TAGE-style geometry's folds start, or None.
+
+        Returns ``(index branch lane, index path lane, tag lane, twin
+        lane)`` when the set registered the geometry's index pairs
+        ``(length_c, index_bits)`` and tag pairs ``(length_c, tag_bits[c])``
+        as contiguous runs, component by component — what
+        ``fold_geometry()`` hands the pipeline.  Component ``c``'s lanes
+        then sit ``c * index_bits`` (index) and ``sum(tag_bits[:c])`` (tag)
+        bits above those starts, so with ``B``/``P`` a snapshot's
+        ``bfolds``/``pfolds``, all index folds are ``(B >> ib) ^ (P >> ip)``
+        and all tag folds ``(B >> t1) ^ ((B >> t2) << 1)``, lane by lane.
+        """
+        geometry = (lengths, index_bits, tag_bits)
+        if geometry not in self._blocks:
+            want_idx = [(length, index_bits) for length in lengths]
+            want_tag = list(zip(lengths, tag_bits))
+            i = _find_run(self.idx_pairs, want_idx)
+            j = _find_run(self.tag_pairs, want_tag)
+            self._blocks[geometry] = (
+                None if i is None or j is None
+                else (self.idx[i][1], self.idx[i][2],
+                      self.tag[j][1], self.tag[j][2])
+            )
+        return self._blocks[geometry]
+
+
+def _find_run(pairs: list, run: list) -> int | None:
+    """Start of the first occurrence of ``run`` inside ``pairs``."""
+    n = len(run)
+    for i in range(len(pairs) - n + 1):
+        if pairs[i:i + n] == run:
+            return i
+    return None
+
+
 class FoldedHistoryState:
     """Immutable fetch-time snapshot of the histories plus their folds.
 
     Attribute-compatible with :class:`repro.predictors.base.HistoryState`
     (``branch``/``path`` raw register values) so it flows through the same
-    adapter plumbing, but additionally carries the precomputed
-    history-dependent halves of the TAGE index/tag hashes, keyed by
-    :func:`fold_key` of the (history length, output width) pair:
+    adapter plumbing, but additionally carries the incrementally maintained
+    fold registers, packed as the set's ``layout`` describes:
+    ``bfolds`` holds every branch-history register, ``pfolds`` every
+    path-history register.  Taking a snapshot therefore copies four ints.
+
+    ``idx_folds``/``tag_folds`` unpack them on first use into dicts keyed
+    by :func:`fold_key` of the (history length, output width) pair:
 
     * ``idx_folds[fold_key(hist_length, index_bits)]`` — the XOR of the
       folded branch history and the folded path history that
@@ -143,27 +237,47 @@ class FoldedHistoryState:
     on-demand folding for geometries the owning :class:`FoldedHistorySet`
     was not configured with, so the values must equal ``fold_bits`` of the
     raw registers exactly — the set maintains them incrementally in O(1)
-    per pushed bit, which is bit-identical (test-enforced).
+    per pushed bit, which is bit-identical (test-enforced).  Hot consumers
+    skip the dicts and read their lanes directly (see
+    :meth:`FoldLayout.component_lanes`).
     """
 
-    __slots__ = ("branch", "path", "idx_folds", "tag_folds")
+    __slots__ = ("branch", "path", "bfolds", "pfolds", "layout", "_idx", "_tag")
 
     def __init__(
         self,
         branch: int,
         path: int,
-        idx_folds: dict[int, int],
-        tag_folds: dict[int, int],
+        bfolds: int,
+        pfolds: int,
+        layout: FoldLayout,
     ) -> None:
         self.branch = branch
         self.path = path
-        self.idx_folds = idx_folds
-        self.tag_folds = tag_folds
+        self.bfolds = bfolds
+        self.pfolds = pfolds
+        self.layout = layout
+        self._idx: dict[int, int] | None = None
+        self._tag: dict[int, int] | None = None
+
+    @property
+    def idx_folds(self) -> dict[int, int]:
+        d = self._idx
+        if d is None:
+            d = self._idx = self.layout.idx_folds(self.bfolds, self.pfolds)
+        return d
+
+    @property
+    def tag_folds(self) -> dict[int, int]:
+        d = self._tag
+        if d is None:
+            d = self._tag = self.layout.tag_folds(self.bfolds)
+        return d
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FoldedHistoryState(branch={self.branch:#x}, path={self.path:#x}, "
-            f"{len(self.idx_folds)} idx folds, {len(self.tag_folds)} tag folds)"
+            f"{len(self.layout.idx)} idx folds, {len(self.layout.tag)} tag folds)"
         )
 
 
@@ -185,33 +299,65 @@ def fold_key(hist_length: int, output_bits: int) -> int:
     return (hist_length << 7) | output_bits
 
 
+class _PackedRegisters:
+    """:class:`FoldedHistory` registers of one history, packed in one int.
+
+    Each lane is ``(history length, register width, lane width)``; the
+    register occupies the low ``register width`` bits of its lane (a zero
+    width leaves the lane permanently zero).  One push applies
+    :meth:`FoldedHistory.update` to every register at once: the circular
+    shift is a shift of the whole int with the register top bits moved
+    back to their lane bottoms (one step per distinct width), and the
+    evicted bits are XORed in per distinct history length.
+    """
+
+    __slots__ = ("offsets", "tops", "lsbs", "wraps", "evicts")
+
+    def __init__(self, lanes: list[tuple[int, int, int]]) -> None:
+        self.offsets: list[int] = []
+        tops = lsbs = 0
+        wraps: dict[int, int] = {}
+        evicts: dict[int, int] = {}
+        off = 0
+        for length, width, lane in lanes:
+            self.offsets.append(off)
+            if width:
+                top = 1 << (off + width - 1)
+                tops |= top
+                lsbs |= 1 << off
+                wraps[width - 1] = wraps.get(width - 1, 0) | top
+                # The bit leaving a register's window is bit ``length - 1``
+                # of the raw history before the push.
+                evicts[length - 1] = (
+                    evicts.get(length - 1, 0) | 1 << (off + length % width)
+                )
+            off += lane
+        self.tops = tops
+        self.lsbs = lsbs
+        self.wraps = tuple(sorted(wraps.items()))
+        self.evicts = tuple(sorted(evicts.items()))
+
+
 class FoldedHistorySet:
     """Incrementally maintained folded histories for a predictor geometry.
 
     Owns the raw branch/path :class:`GlobalHistory` registers plus one
-    :class:`FoldedHistory` circular register per distinct fold a registered
-    geometry needs.  ``push_outcome``/``push_path`` update every register in
-    O(1) per bit (independent of the history lengths); ``state`` returns the
-    current :class:`FoldedHistoryState`, rebuilt lazily only after a push, so
+    circular fold register (:class:`FoldedHistory` semantics) per fold a
+    registered geometry needs, packed per history into one int as
+    :class:`FoldLayout` describes.  ``push_outcome``/``push_path`` update
+    every register in O(distinct widths + distinct lengths) per bit,
+    independent of the history lengths; ``state`` returns the current
+    :class:`FoldedHistoryState`, rebuilt lazily only after a push, so
     consecutive snapshots between branches share one immutable object.
-    ``snapshot``/``restore`` checkpoint the whole set in O(registers) —
-    independent of history length — for squash recovery.
+    ``snapshot``/``restore`` checkpoint the whole set as four ints for
+    squash recovery.
 
     ``idx_pairs`` / ``tag_pairs`` are iterables of ``(history_length,
-    output_bits)`` as consumed by ``tagged_index`` / ``tagged_tag``.
+    output_bits)`` as consumed by ``tagged_index`` / ``tagged_tag``, kept
+    in the given order so each predictor's folds stay contiguous.
     """
 
-    __slots__ = (
-        "branch",
-        "path",
-        "_bregs",
-        "_pregs",
-        "_breg_items",
-        "_preg_items",
-        "_idx_specs",
-        "_tag_specs",
-        "_state",
-    )
+    __slots__ = ("branch", "path", "layout", "_b", "_p", "_bv", "_pv", "_state")
 
     def __init__(
         self,
@@ -222,76 +368,70 @@ class FoldedHistorySet:
     ) -> None:
         self.branch = GlobalHistory(branch_capacity)
         self.path = GlobalHistory(path_capacity)
-        self._bregs: dict[tuple[int, int], FoldedHistory] = {}
-        self._pregs: dict[tuple[int, int], FoldedHistory] = {}
-        # (fold_key(length, width), branch_fold, path_fold) per index pair.
-        self._idx_specs: list[tuple[int, FoldedHistory, FoldedHistory]] = []
-        # (fold_key(length, width), fold_W, fold_W-1 or None) per tag pair.
-        self._tag_specs: list[tuple[int, FoldedHistory, FoldedHistory | None]] = []
-        for length, width in sorted(set(idx_pairs)):
+        idx_pairs = list(idx_pairs)
+        tag_pairs = list(tag_pairs)
+        for _length, width in idx_pairs + tag_pairs:
             if not 0 < width <= MAX_FOLD_WIDTH:
                 raise ValueError(f"fold width out of range: {width}")
-            b = self._branch_register(length, width)
-            p = self._path_register(min(length, PATH_FOLD_BITS), width)
-            self._idx_specs.append((fold_key(length, width), b, p))
-        for length, width in sorted(set(tag_pairs)):
-            if not 0 < width <= MAX_FOLD_WIDTH:
-                raise ValueError(f"fold width out of range: {width}")
-            f1 = self._branch_register(length, width)
-            f2 = self._branch_register(length, width - 1) if width > 1 else None
-            self._tag_specs.append((fold_key(length, width), f1, f2))
-        # Flat (evicted-bit position, register) lists for the push loops:
-        # the bit leaving a register's window is bit ``length - 1`` of the
-        # raw history *before* the push.
-        self._breg_items = [
-            (length - 1, reg) for (length, _w), reg in self._bregs.items()
-        ]
-        self._preg_items = [
-            (length - 1, reg) for (length, _w), reg in self._pregs.items()
-        ]
+        self._b = _PackedRegisters(
+            [(length, width, width) for length, width in idx_pairs]
+            + [(length, width, width) for length, width in tag_pairs]
+            + [(length, width - 1, width) for length, width in tag_pairs]
+        )
+        self._p = _PackedRegisters(
+            [(min(length, PATH_FOLD_BITS), width, width)
+             for length, width in idx_pairs]
+        )
+        self.layout = FoldLayout(
+            idx_pairs, tag_pairs, self._b.offsets, self._p.offsets
+        )
+        self._bv = 0
+        self._pv = 0
         self._state: FoldedHistoryState | None = None
-
-    def _branch_register(self, length: int, width: int) -> FoldedHistory:
-        reg = self._bregs.get((length, width))
-        if reg is None:
-            reg = self._bregs[(length, width)] = FoldedHistory(length, width)
-        return reg
-
-    def _path_register(self, length: int, width: int) -> FoldedHistory:
-        reg = self._pregs.get((length, width))
-        if reg is None:
-            reg = self._pregs[(length, width)] = FoldedHistory(length, width)
-        return reg
 
     # -- pushes --------------------------------------------------------------
 
     def push_outcome(self, taken: bool) -> None:
-        """Shift one branch outcome bit in, updating every fold in O(1)."""
+        """Shift one branch outcome bit in, updating every fold."""
         bit = 1 if taken else 0
-        bits = self.branch.value()
-        # Inlined FoldedHistory.update: this loop runs for every fold
-        # register on every conditional branch, so the per-register method
-        # call is worth avoiding.
-        for evict_src, reg in self._breg_items:
-            v = reg._value
-            v = ((v << 1) | (v >> reg._rot_shift)) & reg._out_mask
-            reg._value = v ^ bit ^ (((bits >> evict_src) & 1) << reg._evict_pos)
-        self.branch.push(bit, 1)
+        regs = self._b
+        raw = self.branch
+        bits = raw._bits
+        v = self._bv
+        top = v & regs.tops
+        v = (v ^ top) << 1
+        for shift, tops in regs.wraps:
+            v |= (top & tops) >> shift
+        if bit:
+            v ^= regs.lsbs
+        for src, lanes in regs.evicts:
+            if (bits >> src) & 1:
+                v ^= lanes
+        self._bv = v
+        raw._bits = ((bits << 1) | bit) & raw._mask
         self._state = None
 
     def push_path(self, target_pc: int, bits: int = 2) -> None:
         """Shift low-order target-address bits in (path history)."""
-        pbits = self.path.value()
+        regs = self._p
+        raw = self.path
+        pbits = raw._bits
+        v = self._pv
+        lsbs = regs.lsbs
         for i in range(bits - 1, -1, -1):
             bit = (target_pc >> i) & 1
-            for evict_src, reg in self._preg_items:
-                v = reg._value
-                v = ((v << 1) | (v >> reg._rot_shift)) & reg._out_mask
-                reg._value = (
-                    v ^ bit ^ (((pbits >> evict_src) & 1) << reg._evict_pos)
-                )
+            top = v & regs.tops
+            v = (v ^ top) << 1
+            for shift, tops in regs.wraps:
+                v |= (top & tops) >> shift
+            if bit:
+                v ^= lsbs
+            for src, lanes in regs.evicts:
+                if (pbits >> src) & 1:
+                    v ^= lanes
             pbits = (pbits << 1) | bit
-        self.path.push(target_pc, bits)
+        self._pv = v
+        raw.push(target_pc, bits)
         self._state = None
 
     # -- snapshots -----------------------------------------------------------
@@ -300,48 +440,31 @@ class FoldedHistorySet:
         """The current fold snapshot (cached until the next push)."""
         s = self._state
         if s is None:
-            idx = {key: b._value ^ p._value for key, b, p in self._idx_specs}
-            tag = {}
-            for key, f1, f2 in self._tag_specs:
-                v = f1._value
-                if f2 is not None:
-                    v ^= f2._value << 1
-                tag[key] = v
             s = self._state = FoldedHistoryState(
-                self.branch.value(), self.path.value(), idx, tag
+                self.branch._bits, self.path._bits, self._bv, self._pv,
+                self.layout,
             )
         return s
 
     def snapshot(self) -> tuple:
-        """O(registers) checkpoint of raw registers and every fold."""
-        return (
-            self.branch.snapshot(),
-            self.path.snapshot(),
-            tuple(reg.snapshot() for _l, reg in self._breg_items),
-            tuple(reg.snapshot() for _l, reg in self._preg_items),
-        )
+        """Checkpoint of raw registers and every fold."""
+        return (self.branch.snapshot(), self.path.snapshot(), self._bv, self._pv)
 
     def restore(self, snap: tuple) -> None:
-        branch, path, bvals, pvals = snap
+        branch, path, self._bv, self._pv = snap
         self.branch.restore(branch)
         self.path.restore(path)
-        for (_l, reg), v in zip(self._breg_items, bvals):
-            reg.restore(v)
-        for (_l, reg), v in zip(self._preg_items, pvals):
-            reg.restore(v)
         self._state = None
 
     def clear(self) -> None:
         self.branch.clear()
         self.path.clear()
-        for _l, reg in self._breg_items:
-            reg.clear()
-        for _l, reg in self._preg_items:
-            reg.clear()
+        self._bv = 0
+        self._pv = 0
         self._state = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"FoldedHistorySet({len(self._bregs)} branch / "
-            f"{len(self._pregs)} path fold registers)"
+            f"FoldedHistorySet({len(self._b.offsets)} branch / "
+            f"{len(self._p.offsets)} path fold lanes)"
         )

@@ -32,13 +32,14 @@ class Cache:
         self.latency = latency
         self.name = name
         self._index_mask = self.sets - 1
+        self._tag_shift = self.sets.bit_length() - 1
         self._sets: list[list[int]] = [[] for _ in range(self.sets)]
         self.hits = 0
         self.misses = 0
 
     def _set_and_tag(self, addr: int) -> tuple[list[int], int]:
         line = addr >> _LINE_SHIFT
-        return self._sets[line & self._index_mask], line >> self.sets.bit_length() - 1
+        return self._sets[line & self._index_mask], line >> self._tag_shift
 
     def access(self, addr: int) -> bool:
         """Access (and allocate on miss). Returns True on hit."""
@@ -115,8 +116,20 @@ class MemoryHierarchy:
 
     def load_latency(self, addr: int) -> int:
         """Latency of a demand data load through the hierarchy."""
-        if self.l1d.access(addr):
-            return self.l1d.latency
+        # L1D hit fast path: Cache.access without the calls.  A hit on the
+        # most recent way leaves the LRU order as it is; any other hit
+        # moves the way to the MRU end, exactly like access().
+        l1d = self.l1d
+        line = addr >> _LINE_SHIFT
+        ways = l1d._sets[line & l1d._index_mask]
+        tag = line >> l1d._tag_shift
+        if tag in ways:
+            if ways[-1] != tag:
+                ways.remove(tag)
+                ways.append(tag)
+            l1d.hits += 1
+            return l1d.latency
+        l1d.access(addr)  # the miss: counted and allocated as usual
         if self.l2.access(addr):
             self._prefetch(addr)
             return self.l1d.latency + self.l2.latency
@@ -133,8 +146,18 @@ class MemoryHierarchy:
 
     def ifetch_latency(self, block_pc: int) -> int:
         """Latency of fetching an instruction block."""
-        if self.l1i.access(block_pc):
-            return self.l1i.latency
+        # L1I hit fast path, as in load_latency.
+        l1i = self.l1i
+        line = block_pc >> _LINE_SHIFT
+        ways = l1i._sets[line & l1i._index_mask]
+        tag = line >> l1i._tag_shift
+        if tag in ways:
+            if ways[-1] != tag:
+                ways.remove(tag)
+                ways.append(tag)
+            l1i.hits += 1
+            return l1i.latency
+        l1i.access(block_pc)  # the miss: counted and allocated as usual
         if self.l2.access(block_pc):
             self._prefetch(block_pc)
             return self.l1i.latency + self.l2.latency

@@ -36,6 +36,7 @@ predictor never observes a result younger than the fetch being predicted.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 
 from repro.branch.btb import BranchTargetBuffer
 from repro.branch.tage import TAGEBranchPredictor
@@ -63,30 +64,107 @@ _LATENCY = {
 #: Classes that EOLE's Early Execution stage can handle (single-cycle ALU).
 _EARLY_EXECUTABLE = frozenset({LatencyClass.ALU, LatencyClass.NONE})
 
-#: µ-ops between prunes of the per-cycle occupancy dicts.  Entries behind the
-#: monotone dispatch/commit fronts can never be probed again, so the prune is
+#: µ-ops between prunes of the store-forwarding map.  Entries behind the
+#: monotone dispatch front can never be probed again, so the prune is
 #: timing-neutral; the interval only trades prune overhead against the
 #: (bounded) amount of dead state carried between prunes.
 _PRUNE_INTERVAL = 4096
 
+#: How a µ-op issues, per latency class (see :func:`_issue_classes`).
+_ISSUE_POOL = 0         # pipelined FU pool: issue width + per-class FU count
+_ISSUE_DIV = 1          # the single MulDiv unit, not pipelined for DIV
+_ISSUE_FPDIV = 2        # FPMulDiv units, not pipelined for FPDIV
+_ISSUE_MEM = 3          # load/store ports; load latency from the caches
 
-def group_block_instances(uops: list[DynMicroOp]) -> list[tuple[int, int]]:
-    """Split the trace into fetch-block instances: ``[start, end)`` runs of
-    µ-ops sharing a block PC, broken after every taken branch."""
-    groups: list[tuple[int, int]] = []
+#: FU pool of the unpipelined dividers: no per-cycle FU count, the unit's
+#: busy-until cycle bounds issue instead.
+_NO_POOL = 0
+
+#: Cycles the issue/FU occupancy ring covers at the start of a run; it
+#: doubles whenever an issue cycle runs further ahead of the dispatch front.
+_RING_CYCLES = 1024
+
+
+def _issue_classes(cfg: CoreConfig) -> tuple:
+    """Per latency class, ``(issue kind, FU pool, latency, early-executable)``,
+    indexed by ``LatencyClass._value_`` so the walk never hashes an enum."""
+    pools = {
+        LatencyClass.ALU: cfg.alu_count,
+        LatencyClass.BRANCH: cfg.alu_count,
+        LatencyClass.MUL: cfg.muldiv_count,
+        LatencyClass.FP: cfg.fp_count,
+        LatencyClass.FPMUL: cfg.fpmuldiv_count,
+        LatencyClass.NONE: cfg.alu_count,
+    }
+    kinds = {
+        LatencyClass.DIV: _ISSUE_DIV,
+        LatencyClass.FPDIV: _ISSUE_FPDIV,
+        LatencyClass.MEM: _ISSUE_MEM,
+    }
+    table: list = [None] * (max(c._value_ for c in LatencyClass) + 1)
+    for c in LatencyClass:
+        table[c._value_] = (
+            kinds.get(c, _ISSUE_POOL), pools.get(c, _NO_POOL), _LATENCY[c],
+            c in _EARLY_EXECUTABLE,
+        )
+    return tuple(table)
+
+
+def _slide_ring(issue, fu, lo: int, size: int, front: int, cycle: int):
+    """Make the issue/FU occupancy ring cover ``cycle``; returns (lo, size).
+
+    The ring holds the counts of cycles ``[lo, lo + size)`` at slot
+    ``cycle % size`` (``fu`` has 16 class slots per cycle).  Every probe is
+    at or after the dispatch ``front``, so the counts below it are dead:
+    their slots are zeroed and reused.  When ``cycle`` is a whole ring or
+    more ahead of the front, the ring doubles instead, keeping the live
+    counts.  Either way its size depends on how far issue runs ahead of
+    dispatch, never on the trace length.
+    """
+    if cycle - front < size:
+        dead = min(front - lo, size)
+        start = lo & (size - 1)
+        first = min(dead, size - start)
+        issue[start:start + first] = bytes(first)
+        fu[start << 4:(start + first) << 4] = bytes(first << 4)
+        rest = dead - first
+        issue[:rest] = bytes(rest)
+        fu[:rest << 4] = bytes(rest << 4)
+        return front, size
+    new = size
+    while cycle - front >= new:
+        new <<= 1
+    old_issue = issue[:]
+    old_fu = fu[:]
+    issue[:] = bytes(new)
+    fu[:] = bytes(new << 4)
+    for c in range(front, lo + size):
+        o = c & (size - 1)
+        n = c & (new - 1)
+        issue[n] = old_issue[o]
+        fu[n << 4:(n + 1) << 4] = old_fu[o << 4:(o + 1) << 4]
+    return front, new
+
+
+def iter_block_instances(uops: list[DynMicroOp]) -> Iterator[tuple[int, int]]:
+    """Split the trace into fetch-block instances, lazily: ``[start, end)``
+    runs of µ-ops sharing a block PC, broken after every taken branch."""
     start = 0
     n = len(uops)
     for i in range(n):
         uop = uops[i]
-        end_here = (
+        if (
             i + 1 >= n
             or (uop.is_branch and uop.branch_taken)
             or uops[i + 1].block_pc != uop.block_pc
-        )
-        if end_here:
-            groups.append((start, i + 1))
+        ):
+            yield start, i + 1
             start = i + 1
-    return groups
+
+
+def group_block_instances(uops: list[DynMicroOp]) -> list[tuple[int, int]]:
+    """All fetch-block instances of the trace (see iter_block_instances)."""
+    return list(iter_block_instances(uops))
 
 
 class PipelineModel:
@@ -123,9 +201,10 @@ class PipelineModel:
         self.hists = FoldedHistorySet(640, 64, idx_pairs, tag_pairs)
         self.bhist = self.hists.branch
         self.phist = self.hists.path
-        #: Peak summed size of the per-cycle occupancy dicts, sampled at
-        #: every prune during :meth:`run` (diagnostics only — never feeds
-        #: back into timing or :class:`SimStats`).
+        #: Peak size of the per-run occupancy state — cycles in the issue
+        #: ring plus store-forwarding entries — sampled at every prune
+        #: during :meth:`run` (diagnostics only — never feeds back into
+        #: timing or :class:`SimStats`).
         self.debug_state_peak = 0
 
     # -- the main walk -------------------------------------------------------
@@ -183,43 +262,100 @@ class PipelineModel:
         # set_provenance hook and fill GroupHandle.prov at fetch.
         rec = recorder
         apc = attrib is not None
-        if self.vp is not None:
+        vp = self.vp
+        if vp is not None:
             # Attribution wants the providing component per attempt, so it
             # turns provenance on even without a recorder.
-            set_prov = getattr(self.vp, "set_provenance", None)
+            set_prov = getattr(vp, "set_provenance", None)
             if set_prov is not None:
                 set_prov(rec is not None or apc)
             if banks is not None:
-                bank_source = getattr(self.vp, "table_banks", None)
+                bank_source = getattr(vp, "table_banks", None)
                 if bank_source is not None:
                     banks.attach(bank_source())
         bank_next = banks.interval if banks is not None else 0
 
-        groups = group_block_instances(uops)
+        # Fetch-block instances are cut on the fly, not listed up front:
+        # the walk keeps no per-µop or per-group state beyond the live
+        # window.  `upcoming` is the next instance in program order.
+        groups = iter_block_instances(uops)
+        upcoming = next(groups, None)
+
+        # --- the run's configuration and collaborators, bound once -----------
+        fe_depth = cfg.front_end_depth
+        be_depth = cfg.back_end_depth
+        fetch_blocks = cfg.fetch_blocks_per_cycle
+        decode_w = cfg.decode_width
+        issue_w = cfg.issue_width
+        commit_w = cfg.commit_width
+        fq_size = cfg.fetch_queue_uops
+        rob_size = cfg.rob_size
+        iq_size = cfg.iq_size
+        lq_size = cfg.lq_size
+        sq_size = cfg.sq_size
+        load_ports = cfg.load_ports
+        store_ports = cfg.store_ports
+        eole = cfg.eole
+        free_li_on = cfg.free_load_immediates and not eole
+        classes = _issue_classes(cfg)
+        memory = self.memory
+        ifetch_latency = memory.ifetch_latency
+        load_latency = memory.load_latency
+        l1d_hit_lat = memory.l1d.latency
+        bp_predict = self.branch_predictor.predict
+        bp_train = self.branch_predictor.train
+        btb_lookup = self.btb.lookup
+        btb_install = self.btb.install
+        hist_state = self.hists.state
+        push_outcome = self.hists.push_outcome
+        push_path = self.hists.push_path
+        result_uop = finish_group = None
+        if vp is not None:
+            fetch_group = vp.fetch_group
+            commit_uop = vp.commit_uop
+            # Adapters whose result_uop/finish_group do nothing say so, and
+            # the walk skips the calls.
+            if getattr(vp, "group_hooks", True):
+                result_uop = vp.result_uop
+                finish_group = vp.finish_group
+
         # --- machine state ---------------------------------------------------
         fetch_cycle = 0
         blocks_in_cycle = 0
-        taken_in_cycle = 0
         next_fetch_min = 0
+        # Dispatch and commit happen in order at monotone fronts, so the
+        # only occupancy either can still see is that of the front cycle
+        # itself: one (cycle, count) pair each.
         last_dispatch = 0
-        dispatch_cnt: dict[int, int] = {}
-        issue_cnt: dict[int, int] = {}
-        fu_cnt: dict[tuple[int, LatencyClass], int] = {}
+        disp_n = 0
+        last_commit = 0
+        commit_n = 0
+        # Issue is out of order, but every issue probe is at or after the
+        # dispatch front: per-cycle issue and per-(cycle, class) FU counts
+        # live in a ring of cycles that slides with that front (see
+        # _slide_ring).  Counts never exceed the widths, so bytes suffice.
+        counter = bytearray if max(
+            issue_w, load_ports, store_ports, *(c[1] for c in classes if c)
+        ) < 256 else list
+        ring_size = _RING_CYCLES
+        ring_mask = ring_size - 1
+        ring_lo = 0
+        ring_hi = ring_size
+        issue_cnt = counter(ring_size)
+        fu_cnt = counter(ring_size << 4)
         div_free = 0            # the single MulDiv unit, not pipelined for DIV
         fpdiv_free = 0          # FPMulDiv units, not pipelined for FPDIV
-        last_commit = 0
-        commit_cnt: dict[int, int] = {}
         # Per-µ-op event series are only ever read a fixed distance back
         # (the structural occupancy bounds index exactly rob/fq/iq/lq/sq
         # entries behind the append point), so fixed-size ring buffers
         # replace the append-only lists; the counters stand in for the
         # unbounded len().  Once a counter reaches the capacity, the old
         # ``series[n - size]`` read is exactly ``ring[0]``.
-        rob_commits: deque[int] = deque(maxlen=cfg.rob_size)
-        dispatch_cycles: deque[int] = deque(maxlen=cfg.fetch_queue_uops)
-        iq_issues: deque[int] = deque(maxlen=cfg.iq_size)
-        lq_completes: deque[int] = deque(maxlen=cfg.lq_size)
-        sq_completes: deque[int] = deque(maxlen=cfg.sq_size)
+        rob_commits: deque[int] = deque(maxlen=rob_size)
+        dispatch_cycles: deque[int] = deque(maxlen=fq_size)
+        iq_issues: deque[int] = deque(maxlen=iq_size)
+        lq_completes: deque[int] = deque(maxlen=lq_size)
+        sq_completes: deque[int] = deque(maxlen=sq_size)
         rob_count = 0           # µ-ops committed-scheduled (old len(rob_commits))
         fq_count = 0            # µ-ops dispatched (old len(dispatch_cycles))
         iq_count = 0            # IQ-entering µ-ops (old len(iq_issues))
@@ -230,16 +366,6 @@ class PipelineModel:
         deferred_bp: deque = deque()    # (apply_cycle, pc, hist, taken, meta)
         next_prune = _PRUNE_INTERVAL
         state_peak = 0
-
-        # FU issue-bandwidth pools per class.
-        fu_pool = {
-            LatencyClass.ALU: cfg.alu_count,
-            LatencyClass.BRANCH: cfg.alu_count,
-            LatencyClass.MUL: cfg.muldiv_count,
-            LatencyClass.FP: cfg.fp_count,
-            LatencyClass.FPMUL: cfg.fpmuldiv_count,
-            LatencyClass.NONE: cfg.alu_count,
-        }
 
         # CPI-stack attribution (see repro.obs.cpi).  `track` gates every
         # instrumentation block so the disabled path costs one boolean
@@ -259,36 +385,26 @@ class PipelineModel:
         disp_pc = -1
         exec_pc = -1
         reg_pc: dict[int, int] = {}
-        l1d_hit_lat = self.memory.l1d.latency
 
-        # Warmup bookkeeping.
+        # Statistics, kept in locals and stored once at the end.
         measuring = warmup_uops == 0
         base_cycle = 0
         uop_index = 0
+        n_uops = n_insts = n_branches = n_branch_mispredicts = n_btb_misses = 0
+        n_vp_eligible = n_vp_predicted = n_vp_used = n_vp_used_correct = 0
+        n_vp_squashes = n_early = n_late = 0
 
-        def start_measuring() -> None:
-            nonlocal measuring, base_cycle
-            measuring = True
-            base_cycle = last_commit
-
-        def apply_deferred_bp(cycle: int) -> None:
-            bp = self.branch_predictor
-            while deferred_bp and deferred_bp[0][0] <= cycle:
-                _, pc, hist, taken, meta = deferred_bp.popleft()
-                bp.train(pc, hist, taken, meta)
-
-        gi = 0
         pending_refetch: tuple[list[DynMicroOp], GroupHandle] | None = None
         reuse_next_group: GroupHandle | None = None
         reuse_block_pc = -1
 
-        while gi < len(groups) or pending_refetch is not None:
+        while upcoming is not None or pending_refetch is not None:
             if pending_refetch is not None:
                 guops, reuse = pending_refetch
                 pending_refetch = None
             else:
-                start, end = groups[gi]
-                gi += 1
+                start, end = upcoming
+                upcoming = next(groups, None)
                 guops = uops[start:end]
                 reuse = None
                 if reuse_next_group is not None:
@@ -299,11 +415,11 @@ class PipelineModel:
             block_pc = guops[0].block_pc
 
             # ---- fetch ------------------------------------------------------
-            c = max(fetch_cycle, next_fetch_min)
+            c = fetch_cycle if fetch_cycle >= next_fetch_min else next_fetch_min
             # Fetch-queue backpressure: this block's first µ-op can only be
             # fetched once the µ-op fetch_queue_uops earlier has dispatched.
-            if fq_count >= cfg.fetch_queue_uops:
-                c = max(c, dispatch_cycles[0])
+            if fq_count >= fq_size and dispatch_cycles[0] > c:
+                c = dispatch_cycles[0]
             if track:
                 # The block's fetch is redirect-bound when the fetch
                 # barrier is what it waited on; fetch-queue backpressure
@@ -317,48 +433,51 @@ class PipelineModel:
             if c > fetch_cycle:
                 fetch_cycle = c
                 blocks_in_cycle = 0
-                taken_in_cycle = 0
-            if blocks_in_cycle >= cfg.fetch_blocks_per_cycle:
+            if blocks_in_cycle >= fetch_blocks:
                 fetch_cycle += 1
                 blocks_in_cycle = 0
-                taken_in_cycle = 0
             if rec is not None:
                 # Fetch start of the block, before any I-cache stall.
                 block_fetch = fetch_cycle
-            ifetch_lat = self.memory.ifetch_latency(block_pc)
+            ifetch_lat = ifetch_latency(block_pc)
             block_avail = fetch_cycle + ifetch_lat - 1
             blocks_in_cycle += 1
             if ifetch_lat > 1:
                 # An I-cache miss stalls fetch until the block arrives.
                 fetch_cycle = block_avail
                 blocks_in_cycle = 1
-                taken_in_cycle = 0
                 fe_cause = "icache"
                 fe_pc = -1
+            disp_ready = block_avail + fe_depth
 
             # ---- value prediction (block granularity) -----------------------
-            hist = self.hists.state()
             handle: GroupHandle | None = None
-            if self.vp is not None:
-                handle = self.vp.fetch_group(guops, fetch_cycle, hist, reuse)
+            if vp is not None:
+                handle = fetch_group(guops, fetch_cycle, hist_state(), reuse)
+                preds = handle.preds
 
             group_broken = False
             for k, uop in enumerate(guops):
-                pred = handle.preds[k] if handle is not None else None
+                pred = preds[k] if handle is not None else None
                 predicted_used = pred is not None and pred.confident
-                eligible = uop.is_vp_eligible
+                dest = uop.dest
+                is_load_imm = uop.is_load_imm
+                eligible = dest is not None and not is_load_imm
+                is_load = uop.is_load
+                is_store = uop.is_store
+                kind, pool, lat, early_class = classes[uop.latency_class._value_]
 
                 # ---- dispatch ------------------------------------------------
-                d = max(block_avail + cfg.front_end_depth, last_dispatch)
-                while dispatch_cnt.get(d, 0) >= cfg.decode_width:
+                d = disp_ready if disp_ready > last_dispatch else last_dispatch
+                if d == last_dispatch and disp_n >= decode_w:
                     d += 1
-                rob_full = rob_count >= cfg.rob_size
-                if rob_full:
-                    d = max(d, rob_commits[0] + 1)
-                if uop.is_load and lq_count >= cfg.lq_size:
-                    d = max(d, lq_completes[0])
-                if uop.is_store and sq_count >= cfg.sq_size:
-                    d = max(d, sq_completes[0])
+                rob_full = rob_count >= rob_size
+                if rob_full and rob_commits[0] + 1 > d:
+                    d = rob_commits[0] + 1
+                if is_load and lq_count >= lq_size and lq_completes[0] > d:
+                    d = lq_completes[0]
+                if is_store and sq_count >= sq_size and sq_completes[0] > d:
+                    d = sq_completes[0]
 
                 srcs_ready = 0
                 for src in uop.srcs:
@@ -366,43 +485,32 @@ class PipelineModel:
                     if t > srcs_ready:
                         srcs_ready = t
 
-                free_li = (
-                    cfg.free_load_immediates and uop.is_load_imm and not cfg.eole
-                )
-                # Early Execution is a single stage in parallel with rename
-                # (§V-A): operands must already be in the PRF *before* this
-                # µ-op dispatches, so same-cycle chains of early-executed
-                # µ-ops are not allowed (strict <).
-                eole_early = (
-                    cfg.eole
-                    and uop.latency_class in _EARLY_EXECUTABLE
-                    and not uop.is_load
-                    and not uop.is_store
-                    and srcs_ready < d
-                )
-                eole_late = (
-                    cfg.eole
-                    and predicted_used
-                    and uop.latency_class in _EARLY_EXECUTABLE
-                    and not uop.is_load
-                    and not uop.is_store
-                )
-                if cfg.eole and uop.is_load_imm:
-                    eole_early = True
-
-                bypass_ooo = free_li or eole_early or eole_late
-                iq_full = iq_count >= cfg.iq_size
+                if eole:
+                    # Early Execution is a single stage in parallel with
+                    # rename (§V-A): operands must already be in the PRF
+                    # *before* this µ-op dispatches, so same-cycle chains
+                    # of early-executed µ-ops are not allowed (strict <).
+                    early_ok = early_class and not is_load and not is_store
+                    free_li = False
+                    eole_early = is_load_imm or (early_ok and srcs_ready < d)
+                    eole_late = predicted_used and early_ok
+                    bypass_ooo = eole_early or eole_late
+                else:
+                    free_li = free_li_on and is_load_imm
+                    eole_early = eole_late = False
+                    bypass_ooo = free_li
+                iq_full = iq_count >= iq_size
                 if not bypass_ooo:
-                    if iq_full:
-                        d = max(d, iq_issues[0])
-                    while dispatch_cnt.get(d, 0) >= cfg.decode_width:
+                    if iq_full and iq_issues[0] > d:
+                        d = iq_issues[0]
+                    if d == last_dispatch and disp_n >= decode_w:
                         d += 1
                 if track:
                     # Which constraint set the dispatch cycle?  The largest
                     # candidate wins; occupancy bounds win ties because a
                     # full backend is the scarcer resource.  (Decode-width
                     # bumps past the max keep the winner's cause.)
-                    cand = block_avail + cfg.front_end_depth
+                    cand = disp_ready
                     disp_cause = fe_cause
                     disp_pc = fe_pc
                     if last_dispatch > cand:
@@ -411,11 +519,11 @@ class PipelineModel:
                         t = rob_commits[0] + 1
                         if t >= cand:
                             cand, disp_cause, disp_pc = t, "backend_full", -1
-                    if uop.is_load and lq_count >= cfg.lq_size:
+                    if is_load and lq_count >= lq_size:
                         t = lq_completes[0]
                         if t >= cand:
                             cand, disp_cause, disp_pc = t, "backend_full", -1
-                    if uop.is_store and sq_count >= cfg.sq_size:
+                    if is_store and sq_count >= sq_size:
                         t = sq_completes[0]
                         if t >= cand:
                             cand, disp_cause, disp_pc = t, "backend_full", -1
@@ -423,8 +531,11 @@ class PipelineModel:
                         t = iq_issues[0]
                         if t >= cand:
                             cand, disp_cause, disp_pc = t, "backend_full", -1
-                dispatch_cnt[d] = dispatch_cnt.get(d, 0) + 1
-                last_dispatch = d
+                if d == last_dispatch:
+                    disp_n += 1
+                else:
+                    last_dispatch = d
+                    disp_n = 1
                 dispatch_cycles.append(d)
                 fq_count += 1
 
@@ -432,55 +543,55 @@ class PipelineModel:
                 if free_li or eole_early:
                     complete = d
                     if measuring and eole_early:
-                        stats.early_executed += 1
+                        n_early += 1
                 elif eole_late:
                     # Validated/executed just before commit; consumers read
                     # the predicted value from the PRF at dispatch.
                     complete = d
                     if measuring:
-                        stats.late_executed += 1
+                        n_late += 1
                 else:
-                    ready = max(d + 1, srcs_ready)
-                    lat_class = uop.latency_class
-                    if uop.is_load and uop.mem_addr is not None:
-                        t = store_ready.get(uop.mem_addr, 0)
+                    ready = d + 1 if d + 1 > srcs_ready else srcs_ready
+                    mem_addr = uop.mem_addr
+                    if is_load and mem_addr is not None:
+                        t = store_ready.get(mem_addr, 0)
                         if t > ready:
                             ready = t
                     c2 = ready
-                    if lat_class is LatencyClass.DIV:
-                        c2 = max(c2, div_free)
-                        while issue_cnt.get(c2, 0) >= cfg.issue_width:
-                            c2 += 1
-                        lat = _LATENCY[lat_class]
+                    if kind == _ISSUE_DIV:
+                        if div_free > c2:
+                            c2 = div_free
+                    elif kind == _ISSUE_FPDIV:
+                        if fpdiv_free > c2:
+                            c2 = fpdiv_free
+                    elif kind == _ISSUE_MEM:
+                        pool = load_ports if is_load else store_ports
+                    cid = uop.latency_class._value_
+                    # First cycle from c2 with an issue slot free and, for
+                    # the pipelined units (pool > 0), a free FU of the class.
+                    while True:
+                        if c2 >= ring_hi:
+                            ring_lo, ring_size = _slide_ring(
+                                issue_cnt, fu_cnt, ring_lo, ring_size,
+                                last_dispatch, c2,
+                            )
+                            ring_mask = ring_size - 1
+                            ring_hi = ring_lo + ring_size
+                        slot = c2 & ring_mask
+                        if issue_cnt[slot] < issue_w and (
+                            not pool or fu_cnt[(slot << 4) | cid] < pool
+                        ):
+                            break
+                        c2 += 1
+                    issue_cnt[slot] += 1
+                    if pool:
+                        fu_cnt[(slot << 4) | cid] += 1
+                    if kind == _ISSUE_DIV:
                         div_free = c2 + lat
-                    elif lat_class is LatencyClass.FPDIV:
-                        c2 = max(c2, fpdiv_free)
-                        while issue_cnt.get(c2, 0) >= cfg.issue_width:
-                            c2 += 1
-                        lat = _LATENCY[lat_class]
+                    elif kind == _ISSUE_FPDIV:
                         fpdiv_free = c2 + lat
-                    elif lat_class is LatencyClass.MEM:
-                        ports = cfg.load_ports if uop.is_load else cfg.store_ports
-                        while (
-                            issue_cnt.get(c2, 0) >= cfg.issue_width
-                            or fu_cnt.get((c2, lat_class), 0) >= ports
-                        ):
-                            c2 += 1
-                        fu_cnt[(c2, lat_class)] = fu_cnt.get((c2, lat_class), 0) + 1
-                        if uop.is_load:
-                            lat = self.memory.load_latency(uop.mem_addr or 0)
-                        else:
-                            lat = 1
-                    else:
-                        pool = fu_pool[lat_class]
-                        while (
-                            issue_cnt.get(c2, 0) >= cfg.issue_width
-                            or fu_cnt.get((c2, lat_class), 0) >= pool
-                        ):
-                            c2 += 1
-                        fu_cnt[(c2, lat_class)] = fu_cnt.get((c2, lat_class), 0) + 1
-                        lat = _LATENCY[lat_class]
-                    issue_cnt[c2] = issue_cnt.get(c2, 0) + 1
+                    elif kind == _ISSUE_MEM and is_load:
+                        lat = load_latency(mem_addr or 0)
                     iq_issues.append(c2)
                     iq_count += 1
                     complete = c2 + lat
@@ -498,8 +609,8 @@ class PipelineModel:
                         dep_pc = -1
                         if dep_wait > 0:
                             if (
-                                uop.is_load
-                                and uop.mem_addr is not None
+                                is_load
+                                and mem_addr is not None
                                 and ready > srcs_ready
                             ):
                                 dep_cause = "memory"  # store-forward wait
@@ -514,27 +625,16 @@ class PipelineModel:
                         cont_wait = c2 - ready
                         cont_cause = "base"
                         if cont_wait > 0:
-                            if lat_class is LatencyClass.MEM:
-                                limit = (
-                                    cfg.load_ports if uop.is_load
-                                    else cfg.store_ports
-                                )
-                                if fu_cnt.get((c2 - 1, lat_class), 0) >= limit:
+                            # Bumps past `ready` are issue-width or FU
+                            # bound; for the unpipelined dividers the
+                            # max() against the busy unit is the FU.
+                            prev = (c2 - 1) & ring_mask
+                            if kind == _ISSUE_DIV or kind == _ISSUE_FPDIV:
+                                if issue_cnt[prev] < issue_w:
                                     cont_cause = "fu"
-                            elif (
-                                lat_class is LatencyClass.DIV
-                                or lat_class is LatencyClass.FPDIV
-                            ):
-                                # Bumps past `ready` are issue-width; the
-                                # max() against the busy unit is the FU.
-                                if issue_cnt.get(c2 - 1, 0) < cfg.issue_width:
-                                    cont_cause = "fu"
-                            elif (
-                                fu_cnt.get((c2 - 1, lat_class), 0)
-                                >= fu_pool[lat_class]
-                            ):
+                            elif fu_cnt[(prev << 4) | cid] >= pool:
                                 cont_cause = "fu"
-                        if uop.is_load:
+                        if is_load:
                             lat_cause = (
                                 "memory" if lat > l1d_hit_lat else "base"
                             )
@@ -550,63 +650,68 @@ class PipelineModel:
                         if lat - 1 > w:
                             w, exec_cause, exec_pc = lat - 1, lat_cause, -1
 
-                if uop.is_load:
+                if is_load:
                     lq_completes.append(complete)
                     lq_count += 1
-                if uop.is_store:
+                if is_store:
                     sq_completes.append(complete)
                     sq_count += 1
                     if uop.mem_addr is not None:
                         store_ready[uop.mem_addr] = complete
 
                 # ---- destination availability --------------------------------
-                if uop.dest is not None:
-                    if predicted_used or free_li or (cfg.eole and uop.is_load_imm):
-                        reg_avail[uop.dest] = d
+                if dest is not None:
+                    if predicted_used or free_li or (eole and is_load_imm):
+                        reg_avail[dest] = d
                     else:
-                        reg_avail[uop.dest] = complete
+                        reg_avail[dest] = complete
                     if track:
-                        reg_cause[uop.dest] = exec_cause
-                        reg_pc[uop.dest] = exec_pc
+                        reg_cause[dest] = exec_cause
+                        reg_pc[dest] = exec_pc
 
-                if handle is not None and uop.is_vp_eligible:
-                    self.vp.result_uop(handle, k, uop, complete)
+                if result_uop is not None and handle is not None and eligible:
+                    result_uop(handle, k, uop, complete)
 
                 # ---- branches -------------------------------------------------
                 mispredicted_branch = False
+                is_cond = False
+                btb_miss = False
                 if uop.is_branch:
-                    if uop.is_cond_branch:
-                        apply_deferred_bp(fetch_cycle)
-                        bp_hist = self.hists.state()
-                        pred_taken, bmeta = self.branch_predictor.predict(
-                            uop.pc, bp_hist
-                        )
-                        mispredicted_branch = pred_taken != uop.branch_taken
+                    taken = uop.branch_taken
+                    is_cond = uop.is_cond_branch
+                    if is_cond:
+                        # Trainings due by this fetch cycle, in commit order.
+                        while deferred_bp and deferred_bp[0][0] <= fetch_cycle:
+                            _, b_pc, b_hist, b_taken, b_meta = deferred_bp.popleft()
+                            bp_train(b_pc, b_hist, b_taken, b_meta)
+                        bp_hist = hist_state()
+                        pred_taken, bmeta = bp_predict(uop.pc, bp_hist)
+                        mispredicted_branch = pred_taken != taken
                         if measuring:
-                            stats.branches += 1
-                    btb_miss = False
-                    if uop.branch_taken:
-                        target = self.btb.lookup(uop.pc)
-                        if target != uop.branch_target:
+                            n_branches += 1
+                    if taken:
+                        if btb_lookup(uop.pc) != uop.branch_target:
                             btb_miss = True
-                            self.btb.install(uop.pc, uop.branch_target)
-                    if uop.is_cond_branch:
-                        self.hists.push_outcome(uop.branch_taken)
-                    if uop.branch_taken:
-                        self.hists.push_path(uop.branch_target)
+                            btb_install(uop.pc, uop.branch_target)
+                        if is_cond:
+                            push_outcome(taken)
+                        push_path(uop.branch_target)
+                    elif is_cond:
+                        push_outcome(taken)
 
                 # ---- commit ----------------------------------------------------
-                cc = max(complete + cfg.back_end_depth, last_commit)
-                while commit_cnt.get(cc, 0) >= cfg.commit_width:
-                    cc += 1
-                commit_cnt[cc] = commit_cnt.get(cc, 0) + 1
+                cc = complete + be_depth
+                if cc <= last_commit:
+                    cc = last_commit
+                    if commit_n >= commit_w:
+                        cc += 1
                 if track and measuring and cc > last_commit:
                     # Commit-front advance: `stats.cycles` is exactly the
                     # sum of these deltas over the measured window, so
                     # attributing each delta once keeps the stack exact.
                     cause = (
                         exec_cause
-                        if complete + cfg.back_end_depth > last_commit
+                        if complete + be_depth > last_commit
                         else "base"         # pure commit-bandwidth bumps
                     )
                     if cpi is not None:
@@ -617,19 +722,21 @@ class PipelineModel:
                         # Same delta, charged to the owning static PC —
                         # per-PC sums equal the two stack components.
                         attrib.account(exec_pc, cause, cc - last_commit)
-                last_commit = cc
+                if cc == last_commit:
+                    commit_n += 1
+                else:
+                    last_commit = cc
+                    commit_n = 1
                 rob_commits.append(cc)
                 rob_count += 1
 
-                if uop.is_cond_branch:
-                    deferred_bp.append(
-                        (cc + 1, uop.pc, bp_hist, uop.branch_taken, bmeta)
-                    )
+                if is_cond:
+                    deferred_bp.append((cc + 1, uop.pc, bp_hist, taken, bmeta))
                     if apc and measuring:
                         attrib.branch(uop.pc, mispredicted_branch)
                     if mispredicted_branch:
                         if measuring:
-                            stats.branch_mispredicts += 1
+                            n_branch_mispredicts += 1
                         if rec is not None:
                             rec.instant(
                                 "branch_redirect", complete + 1,
@@ -639,16 +746,15 @@ class PipelineModel:
                             next_fetch_min = complete + 1
                             redirect_cause = "branch_redirect"
                             redirect_pc = uop.pc
-                        if self.vp is not None:
-                            self.vp.branch_squash(uop.seq, complete)
-                elif uop.is_branch and uop.branch_taken:
-                    if btb_miss:
-                        if measuring:
-                            stats.btb_misses += 1
-                        if block_avail + 2 > next_fetch_min:
-                            next_fetch_min = block_avail + 2
-                            redirect_cause = "btb_redirect"
-                            redirect_pc = uop.pc
+                        if vp is not None:
+                            vp.branch_squash(uop.seq, complete)
+                elif btb_miss:
+                    if measuring:
+                        n_btb_misses += 1
+                    if block_avail + 2 > next_fetch_min:
+                        next_fetch_min = block_avail + 2
+                        redirect_cause = "btb_redirect"
+                        redirect_pc = uop.pc
 
                 if timeline is not None:
                     timeline.append((uop.seq, uop.pc, d, complete, cc))
@@ -685,11 +791,11 @@ class PipelineModel:
 
                 # ---- VP validation at commit -----------------------------------
                 if handle is not None:
-                    self.vp.commit_uop(handle, k, uop, cc)
+                    commit_uop(handle, k, uop, cc)
                 if measuring and eligible:
-                    stats.vp_eligible += 1
+                    n_vp_eligible += 1
                     if pred is not None:
-                        stats.vp_predicted += 1
+                        n_vp_predicted += 1
                         if apc:
                             a_prov = (
                                 handle.prov[k]
@@ -705,13 +811,13 @@ class PipelineModel:
                 if predicted_used and eligible and uop.value is not None:
                     correct = pred.value == uop.value
                     if measuring:
-                        stats.vp_used += 1
+                        n_vp_used += 1
                         if correct:
-                            stats.vp_used_correct += 1
+                            n_vp_used_correct += 1
                     if not correct:
                         # Commit-time squash: everything younger refetches.
                         if measuring:
-                            stats.vp_squashes += 1
+                            n_vp_squashes += 1
                             if apc:
                                 attrib.vp_squash(uop.pc)
                         if rec is not None:
@@ -722,10 +828,10 @@ class PipelineModel:
                                 uop.seq, uop.pc, cc, cc + 1 - complete,
                                 prov.policy if prov is not None else "",
                             )
-                        reg_avail[uop.dest] = cc
+                        reg_avail[dest] = cc
                         if track:
-                            reg_cause[uop.dest] = "vp_squash"
-                            reg_pc[uop.dest] = uop.pc
+                            reg_cause[dest] = "vp_squash"
+                            reg_pc[dest] = uop.pc
                         if cc + 1 > next_fetch_min:
                             next_fetch_min = cc + 1
                             redirect_cause = "vp_squash"
@@ -733,36 +839,36 @@ class PipelineModel:
                         remainder = guops[k + 1:]
                         if remainder:
                             next_block_pc = remainder[0].block_pc
-                        elif gi < len(groups):
-                            next_block_pc = uops[groups[gi][0]].block_pc
+                        elif upcoming is not None:
+                            next_block_pc = uops[upcoming[0]].block_pc
                         else:
                             next_block_pc = None
-                        if self.vp is not None:
-                            self.vp.vp_squash(handle, uop.seq, next_block_pc, cc)
+                        if vp is not None:
+                            vp.vp_squash(handle, uop.seq, next_block_pc, cc)
                         if remainder:
                             # Same-block refetch: the Bnew == Bflush case.
                             pending_refetch = (remainder, handle)
                             group_broken = True
-                        elif (
+                            break
+                        if (
                             next_block_pc is not None
                             and next_block_pc == uop.block_pc
                         ):
                             reuse_next_group = handle
                             reuse_block_pc = next_block_pc
-                        if group_broken:
-                            break
 
                 # ---- stats -----------------------------------------------------
                 uop_index += 1
                 if measuring:
-                    stats.uops += 1
+                    n_uops += 1
                     if uop.is_last_uop:
-                        stats.insts += 1
+                        n_insts += 1
                 elif uop_index >= warmup_uops:
-                    start_measuring()
+                    measuring = True
+                    base_cycle = last_commit
 
-            if handle is not None and not group_broken:
-                self.vp.finish_group(handle, last_commit)
+            if finish_group is not None and handle is not None and not group_broken:
+                finish_group(handle, last_commit)
 
             # ---- bank-telemetry cadence -------------------------------------
             # Group-granular check: one `is None` test per fetch group when
@@ -771,46 +877,36 @@ class PipelineModel:
                 banks.sample(uop_index)
                 bank_next = uop_index + banks.interval
 
-            # ---- occupancy-state prune --------------------------------------
-            # The dispatch and commit fronts are monotone and every probe of
-            # the occupancy dicts happens at or ahead of them, so entries
-            # behind the fronts are dead; likewise a store's forwarding
-            # window closed once the dispatch front passed its completion.
-            # Dropping them periodically keeps peak state bounded by the
-            # live window plus one prune interval, independent of trace
-            # length, without changing any timing decision.
+            # ---- store-forwarding prune -------------------------------------
+            # A store's forwarding window closed once the dispatch front
+            # passed its completion: dropping those entries periodically
+            # keeps the map bounded by the live window plus one prune
+            # interval, independent of trace length, without changing any
+            # timing decision.
             if uop_index >= next_prune:
                 next_prune = uop_index + _PRUNE_INTERVAL
-                size = (
-                    len(dispatch_cnt) + len(issue_cnt) + len(fu_cnt)
-                    + len(commit_cnt) + len(store_ready)
-                )
-                if size > state_peak:
-                    state_peak = size
-                dispatch_cnt = {
-                    k: v for k, v in dispatch_cnt.items() if k >= last_dispatch
-                }
-                issue_cnt = {
-                    k: v for k, v in issue_cnt.items() if k >= last_dispatch
-                }
-                fu_cnt = {
-                    k: v for k, v in fu_cnt.items() if k[0] >= last_dispatch
-                }
-                commit_cnt = {
-                    k: v for k, v in commit_cnt.items() if k >= last_commit
-                }
+                if ring_size + len(store_ready) > state_peak:
+                    state_peak = ring_size + len(store_ready)
                 store_ready = {
                     a: t for a, t in store_ready.items() if t > last_dispatch
                 }
 
-        size = (
-            len(dispatch_cnt) + len(issue_cnt) + len(fu_cnt)
-            + len(commit_cnt) + len(store_ready)
-        )
-        self.debug_state_peak = max(state_peak, size)
+        self.debug_state_peak = max(state_peak, ring_size + len(store_ready))
         stats.cycles = max(1, last_commit - base_cycle)
-        stats.l1d_misses = self.memory.l1d.misses
-        stats.l2_misses = self.memory.l2.misses
+        stats.uops = n_uops
+        stats.insts = n_insts
+        stats.branches = n_branches
+        stats.branch_mispredicts = n_branch_mispredicts
+        stats.btb_misses = n_btb_misses
+        stats.vp_eligible = n_vp_eligible
+        stats.vp_predicted = n_vp_predicted
+        stats.vp_used = n_vp_used
+        stats.vp_used_correct = n_vp_used_correct
+        stats.vp_squashes = n_vp_squashes
+        stats.early_executed = n_early
+        stats.late_executed = n_late
+        stats.l1d_misses = memory.l1d.misses
+        stats.l2_misses = memory.l2.misses
         if cpi is not None:
             cpi.finish(stats)
         if attrib is not None:

@@ -58,7 +58,12 @@ class GroupHandle:
 
 
 class VPAdapter(Protocol):
-    """What the pipeline requires of a value-prediction organisation."""
+    """What the pipeline requires of a value-prediction organisation.
+
+    An adapter whose ``result_uop`` and ``finish_group`` do nothing may set
+    a class attribute ``group_hooks = False``; the pipeline then skips
+    those two calls (they stay callable for other users).
+    """
 
     def fetch_group(
         self,
@@ -114,6 +119,9 @@ class VPAdapter(Protocol):
 class InstructionVPAdapter:
     """Instruction-based VP: the predictor of §V-B without BeBoP."""
 
+    #: result_uop and finish_group are no-ops (see VPAdapter).
+    group_hooks = False
+
     def __init__(self, predictor: ValuePredictor) -> None:
         self.predictor = predictor
         self._prov = False        # fill GroupHandle.prov for the recorder
@@ -154,30 +162,29 @@ class InstructionVPAdapter:
         hist: HistoryState,
         reuse: GroupHandle | None = None,
     ) -> GroupHandle:
-        self._apply_until(cycle)
-        preds: list[PredUse | None] = []
-        provs: list[Provenance | None] | None = [] if self._prov else None
-        for uop in uops:
-            if not uop.is_vp_eligible:
-                preds.append(None)
-                if provs is not None:
-                    provs.append(None)
+        q = self._deferred
+        if q and q[0][0] <= cycle:
+            self._apply_until(cycle)
+        predict = self.predictor.predict
+        preds: list[PredUse | None] = [None] * len(uops)
+        provs: list[Provenance | None] | None = (
+            [None] * len(uops) if self._prov else None
+        )
+        for pos, uop in enumerate(uops):
+            if uop.dest is None or uop.is_load_imm:  # not is_vp_eligible
                 continue
-            p = self.predictor.predict(uop.pc, uop.uop_index, hist)
+            p = predict(uop.pc, uop.uop_index, hist)
             if p is None:
-                preds.append(None)
-                if provs is not None:
-                    provs.append(None)
-            else:
-                preds.append(PredUse(p.value, p.confident, meta=p))
-                if provs is not None:
-                    provs.append(Provenance(
-                        provider=p.provider,
-                        conf=p.conf,
-                        source="inst",
-                        value=p.value,
-                        confident=p.confident,
-                    ))
+                continue
+            preds[pos] = PredUse(p.value, p.confident, meta=p)
+            if provs is not None:
+                provs[pos] = Provenance(
+                    provider=p.provider,
+                    conf=p.conf,
+                    source="inst",
+                    value=p.value,
+                    confident=p.confident,
+                )
         return GroupHandle(preds, hist, prov=provs)
 
     def result_uop(
@@ -190,8 +197,8 @@ class InstructionVPAdapter:
     def commit_uop(
         self, handle: GroupHandle, pos: int, uop: DynMicroOp, cycle: int
     ) -> None:
-        if not uop.is_vp_eligible or uop.value is None:
-            return
+        if uop.value is None or uop.dest is None or uop.is_load_imm:
+            return                  # not a VP-eligible result
         pred = handle.preds[pos]
         prediction = pred.meta if pred is not None else None
         self._deferred.append(

@@ -229,3 +229,101 @@ def tagged_tag(key: int, hist: HistoryState, hist_length: int, tag_bits: int) ->
     # ``h`` spans tag_bits bits (h2 is tag_bits-1 wide, shifted by one), so
     # the XOR stays < 2**tag_bits without a final mask.
     return kf ^ h
+
+
+class TaggedSlots:
+    """Every tagged component's index and tag for one key and history.
+
+    ``slots(key, hist)`` returns ``(indices, tags)`` with ``indices[c] =
+    c * entries + tagged_index(key, hist, lengths[c], index_bits)`` and
+    ``tags[c] = tagged_tag(key, hist, lengths[c], tag_bits[c])`` — the same
+    hashes, computed for all components in one pass.  The key halves are
+    memoised per key (keys are static PCs or blocks, so the memo grows with
+    the program, not the trace), already packed lane by lane.  From a
+    :class:`~repro.common.history.FoldedHistoryState` whose set registered
+    this geometry, the history halves of all components come out of its
+    packed fold registers with four shifts; any other history takes the
+    on-demand path.
+    """
+
+    __slots__ = ("lengths", "index_bits", "tag_bits", "entries", "_keys",
+                 "_layout", "_block", "_idx_lanes", "_tag_lanes",
+                 "_idx_mask", "_tag_mask", "_twin_mask")
+
+    def __init__(
+        self,
+        lengths: tuple[int, ...],
+        index_bits: int,
+        tag_bits: tuple[int, ...],
+        entries: int,
+    ) -> None:
+        self.lengths = tuple(lengths)
+        self.index_bits = index_bits
+        self.tag_bits = tuple(tag_bits)
+        self.entries = entries
+        n = len(self.lengths)
+        imask = (1 << index_bits) - 1
+        #: (bank offset, lane shift, lane mask) per component.
+        self._idx_lanes = tuple(
+            (comp * entries, comp * index_bits, imask) for comp in range(n)
+        )
+        shifts = [sum(self.tag_bits[:comp]) for comp in range(n)]
+        self._tag_lanes = tuple(
+            (shift, (1 << width) - 1)
+            for shift, width in zip(shifts, self.tag_bits)
+        )
+        self._idx_mask = (1 << (n * index_bits)) - 1
+        self._tag_mask = (1 << sum(self.tag_bits)) - 1
+        self._twin_mask = self._tag_mask >> 1
+        self._keys: dict[int, tuple[int, int]] = {}
+        self._layout = None
+        self._block: tuple[int, int, int, int] | None = None
+
+    def _key_lanes(self, key: int) -> tuple[int, int]:
+        """The key halves of every component, packed like the folds."""
+        bits = self.index_bits
+        key_index = table_index(key, bits) ^ ((key >> bits) & ((1 << bits) - 1))
+        packed_index = packed_tag = 0
+        for (_base, shift, _m), (tshift, _tm), width in zip(
+            self._idx_lanes, self._tag_lanes, self.tag_bits
+        ):
+            packed_index |= key_index << shift
+            packed_tag |= fold_bits(key * 0x9E3779B9, 64, width) << tshift
+        parts = self._keys[key] = (packed_index, packed_tag)
+        return parts
+
+    def slots(self, key: int, hist: HistoryState) -> tuple[list[int], list[int]]:
+        layout = getattr(hist, "layout", None)
+        if layout is not self._layout:
+            self._layout = layout
+            self._block = None if layout is None else layout.component_lanes(
+                self.lengths, self.index_bits, self.tag_bits
+            )
+        block = self._block
+        if block is None:
+            return (
+                [comp * self.entries
+                 + tagged_index(key, hist, length, self.index_bits)
+                 for comp, length in enumerate(self.lengths)],
+                [tagged_tag(key, hist, length, width)
+                 for length, width in zip(self.lengths, self.tag_bits)],
+            )
+        parts = self._keys.get(key)
+        if parts is None:
+            parts = self._key_lanes(key)
+        ib, ip, t1, t2 = block
+        b = hist.bfolds
+        x = (
+            ((b >> ib) & self._idx_mask)
+            ^ ((hist.pfolds >> ip) & self._idx_mask)
+            ^ parts[0]
+        )
+        t = (
+            ((b >> t1) & self._tag_mask)
+            ^ (((b >> t2) & self._twin_mask) << 1)
+            ^ parts[1]
+        )
+        return (
+            [base + ((x >> shift) & m) for base, shift, m in self._idx_lanes],
+            [(t >> shift) & m for shift, m in self._tag_lanes],
+        )

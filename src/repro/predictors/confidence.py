@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.common.counters import PAPER_FPC_PROBABILITIES
+from repro.common.bits import WORD_MASK
 from repro.common.rng import XorShift64
 
 __all__ = ["FPCPolicy", "PAPER_FPC_PROBABILITIES"]
@@ -23,7 +24,7 @@ class FPCPolicy:
     counter, which the ablation benchmark uses to quantify what FPC buys.
     """
 
-    __slots__ = ("bits", "max_level", "probabilities", "_rng")
+    __slots__ = ("bits", "max_level", "probabilities", "thresholds", "_rng")
 
     def __init__(
         self,
@@ -39,6 +40,14 @@ class FPCPolicy:
                 f"got {len(probabilities)}"
             )
         self.probabilities = tuple(probabilities)
+        #: Per level, what :meth:`advance` does without the method call:
+        #: None = always advance (no RNG draw), -1 = never, otherwise
+        #: advance when the next RNG draw is below the threshold — exactly
+        #: ``XorShift64.chance(probabilities[level])``.
+        self.thresholds = tuple(
+            None if p >= 1.0 else -1 if p <= 0.0 else int(p * (WORD_MASK + 1))
+            for p in self.probabilities
+        )
         self._rng = XorShift64(seed)
 
     def advance(self, level: int) -> int:

@@ -33,11 +33,10 @@ from repro.common.errors import ConfigError, require_positive, require_power_of_
 from repro.predictors.base import (
     HistoryState,
     Prediction,
+    TaggedSlots,
     ValuePredictor,
     mix_pc,
     table_index,
-    tagged_index,
-    tagged_tag,
 )
 from repro.predictors.confidence import FPCPolicy
 from repro.predictors.vtage import geometric_history_lengths
@@ -134,6 +133,10 @@ class DVTAGEPredictor(ValuePredictor):
         self.history_lengths = geometric_history_lengths(
             components, min_history, max_history
         )
+        self._hash = TaggedSlots(
+            self.history_lengths, self.tagged_index_bits, self.tag_bits,
+            tagged_entries,
+        )
         self.fpc = fpc if fpc is not None else FPCPolicy()
         self.propagate_confidence = propagate_confidence
         self._lvt = make_bank(base_entries, LVT_FIELDS, backend=table_backend)
@@ -176,15 +179,6 @@ class DVTAGEPredictor(ValuePredictor):
         tag = (key >> self.base_index_bits) & mask(self.lvt_tag_bits)
         return index, tag
 
-    def _component_slot(
-        self, comp: int, key: int, hist: HistoryState
-    ) -> tuple[int, int]:
-        """(flat index, tag) of ``key`` in tagged component ``comp``."""
-        length = self.history_lengths[comp]
-        index = tagged_index(key, hist, length, self.tagged_index_bits)
-        tag = tagged_tag(key, hist, length, self.tag_bits[comp])
-        return comp * self.tagged_entries + index, tag
-
     def _select_stride(
         self, key: int, hist: HistoryState
     ) -> tuple[int, int, int, int, int, int]:
@@ -200,8 +194,9 @@ class DVTAGEPredictor(ValuePredictor):
         """
         hits = []
         t_tag = self._t_tag
+        indices, tags = self._hash.slots(key, hist)
         for comp in range(self.components):
-            index, tag = self._component_slot(comp, key, hist)
+            index, tag = indices[comp], tags[comp]
             if t_tag[index] == tag:
                 hits.append((comp, index, tag))
         if hits:
@@ -337,14 +332,15 @@ class DVTAGEPredictor(ValuePredictor):
     ) -> None:
         gen = self._useful_gen
         candidates = []
-        slots = []
+        scanned = []
+        indices, tags = self._hash.slots(key, hist)
         for comp in range(provider, self.components):
-            index, tag = self._component_slot(comp, key, hist)
-            slots.append((comp, index, tag))
+            index, tag = indices[comp], tags[comp]
+            scanned.append(index)
             if self._t_useful[index] == 0 or self._t_ugen[index] != gen:
                 candidates.append((comp, index, tag))
         if not candidates:
-            for _comp, index, _tag in slots:
+            for index in scanned:
                 self._t_useful[index] = 0
                 self._t_ugen[index] = gen
             return

@@ -26,11 +26,10 @@ from repro.common.errors import ConfigError, require_positive, require_power_of_
 from repro.predictors.base import (
     HistoryState,
     Prediction,
+    TaggedSlots,
     ValuePredictor,
     mix_pc,
     table_index,
-    tagged_index,
-    tagged_tag,
 )
 from repro.predictors.confidence import FPCPolicy
 
@@ -123,6 +122,10 @@ class VTAGEPredictor(ValuePredictor):
         self.history_lengths = geometric_history_lengths(
             components, min_history, max_history
         )
+        self._hash = TaggedSlots(
+            self.history_lengths, self.tagged_index_bits, self.tag_bits,
+            tagged_entries,
+        )
         self.fpc = fpc if fpc is not None else FPCPolicy()
         self._base = make_bank(base_entries, BASE_FIELDS, backend=table_backend)
         self._tagged = make_bank(
@@ -153,21 +156,13 @@ class VTAGEPredictor(ValuePredictor):
 
     # -- lookups -----------------------------------------------------------
 
-    def _component_slot(
-        self, comp: int, key: int, hist: HistoryState
-    ) -> tuple[int, int]:
-        """(flat index, tag) of ``key`` in tagged component ``comp``."""
-        length = self.history_lengths[comp]
-        index = tagged_index(key, hist, length, self.tagged_index_bits)
-        tag = tagged_tag(key, hist, length, self.tag_bits[comp])
-        return comp * self.tagged_entries + index, tag
-
     def _hits(self, key: int, hist: HistoryState) -> list[tuple[int, int, int]]:
         """All hitting tagged components as (comp, flat index, tag), ascending."""
         hits = []
         t_tag = self._t_tag
+        indices, tags = self._hash.slots(key, hist)
         for comp in range(self.components):
-            index, tag = self._component_slot(comp, key, hist)
+            index, tag = indices[comp], tags[comp]
             if t_tag[index] == tag:
                 hits.append((comp, index, tag))
         return hits
@@ -258,14 +253,15 @@ class VTAGEPredictor(ValuePredictor):
         start = provider  # provider 0 = base -> components 0.. ; i+1 -> i+1..
         gen = self._useful_gen
         candidates = []
-        slots = []
+        scanned = []
+        indices, tags = self._hash.slots(key, hist)
         for comp in range(start, self.components):
-            index, tag = self._component_slot(comp, key, hist)
-            slots.append((comp, index, tag))
+            index, tag = indices[comp], tags[comp]
+            scanned.append(index)
             if self._t_useful[index] == 0 or self._t_ugen[index] != gen:
                 candidates.append((comp, index, tag))
         if not candidates:
-            for _comp, index, _tag in slots:
+            for index in scanned:
                 self._t_useful[index] = 0
                 self._t_ugen[index] = gen
             return

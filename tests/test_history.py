@@ -12,7 +12,12 @@ from repro.common.history import (
     GlobalHistory,
     fold_key,
 )
-from repro.predictors.base import HistoryState, tagged_index, tagged_tag
+from repro.predictors.base import (
+    HistoryState,
+    TaggedSlots,
+    tagged_index,
+    tagged_tag,
+)
 
 
 class TestGlobalHistory:
@@ -189,6 +194,49 @@ class TestFoldedHistorySet:
             assert tagged_tag(key, fast, length, width) == tagged_tag(
                 key, slow, length, width
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        geometry=st.lists(
+            st.tuples(st.integers(1, 64), st.integers(1, 12)),
+            min_size=1, max_size=5,
+        ),
+        index_bits=st.integers(1, 12),
+        other=_pairs,
+        outcomes=st.lists(st.booleans(), max_size=80),
+        targets=st.lists(st.integers(0, 0xFFFF), max_size=40),
+        key=st.integers(0, 0xFFFF_FFFF),
+    )
+    def test_tagged_slots_read_packed_folds_exactly(
+        self, geometry, index_bits, other, outcomes, targets, key
+    ):
+        """``TaggedSlots`` reading a predictor's lanes straight out of the
+        packed registers (its folds registered after another consumer's)
+        equals ``tagged_index``/``tagged_tag`` on the plain history."""
+        lengths = tuple(length for length, _w in geometry)
+        tag_bits = tuple(width for _l, width in geometry)
+        hset = FoldedHistorySet(
+            640, 64,
+            other + [(length, index_bits) for length in lengths],
+            other + list(geometry),
+        )
+        for taken in outcomes:
+            hset.push_outcome(taken)
+        for target in targets:
+            hset.push_path(target)
+        fast = hset.state()
+        assert hset.layout.component_lanes(lengths, index_bits, tag_bits)
+        slow = HistoryState(branch=fast.branch, path=fast.path)
+        entries = 1 << index_bits
+        hashes = TaggedSlots(lengths, index_bits, tag_bits, entries)
+        want = (
+            [c * entries + tagged_index(key, slow, length, index_bits)
+             for c, length in enumerate(lengths)],
+            [tagged_tag(key, slow, length, width)
+             for length, width in geometry],
+        )
+        assert hashes.slots(key, fast) == want
+        assert hashes.slots(key, slow) == want
 
     def test_state_cached_between_pushes(self):
         hset = FoldedHistorySet(64, 16, [(8, 4)], [(8, 4)])

@@ -1,9 +1,13 @@
 """Unit and behavioural tests for the pipeline timing model."""
 
+import tracemalloc
+
 import pytest
 
 from repro.isa import BasicBlock, Opcode, Program, StaticInst
 from repro.pipeline import BASELINE_6_60, PipelineModel, baseline_vp_6_60, eole_4_60
+from repro.eval.runner import make_bebop_engine
+from repro.pipeline import core
 from repro.pipeline.core import group_block_instances
 from repro.pipeline.vp import InstructionVPAdapter
 from repro.predictors import DVTAGEPredictor
@@ -194,6 +198,60 @@ class TestBoundedMachineState:
             return model.debug_state_peak
 
         assert peak(60000) <= peak(12000) * 1.1
+
+    def test_state_peak_bounded_with_bebop(self):
+        kr = build_strided_kernel(seed=1, trip=16)
+
+        def peak(n_uops):
+            trace = generate_trace(kr.program, n_uops, init_mem=kr.init_mem)
+            model = PipelineModel(eole_4_60(), make_bebop_engine())
+            model.run(trace)
+            return model.debug_state_peak
+
+        short = peak(12000)
+        assert short > 0
+        assert peak(72000) <= short * 1.1
+
+    @pytest.mark.parametrize("kernel", ["pointer_chase", "strided"])
+    def test_issue_ring_size_is_timing_neutral(self, kernel, monkeypatch):
+        """The issue/FU occupancy ring slides and grows with the dispatch
+        front; an 8-cycle start (sliding and doubling all the time) must
+        schedule exactly like the default."""
+        if kernel == "pointer_chase":
+            kr = build_pointer_chase_kernel(seed=3, nodes=512, spread=4096,
+                                            noise_period=1 << 20)
+        else:
+            kr = build_strided_kernel(seed=1, trip=16, body_fp_ops=6,
+                                      fp_chains=1)
+        trace = generate_trace(kr.program, 4000, init_mem=kr.init_mem)
+        want = PipelineModel(eole_4_60(), make_bebop_engine()).run(trace)
+        monkeypatch.setattr(core, "_RING_CYCLES", 8)
+        got = PipelineModel(eole_4_60(), make_bebop_engine()).run(trace)
+        assert got == want
+
+    @pytest.mark.parametrize("bebop", [False, True], ids=["baseline", "bebop"])
+    def test_run_peak_allocation_independent_of_trace_length(self, bebop):
+        """Everything ``run`` allocates beyond the trace itself — machine
+        state, memos, in-flight predictor bookkeeping — must stay flat when
+        the trace grows: a per-µop or per-branch stream would grow the
+        peak roughly with the trace."""
+        kr = build_strided_kernel(seed=1, trip=16)
+
+        def peak(n_uops):
+            trace = generate_trace(kr.program, n_uops, init_mem=kr.init_mem)
+            if bebop:
+                model = PipelineModel(eole_4_60(), make_bebop_engine())
+            else:
+                model = PipelineModel(BASELINE_6_60)
+            tracemalloc.start()
+            try:
+                model.run(trace)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short = peak(8000)
+        assert peak(48000) <= short * 1.2
 
 
 class TestVPIntegration:
