@@ -1,10 +1,12 @@
-"""Regenerate ``tests/data/golden_stats.json``.
+"""Regenerate ``tests/data/golden_stats.json`` and ``golden_traces.json``.
 
-The golden file pins the full :class:`SimStats` of nine representative
-configurations so ``tests/test_golden_identity.py`` can enforce that
-performance work on the simulator inner loop stays bit-identical.  Only
-rerun this after an *intentional* model change — and explain the shift in
-the commit message.
+The first golden file pins the full :class:`SimStats` of nine
+representative configurations so ``tests/test_golden_identity.py`` can
+enforce that performance work on the simulator inner loop stays
+bit-identical.  The second pins a digest of every workload's dynamic trace
+and the trace generator's end state, checked by
+``tests/test_trace_identity.py``.  Only rerun this after an *intentional*
+model change — and explain the shift in the commit message.
 
 Usage::
 
@@ -13,9 +15,13 @@ Usage::
 
 import dataclasses
 import json
+import sys
 from pathlib import Path
 
-from repro.eval.runner import (
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from repro.eval.runner import (  # noqa: E402
     get_trace,
     make_bebop_engine,
     make_instr_predictor,
@@ -24,7 +30,13 @@ from repro.eval.runner import (
     run_eole_instr_vp,
     run_instr_vp,
 )
-from repro.predictors.perpath import PerPathStridePredictor
+from repro.predictors.perpath import PerPathStridePredictor  # noqa: E402
+from tests.test_trace_identity import (  # noqa: E402
+    GOLDEN_TRACES_PATH,
+    RUNS as TRACE_RUNS,
+    trace_record,
+    workload_names,
+)
 
 UOPS = 24_000
 WARMUP = 8_000
@@ -59,20 +71,34 @@ RUNS = (
 )
 
 
+def _write_json(path: Path, doc: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def main() -> None:
-    out = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_stats.json"
+    out = ROOT / "tests" / "data" / "golden_stats.json"
     runs = {}
     for key in RUNS:
         workload, config = key.split("/")
         trace = get_trace(workload, UOPS)
         runs[key] = dataclasses.asdict(CONFIGS[config](trace))
         print(f"captured {key}")
-    doc = {"uops": UOPS, "warmup": WARMUP, "runs": runs}
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(out, {"uops": UOPS, "warmup": WARMUP, "runs": runs})
     print(f"wrote {len(runs)} golden runs -> {out}")
+
+    # One line per workload, so a diff names the workloads that moved.
+    traces = [
+        f"    {json.dumps(name)}: {json.dumps(trace_record(name), sort_keys=True)}"
+        for name in workload_names()
+    ]
+    with open(GOLDEN_TRACES_PATH, "w") as f:
+        f.write(f'{{\n  "runs": {json.dumps(list(TRACE_RUNS))},\n  "traces": {{\n')
+        f.write(",\n".join(traces))
+        f.write("\n  }\n}\n")
+    print(f"wrote {len(traces)} golden trace digests -> {GOLDEN_TRACES_PATH}")
 
 
 if __name__ == "__main__":

@@ -183,3 +183,144 @@ class TestTraceGenerator:
         # Block b must be skipped.
         dests = [u.dest for u in trace.uops]
         assert dests == [1, 3]
+
+
+MASK64 = (1 << 64) - 1
+
+
+def _run_block(*insts, init_regs=None, seed=42):
+    """Execute one straight-line block to its halt."""
+    entry = BasicBlock("entry")
+    for inst in insts:
+        entry.add(inst)
+    gen = TraceGenerator(Program([entry]), seed=seed, init_regs=init_regs)
+    return gen, gen.run(1000)
+
+
+def _rr(op, rd, ra, rb):
+    return StaticInst(op, dests=(rd,), srcs=(ra, rb), length=4)
+
+
+class TestOpcodeEdgeCases:
+    """Semantics the suite's kernels rarely reach."""
+
+    @pytest.mark.parametrize("op", [Opcode.DIV, Opcode.FDIV])
+    def test_divide_by_zero_is_zero(self, op):
+        gen, uops = _run_block(_rr(op, 3, 1, 2), init_regs={1: 17, 2: 0})
+        assert uops[0].value == 0 and gen.regs[3] == 0
+
+    def test_divmod_by_zero_is_zero_zero(self):
+        gen, uops = _run_block(
+            StaticInst(Opcode.DIVMOD, dests=(3, 4), srcs=(1, 2), length=4),
+            init_regs={1: 17, 2: 0, 3: 9, 4: 9},
+        )
+        assert [u.value for u in uops] == [0, 0]
+        assert (gen.regs[3], gen.regs[4]) == (0, 0)
+
+    @pytest.mark.parametrize("op, shift, want", [
+        (Opcode.SHL, 64, 0x8000_0000_0000_0001),
+        (Opcode.SHL, 65, 0x2),
+        (Opcode.SHR, 64, 0x8000_0000_0000_0001),
+        (Opcode.SHR, 127, 0x1),
+    ])
+    def test_shift_amount_taken_mod_64(self, op, shift, want):
+        _, uops = _run_block(
+            _rr(op, 3, 1, 2), init_regs={1: 0x8000_0000_0000_0001, 2: shift}
+        )
+        assert uops[0].value == want
+
+    @pytest.mark.parametrize("a, b, blt, bge", [
+        (1 << 63, 1, True, False),          # most negative < 1
+        (1, MASK64, False, True),           # 1 >= -1
+        (MASK64, MASK64, False, True),      # -1 >= -1
+        (MASK64 - 1, MASK64, True, False),  # -2 < -1
+    ])
+    def test_signed_compares_with_top_bit(self, a, b, blt, bge):
+        outcomes = {}
+        for op in (Opcode.BLT, Opcode.BGE):
+            entry = BasicBlock("entry")
+            entry.add(_branch(op, 1, 2, "out"))
+            out = BasicBlock("out")
+            out.add(_li(5, 1))
+            gen = TraceGenerator(Program([entry, out]), init_regs={1: a, 2: b})
+            outcomes[op] = gen.run(10)[0].branch_taken
+        assert outcomes == {Opcode.BLT: blt, Opcode.BGE: bge}
+
+    def test_negative_immediates(self):
+        a = 0x0F0F_0000_0000_00F5
+        _, uops = _run_block(
+            _addi(2, 1, -7),
+            StaticInst(Opcode.ANDI, dests=(3,), srcs=(1,), imm=-2, length=4),
+            StaticInst(Opcode.XORI, dests=(4,), srcs=(1,), imm=-1, length=4),
+            _li(5, -1),
+            init_regs={1: a},
+        )
+        assert [u.value for u in uops] == [
+            (a - 7) & MASK64, a & (MASK64 - 1), a ^ MASK64, MASK64,
+        ]
+
+    def test_addi_wraps_below_zero(self):
+        _, uops = _run_block(_addi(2, 1, -7), init_regs={1: 5})
+        assert uops[0].value == MASK64 - 1
+
+    def test_store_masks_value_and_address(self):
+        gen, uops = _run_block(
+            _li(1, 0),
+            StaticInst(Opcode.STORE, srcs=(1, 2), imm=-8, length=4),
+            StaticInst(Opcode.LOAD, dests=(3,), srcs=(1,), imm=-8, length=4),
+            init_regs={2: -1},
+        )
+        addr = MASK64 - 7
+        assert gen.mem == {addr: MASK64}
+        store_uops = [u for u in uops if u.pc == uops[1].pc]
+        assert [u.mem_addr for u in store_uops] == [None, addr]
+        assert [u.value for u in store_uops] == [None, None]
+        assert uops[-1].value == MASK64 and uops[-1].mem_addr == addr
+
+    def test_untouched_load_writes_default_into_memory(self):
+        gen, uops = _run_block(
+            _li(1, 0x5000),
+            StaticInst(Opcode.LOAD, dests=(2,), srcs=(1,), length=4),
+        )
+        assert gen.mem == {0x5000: uops[-1].value}
+
+    def test_rand_matches_independent_xorshift(self):
+        from repro.common.rng import XorShift64
+
+        gen, uops = _run_block(
+            *(StaticInst(Opcode.RAND, dests=(r,), length=4) for r in (1, 2, 3)),
+            seed=7,
+        )
+        ref = XorShift64(7)
+        want = [ref.next_u64() for _ in range(3)]
+        assert [u.value for u in uops] == want
+        assert gen.rng._state == ref._state
+
+    def test_nop(self):
+        gen, uops = _run_block(StaticInst(Opcode.NOP, length=1), init_regs={1: 3})
+        (uop,) = uops
+        assert uop.dest is None and uop.value is None and uop.srcs == ()
+        assert uop.is_first_uop and uop.is_last_uop
+        assert not (uop.is_load or uop.is_store or uop.is_branch)
+        assert gen.regs[1] == 3 and gen.mem == {} and gen.inst_count == 1
+
+    def test_run_overshoots_at_multi_uop_instruction(self):
+        entry = BasicBlock("entry")
+        entry.add(_li(1, 0x100))
+        entry.add(StaticInst(Opcode.STORE, srcs=(1, 1), length=4))
+        entry.add(_li(2, 5))
+        gen = TraceGenerator(Program([entry]))
+        first = gen.run(2)
+        assert len(first) == 3 and gen.inst_count == 2
+        assert [(u.uop_index, u.is_last_uop) for u in first[1:]] == [
+            (0, False), (1, True),
+        ]
+        rest = gen.run(10)
+        assert [u.seq for u in rest] == [3]
+        assert rest[0].value == 5
+
+    def test_run_after_halt_returns_empty(self):
+        gen, uops = _run_block(_li(1, 1))
+        assert gen.halted and len(uops) == 1
+        assert gen.run(10) == []
+        assert gen.inst_count == 1
