@@ -52,11 +52,8 @@ class Program:
         self.block_start_pc: dict[str, int] = {}
         #: instructions in layout order with pc/static_id filled in
         self.insts: list[StaticInst] = []
-        #: pc -> laid-out instruction
-        self.inst_at: dict[int, StaticInst] = {}
-        #: pc -> pc of the next instruction in layout order (fallthrough)
-        self.next_pc: dict[int, int] = {}
-        #: pc -> name of the fallthrough successor block for block enders
+        #: block name -> name of its fallthrough successor block (None: the
+        #: program halts when control falls off that block)
         self.block_fallthrough: dict[str, str | None] = {}
         self._layout()
 
@@ -91,29 +88,12 @@ class Program:
                 static_id += 1
             block.insts[:] = laid_out
             self.insts.extend(laid_out)
-        for i, inst in enumerate(self.insts):
-            self.inst_at[inst.pc] = inst
-            if i + 1 < len(self.insts):
-                self.next_pc[inst.pc] = self.insts[i + 1].pc
 
     def target_pc(self, inst: StaticInst) -> int:
         """Resolved PC of a branch instruction's target block."""
         if inst.target is None:
             raise ValueError(f"instruction at {inst.pc:#x} has no target")
         return self.block_start_pc[inst.target]
-
-    def successor_pc(self, inst: StaticInst) -> int:
-        """PC control reaches when ``inst`` does not (or cannot) jump.
-
-        For the last instruction of a block this follows the block's
-        fallthrough edge; mid-block it is simply the next instruction.
-        """
-        if inst.pc in self.next_pc:
-            nxt = self.next_pc[inst.pc]
-            # Fallthrough must not silently cross into a block that is not
-            # the declared successor; find the block this inst belongs to.
-            return nxt
-        raise ValueError(f"instruction at {inst.pc:#x} falls off the program")
 
     @property
     def entry_pc(self) -> int:

@@ -1,18 +1,25 @@
 """Functional execution of programs into dynamic µ-op traces.
 
 The trace generator is an interpreter over the synthetic ISA.  It tracks the
-architectural register file and a sparse 64-bit memory, resolves branches,
-cracks instructions into µ-ops and emits one :class:`DynMicroOp` per µ-op
-with its actual produced value.  The timing model replays this trace; the
-functional and timing concerns stay fully separated, as in trace-driven
-simulators.
+architectural register file and a sparse 64-bit memory, resolves branches
+and emits one :class:`DynMicroOp` per µ-op with its actual produced value.
+The timing model replays this trace; the functional and timing concerns
+stay fully separated, as in trace-driven simulators.
+
+Decoding happens once per generator: every static instruction is cracked
+(:func:`~repro.isa.instruction.crack`) and flattened into a tuple of its
+constant fields — operand registers, immediate, per-µ-op template fields,
+fetch-block address and boundary, resolved successor and branch-target
+indexes — plus a small integer *kind* that :meth:`TraceGenerator.run`
+dispatches on.  Only values, memory addresses and branch outcomes are
+computed per dynamic instruction (DESIGN.md §12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.common.bits import to_signed, to_unsigned
+from repro.common.bits import WORD_MASK, to_unsigned
 from repro.common.rng import XorShift64
 from repro.isa.instruction import (
     DynMicroOp,
@@ -24,6 +31,29 @@ from repro.isa.program import Program
 
 FETCH_BLOCK_BYTES = 16
 _BLOCK_MASK = ~(FETCH_BLOCK_BYTES - 1)
+_SIGN_BIT = 1 << 63
+
+# Dispatch kinds of decoded instructions, numbered in the order ``run``
+# tests them: most frequent in the suite's traces first.
+(
+    _ADDI, _LOAD, _ADD, _BNE, _ANDI, _BLT, _STORE, _JMP, _LI, _XOR, _RAND,
+    _MUL, _BEQ, _SHL, _DIVMOD, _BGE, _SUB, _AND, _OR, _SHR, _XORI, _DIV,
+    _LOADADD, _NOP,
+) = range(24)
+
+_KIND_OF: dict[Opcode, int] = {
+    Opcode.ADD: _ADD, Opcode.FADD: _ADD, Opcode.SUB: _SUB,
+    Opcode.AND: _AND, Opcode.OR: _OR, Opcode.XOR: _XOR,
+    Opcode.SHL: _SHL, Opcode.SHR: _SHR,
+    Opcode.ADDI: _ADDI, Opcode.ANDI: _ANDI, Opcode.XORI: _XORI,
+    Opcode.LI: _LI, Opcode.MUL: _MUL, Opcode.FMUL: _MUL,
+    Opcode.DIV: _DIV, Opcode.FDIV: _DIV, Opcode.DIVMOD: _DIVMOD,
+    Opcode.LOAD: _LOAD, Opcode.STORE: _STORE, Opcode.LOADADD: _LOADADD,
+    Opcode.BEQ: _BEQ, Opcode.BNE: _BNE, Opcode.BLT: _BLT, Opcode.BGE: _BGE,
+    Opcode.JMP: _JMP, Opcode.RAND: _RAND, Opcode.NOP: _NOP,
+}
+#: Kinds whose immediate is used as an unsigned 64-bit operand.
+_MASKED_IMM = frozenset({_ANDI, _XORI, _LI})
 
 
 def _default_memory_value(addr: int) -> int:
@@ -50,6 +80,71 @@ class Trace:
 
     def __len__(self) -> int:
         return len(self.uops)
+
+
+def _decode_inst(
+    program: Program, inst: StaticInst, nxt: int, first: dict[str, int]
+) -> tuple:
+    """Flatten one laid-out instruction into the tuple ``run`` unpacks.
+
+    Sources an opcode may omit read as register ``None``, which is never
+    in the register file and so reads 0.  Each µ-op entry holds the
+    :class:`DynMicroOp` fields its template fixes, plus whether the µ-op
+    carries the memory address.
+    """
+    kind = _KIND_OF[inst.opcode]
+    srcs, dests = inst.srcs, inst.dests
+    templates = crack(inst)
+    if len(templates) > 2:
+        raise NotImplementedError(f"{inst.opcode.name} cracks to >2 µ-ops")
+    is_cond = inst.is_conditional
+    last = len(templates) - 1
+    uops = [
+        (t.uop_index, t.dest, t.srcs, t.latency_class, t.is_load, t.is_store,
+         t.is_branch, t.is_branch and is_cond, t.is_load_imm,
+         t.is_load or t.is_store, i == 0, i == last)
+        for i, t in enumerate(templates)
+    ]
+    imm = inst.imm & WORD_MASK if kind in _MASKED_IMM else inst.imm
+    tgt, tpc = -1, 0
+    if inst.is_branch:
+        tgt, tpc = first[inst.target], program.target_pc(inst)  # type: ignore[index]
+    return (
+        kind,
+        srcs[0] if srcs else None,
+        srcs[1] if len(srcs) > 1 else None,
+        imm,
+        dests[0] if dests else None,
+        dests[1] if len(dests) > 1 else None,
+        nxt, tgt, tpc,
+        inst.pc, inst.static_id, inst.length,
+        inst.pc & _BLOCK_MASK, inst.pc & (FETCH_BLOCK_BYTES - 1),
+        uops[0], uops[1] if last else None,
+    )
+
+
+def _decode(program: Program) -> tuple[list[tuple], int]:
+    """Decode every instruction once, in layout order.
+
+    Returns the decoded instructions and the index of the entry.  Each
+    instruction records the index control reaches when it does not jump:
+    the next instruction, or at a block's end the first instruction of its
+    fall-through block, or -1 where control falls off the program.
+    """
+    first: dict[str, int] = {}
+    index = 0
+    for block in program.blocks:
+        first[block.name] = index
+        index += len(block.insts)
+    code: list[tuple] = []
+    for block in program.blocks:
+        fall = program.block_fallthrough[block.name]
+        end_next = -1 if fall is None else first[fall]
+        last = len(block.insts) - 1
+        for i, inst in enumerate(block.insts):
+            nxt = len(code) + 1 if i < last else end_next
+            code.append(_decode_inst(program, inst, nxt, first))
+    return code, first[program.entry]
 
 
 class TraceGenerator:
@@ -80,12 +175,9 @@ class TraceGenerator:
         self.rng = XorShift64(seed)
         self._seq = 0
         self._inst_count = 0
-        # Interpreter program counter state: (block index, inst index).
-        self._block_index = {b.name: i for i, b in enumerate(program.blocks)}
-        self._cur_block = self._block_index[program.entry]
-        self._cur_inst = 0
+        # Decoded program and the index of the next instruction to execute.
+        self._code, self._next = _decode(program)
         self._halted = False
-        self._last_taken = False
 
     @property
     def inst_count(self) -> int:
@@ -95,166 +187,135 @@ class TraceGenerator:
     def halted(self) -> bool:
         return self._halted
 
-    def _read(self, reg: int) -> int:
-        return self.regs.get(reg, 0)
-
-    def _load(self, addr: int) -> int:
-        addr = to_unsigned(addr, 64)
-        value = self.mem.get(addr)
-        if value is None:
-            value = _default_memory_value(addr)
-            self.mem[addr] = value
-        return value
-
-    def _store(self, addr: int, value: int) -> None:
-        self.mem[to_unsigned(addr, 64)] = to_unsigned(value, 64)
-
-    def _alu(self, inst: StaticInst) -> int:
-        """Evaluate the single-result arithmetic opcodes."""
-        op = inst.opcode
-        a = self._read(inst.srcs[0]) if inst.srcs else 0
-        b = self._read(inst.srcs[1]) if len(inst.srcs) > 1 else 0
-        if op is Opcode.ADD or op is Opcode.FADD:
-            return to_unsigned(a + b, 64)
-        if op is Opcode.SUB:
-            return to_unsigned(a - b, 64)
-        if op is Opcode.AND:
-            return a & b
-        if op is Opcode.OR:
-            return a | b
-        if op is Opcode.XOR:
-            return a ^ b
-        if op is Opcode.SHL:
-            return to_unsigned(a << (b & 63), 64)
-        if op is Opcode.SHR:
-            return a >> (b & 63)
-        if op is Opcode.ADDI:
-            return to_unsigned(a + inst.imm, 64)
-        if op is Opcode.ANDI:
-            return a & to_unsigned(inst.imm, 64)
-        if op is Opcode.XORI:
-            return a ^ to_unsigned(inst.imm, 64)
-        if op is Opcode.LI:
-            return to_unsigned(inst.imm, 64)
-        if op is Opcode.MUL or op is Opcode.FMUL:
-            return to_unsigned(a * b, 64)
-        if op is Opcode.DIV or op is Opcode.FDIV:
-            return 0 if b == 0 else a // b
-        if op is Opcode.RAND:
-            return self.rng.next_u64()
-        raise ValueError(f"not a single-result ALU opcode: {op}")
-
-    def _branch_taken(self, inst: StaticInst) -> bool:
-        a = self._read(inst.srcs[0]) if inst.srcs else 0
-        b = self._read(inst.srcs[1]) if len(inst.srcs) > 1 else 0
-        op = inst.opcode
-        if op is Opcode.JMP:
-            return True
-        if op is Opcode.BEQ:
-            return a == b
-        if op is Opcode.BNE:
-            return a != b
-        if op is Opcode.BLT:
-            return to_signed(a, 64) < to_signed(b, 64)
-        if op is Opcode.BGE:
-            return to_signed(a, 64) >= to_signed(b, 64)
-        raise ValueError(f"not a branch opcode: {op}")
-
-    def _emit(self, inst: StaticInst, out: list[DynMicroOp]) -> None:
-        """Execute one instruction, appending its dynamic µ-ops to ``out``."""
-        templates = crack(inst)
-        op = inst.opcode
-        block_pc = inst.pc & _BLOCK_MASK
-        boundary = inst.pc & (FETCH_BLOCK_BYTES - 1)
-
-        # Pre-compute per-µ-op values / memory effects.
-        values: list[int | None] = [None] * len(templates)
-        mem_addr: int | None = None
-        taken = False
-        target = 0
-        if op is Opcode.LOAD:
-            mem_addr = to_unsigned(self._read(inst.srcs[0]) + inst.imm, 64)
-            values[0] = self._load(mem_addr)
-            self.regs[inst.dests[0]] = values[0]
-        elif op is Opcode.STORE:
-            mem_addr = to_unsigned(self._read(inst.srcs[0]) + inst.imm, 64)
-            self._store(mem_addr, self._read(inst.srcs[1]))
-        elif op is Opcode.LOADADD:
-            mem_addr = to_unsigned(self._read(inst.srcs[0]) + inst.imm, 64)
-            loaded = self._load(mem_addr)
-            values[0] = loaded
-            values[1] = to_unsigned(loaded + self._read(inst.srcs[1]), 64)
-            self.regs[inst.dests[0]] = values[1]
-        elif op is Opcode.DIVMOD:
-            a, b = self._read(inst.srcs[0]), self._read(inst.srcs[1])
-            values[0] = 0 if b == 0 else a // b
-            values[1] = 0 if b == 0 else a % b
-            self.regs[inst.dests[0]] = values[0]
-            self.regs[inst.dests[1]] = values[1]
-        elif inst.is_branch:
-            taken = self._branch_taken(inst)
-            if taken:
-                target = self.program.target_pc(inst)
-        elif op is not Opcode.NOP:
-            values[0] = self._alu(inst)
-            self.regs[inst.dests[0]] = values[0]
-
-        n = len(templates)
-        for i, tmpl in enumerate(templates):
-            uop_value = values[i]
-            out.append(
-                DynMicroOp(
-                    seq=self._seq,
-                    pc=inst.pc,
-                    static_id=inst.static_id,
-                    uop_index=tmpl.uop_index,
-                    inst_length=inst.length,
-                    block_pc=block_pc,
-                    boundary=boundary,
-                    dest=tmpl.dest,
-                    srcs=tmpl.srcs,
-                    value=uop_value,
-                    latency_class=tmpl.latency_class,
-                    is_load=tmpl.is_load,
-                    is_store=tmpl.is_store,
-                    is_branch=tmpl.is_branch,
-                    is_cond_branch=tmpl.is_branch and inst.is_conditional,
-                    is_load_imm=tmpl.is_load_imm,
-                    mem_addr=mem_addr if (tmpl.is_load or tmpl.is_store) else None,
-                    branch_taken=taken,
-                    branch_target=target,
-                    is_first_uop=(i == 0),
-                    is_last_uop=(i == n - 1),
-                )
-            )
-            self._seq += 1
-        self._inst_count += 1
-        self._last_taken = taken
-
     def run(self, max_uops: int) -> list[DynMicroOp]:
         """Execute until ``max_uops`` more µ-ops are produced (or halt).
 
-        The program halts if control falls off the end of a block with no
-        fallthrough successor.
+        Execution stops only between instructions, so the last one may
+        overshoot ``max_uops`` by its extra µ-ops.  The program halts if
+        control falls off the end of a block with no fallthrough successor.
         """
         out: list[DynMicroOp] = []
-        program = self.program
-        while len(out) < max_uops and not self._halted:
-            block = program.blocks[self._cur_block]
-            inst = block.insts[self._cur_inst]
-            self._emit(inst, out)
-            if inst.is_branch and self._last_taken:
-                self._cur_block = self._block_index[inst.target]  # type: ignore[index]
-                self._cur_inst = 0
-                continue
-            self._cur_inst += 1
-            if self._cur_inst >= len(block.insts):
-                fall = program.block_fallthrough[block.name]
-                if fall is None:
-                    self._halted = True
-                else:
-                    self._cur_block = self._block_index[fall]
-                    self._cur_inst = 0
+        if self._halted:
+            return out
+        append = out.append
+        code = self._code
+        regs = self.regs
+        rget = regs.get
+        mem = self.mem
+        mget = mem.get
+        rand = self.rng.next_u64
+        mask = WORD_MASK
+        sign = _SIGN_BIT
+        seq = self._seq
+        stop = seq + max_uops
+        idx = self._next
+        executed = 0
+        halted = False
+        mem_addr = None
+        while seq < stop:
+            (kind, ra, rb, imm, d0, d1, nxt, tgt, tpc,
+             pc, sid, length, block_pc, boundary, u0, u1) = code[idx]
+            taken = False
+            target = 0
+            if kind == _ADDI:
+                v0 = regs[d0] = (rget(ra, 0) + imm) & mask
+            elif kind == _LOAD:
+                mem_addr = (rget(ra, 0) + imm) & mask
+                v0 = mget(mem_addr)
+                if v0 is None:
+                    v0 = mem[mem_addr] = _default_memory_value(mem_addr)
+                regs[d0] = v0
+            elif kind == _ADD:
+                v0 = regs[d0] = (rget(ra, 0) + rget(rb, 0)) & mask
+            elif kind == _BNE:
+                v0 = None
+                taken = rget(ra, 0) != rget(rb, 0)
+            elif kind == _ANDI:
+                v0 = regs[d0] = rget(ra, 0) & imm
+            elif kind == _BLT:
+                # Flipping the sign bit maps signed order onto unsigned.
+                v0 = None
+                taken = (rget(ra, 0) ^ sign) < (rget(rb, 0) ^ sign)
+            elif kind == _STORE:
+                mem_addr = (rget(ra, 0) + imm) & mask
+                mem[mem_addr] = rget(rb, 0) & mask
+                v0 = v1 = None
+            elif kind == _JMP:
+                v0 = None
+                taken = True
+            elif kind == _LI:
+                v0 = regs[d0] = imm
+            elif kind == _XOR:
+                v0 = regs[d0] = rget(ra, 0) ^ rget(rb, 0)
+            elif kind == _RAND:
+                v0 = regs[d0] = rand()
+            elif kind == _MUL:
+                v0 = regs[d0] = (rget(ra, 0) * rget(rb, 0)) & mask
+            elif kind == _BEQ:
+                v0 = None
+                taken = rget(ra, 0) == rget(rb, 0)
+            elif kind == _SHL:
+                v0 = regs[d0] = (rget(ra, 0) << (rget(rb, 0) & 63)) & mask
+            elif kind == _DIVMOD:
+                a, b = rget(ra, 0), rget(rb, 0)
+                v0, v1 = (0, 0) if b == 0 else (a // b, a % b)
+                regs[d0] = v0
+                regs[d1] = v1
+            elif kind == _BGE:
+                v0 = None
+                taken = (rget(ra, 0) ^ sign) >= (rget(rb, 0) ^ sign)
+            elif kind == _SUB:
+                v0 = regs[d0] = (rget(ra, 0) - rget(rb, 0)) & mask
+            elif kind == _AND:
+                v0 = regs[d0] = rget(ra, 0) & rget(rb, 0)
+            elif kind == _OR:
+                v0 = regs[d0] = rget(ra, 0) | rget(rb, 0)
+            elif kind == _SHR:
+                v0 = regs[d0] = rget(ra, 0) >> (rget(rb, 0) & 63)
+            elif kind == _XORI:
+                v0 = regs[d0] = rget(ra, 0) ^ imm
+            elif kind == _DIV:
+                b = rget(rb, 0)
+                v0 = regs[d0] = 0 if b == 0 else rget(ra, 0) // b
+            elif kind == _LOADADD:
+                mem_addr = (rget(ra, 0) + imm) & mask
+                v0 = mget(mem_addr)
+                if v0 is None:
+                    v0 = mem[mem_addr] = _default_memory_value(mem_addr)
+                v1 = regs[d0] = (v0 + rget(rb, 0)) & mask
+            else:  # _NOP
+                v0 = None
+            if taken:
+                target = tpc
+                nxt = tgt
+            executed += 1
+
+            (uop_index, dest, srcs, lat, is_load, is_store, is_branch,
+             is_cond, is_li, has_mem, first, last) = u0
+            append(DynMicroOp(
+                seq, pc, sid, uop_index, length, block_pc, boundary, dest,
+                srcs, v0, lat, is_load, is_store, is_branch, is_cond, is_li,
+                mem_addr if has_mem else None, taken, target, first, last,
+            ))
+            seq += 1
+            if u1 is not None:
+                (uop_index, dest, srcs, lat, is_load, is_store, is_branch,
+                 is_cond, is_li, has_mem, first, last) = u1
+                append(DynMicroOp(
+                    seq, pc, sid, uop_index, length, block_pc, boundary, dest,
+                    srcs, v1, lat, is_load, is_store, is_branch, is_cond,
+                    is_li, mem_addr if has_mem else None, taken, target,
+                    first, last,
+                ))
+                seq += 1
+            if nxt < 0:
+                halted = True
+                break
+            idx = nxt
+        self._seq = seq
+        self._inst_count += executed
+        self._next = idx
+        self._halted = halted
         return out
 
 

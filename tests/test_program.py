@@ -324,3 +324,29 @@ class TestOpcodeEdgeCases:
         assert gen.halted and len(uops) == 1
         assert gen.run(10) == []
         assert gen.inst_count == 1
+
+
+class TestDecodeOnce:
+    def test_crack_calls_bounded_by_static_program(self, monkeypatch):
+        """Cracking happens at decode, once per static instruction, never
+        per dynamic instruction: the count does not grow with the trace."""
+        import repro.workloads.trace as trace_mod
+        from repro.workloads.suite import build_workload
+
+        calls = []
+        real_crack = trace_mod.crack
+
+        def counting_crack(inst):
+            calls.append(inst.static_id)
+            return real_crack(inst)
+
+        monkeypatch.setattr(trace_mod, "crack", counting_crack)
+        kernel = build_workload("gcc")
+        static = len(kernel.program.insts)
+        counts = []
+        for uops in (2_000, 20_000):
+            calls.clear()
+            gen = TraceGenerator(kernel.program, init_mem=kernel.init_mem)
+            assert len(gen.run(uops)) >= uops
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= static
