@@ -52,8 +52,6 @@ _KIND_OF: dict[Opcode, int] = {
     Opcode.BEQ: _BEQ, Opcode.BNE: _BNE, Opcode.BLT: _BLT, Opcode.BGE: _BGE,
     Opcode.JMP: _JMP, Opcode.RAND: _RAND, Opcode.NOP: _NOP,
 }
-#: Kinds whose immediate is used as an unsigned 64-bit operand.
-_MASKED_IMM = frozenset({_ANDI, _XORI, _LI})
 
 
 def _default_memory_value(addr: int) -> int:
@@ -105,7 +103,8 @@ def _decode_inst(
          t.is_load or t.is_store, i == 0, i == last)
         for i, t in enumerate(templates)
     ]
-    imm = inst.imm & WORD_MASK if kind in _MASKED_IMM else inst.imm
+    # These opcodes use their immediate as an unsigned 64-bit operand.
+    imm = inst.imm & WORD_MASK if kind in (_ANDI, _XORI, _LI) else inst.imm
     tgt, tpc = -1, 0
     if inst.is_branch:
         tgt, tpc = first[inst.target], program.target_pc(inst)  # type: ignore[index]
