@@ -1,9 +1,13 @@
-"""Regenerate ``tests/data/golden_stats.json`` and ``golden_traces.json``.
+"""Regenerate the golden files under ``tests/data``.
 
-The first golden file pins the full :class:`SimStats` of nine
+``golden_stats.json`` pins the full :class:`SimStats` of nine
 representative configurations so ``tests/test_golden_identity.py`` can
 enforce that performance work on the simulator inner loop stays
-bit-identical.  The second pins a digest of every workload's dynamic trace
+bit-identical.  ``golden_vp_configs.json`` pins the value-prediction
+configurations those nine miss (the remaining instruction-based
+predictors, partial strides, saturating counters, confidence
+propagation), checked by ``tests/test_golden_vp_configs.py``.
+``golden_traces.json`` pins a digest of every workload's dynamic trace
 and the trace generator's end state, checked by
 ``tests/test_trace_identity.py``.  Only rerun this after an *intentional*
 model change — and explain the shift in the commit message.
@@ -31,6 +35,13 @@ from repro.eval.runner import (  # noqa: E402
     run_instr_vp,
 )
 from repro.predictors.perpath import PerPathStridePredictor  # noqa: E402
+from tests.test_golden_vp_configs import (  # noqa: E402
+    GOLDEN_VP_PATH,
+    RUNS as VP_RUNS,
+    UOPS as VP_UOPS,
+    WARMUP as VP_WARMUP,
+    vp_config_stats,
+)
 from tests.test_trace_identity import (  # noqa: E402
     GOLDEN_TRACES_PATH,
     RUNS as TRACE_RUNS,
@@ -88,6 +99,11 @@ def main() -> None:
         print(f"captured {key}")
     _write_json(out, {"uops": UOPS, "warmup": WARMUP, "runs": runs})
     print(f"wrote {len(runs)} golden runs -> {out}")
+
+    vp_runs = {key: vp_config_stats(key) for key in VP_RUNS}
+    _write_json(GOLDEN_VP_PATH,
+                {"uops": VP_UOPS, "warmup": VP_WARMUP, "runs": vp_runs})
+    print(f"wrote {len(vp_runs)} golden VP-config runs -> {GOLDEN_VP_PATH}")
 
     # One line per workload, so a diff names the workloads that moved.
     traces = [
