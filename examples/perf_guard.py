@@ -111,7 +111,8 @@ def main() -> int:
         type=float,
         default=DEFAULT_MIN_BATCH_SPEEDUP,
         help="min serial/batched wall ratio for the batched-sweep benches "
-             "(default 2.0; within-run, so checked even across hosts)",
+             f"(default {DEFAULT_MIN_BATCH_SPEEDUP}; within-run, so checked "
+             "even across hosts)",
     )
     args = parser.parse_args()
 

@@ -51,9 +51,8 @@ class BeBoPEngine:
         # computed/predicted values").
         self._result_fixups: list[tuple[int, int, PendingBlock, int, int]] = []
         self._fixup_counter = 0
-        self.spec_window_hits = 0
-        self.spec_window_uses = 0
-        self.cold_blocks = 0
+        # FPCPolicy.is_confident: only the saturated level is used.
+        self._max_level = predictor.fpc.max_level
         # Namespaced metrics, hoisted once from the current registry (one
         # engine per run; run_job creates it under the per-job registry).
         # `_m_on` gates the per-fetch observations so a disabled registry
@@ -71,11 +70,15 @@ class BeBoPEngine:
         # per D-VTAGE component that ever provided an attributed prediction.
         self._m_providers: dict[int, object] = {}
         self._prov = False        # fill GroupHandle.prov for the recorder
-        # Attribution metadata per static fetch group: a group's µ-ops are
-        # fixed by its first µ-op and its length (fall-through code of one
-        # block), so (positions, boundaries) of its VP-eligible µ-ops are
-        # computed once per (pc, µ-op index, length).
-        self._group_meta: dict[tuple[int, int, int], tuple[list, list]] = {}
+        # Attribution per static fetch group: a group's µ-ops are fixed by
+        # its first µ-op and its length (fall-through code of one block),
+        # so the positions and boundaries of its VP-eligible µ-ops are
+        # computed once per (pc, µ-op index, length).  The slots they take
+        # depend only on those boundaries and the entry's byte tags, which
+        # rarely change: the group also keeps the last tags it was
+        # attributed against and the resulting slots.
+        # [positions, boundaries, byte tags, slots]
+        self._group_meta: dict[tuple[int, int, int], list] = {}
 
     def set_provenance(self, enabled: bool) -> None:
         """Toggle provenance collection (called by the pipeline when a
@@ -111,7 +114,7 @@ class BeBoPEngine:
         window = self.window
         while fixups and fixups[0][0] <= cycle:
             _, _, pending, slot, value = heapq.heappop(fixups)
-            window.correct_entry(pending.block_pc, pending.seq, {slot: value})
+            window.correct_slot(pending.block_pc, pending.seq, slot, value)
         q = self._deferred
         update = self.predictor.update
         while q and q[0][0] <= cycle:
@@ -128,73 +131,79 @@ class BeBoPEngine:
 
     # -- fetch ------------------------------------------------------------------
 
-    def _predict_block(
+    def fetch_group(
         self,
         uops: list[DynMicroOp],
         cycle: int,
         hist: HistoryState,
-        mask_use: bool,
+        reuse: GroupHandle | None = None,
     ) -> GroupHandle:
-        block_pc = uops[0].block_pc
-        first_seq = uops[0].seq
-        readout = self.predictor.read(block_pc, hist)
-        spec_entry = self.window.lookup_entry(block_pc)
-        spec_values = spec_entry.values if spec_entry is not None else None
-        spec_seq = spec_entry.seq if spec_entry is not None else None
-        if spec_values is not None:
-            self.spec_window_uses += 1
-            last_values = spec_values
-            usable = True
-            source = "spec_window"
-        elif readout.lvt_hit:
-            last_values = readout.lvt_last
-            usable = True
-            source = "lvt"
+        fixups = self._result_fixups
+        q = self._deferred
+        if (fixups and fixups[0][0] <= cycle) or (q and q[0][0] <= cycle):
+            self._apply_until(cycle)
+        spec_seq = None
+        if reuse is not None and not self.policy.repredicts:
+            # DnRR / DnRDnR: reuse the flushed block's prediction block.
+            # The kept pending block keeps accumulating the refetched
+            # µ-ops' results.
+            pending: PendingBlock = reuse.ctx  # type: ignore[assignment]
+            readout = pending.readout
+            values = pending.values
+            usable = self.policy.reuses_predictions
+            if not usable:
+                pending.use_masked = True
+            source = "reuse"
         else:
-            last_values = readout.lvt_last  # zeros; entry is cold
-            usable = False
-            self.cold_blocks += 1
-            source = "cold"
-        if self._m_on:
-            # Occupancy sampled before this block's insert: what the
-            # hardware's associative probe actually searched.
-            self._m_occupancy.observe(len(self.window))
-            self._m_uq_depth.observe(len(self.fifo))
-            if spec_values is not None:
-                self._m_window_uses.inc()
-            elif not readout.lvt_hit:
-                self._m_cold_blocks.inc()
-        values = self.predictor.compose(readout, last_values)
-        self.window.insert(block_pc, first_seq, values)
-        pending = PendingBlock(first_seq, block_pc, hist, readout, values)
-        pending.use_masked = mask_use
-        self.fifo.push(pending)
-        preds, provs = self._attribute(
-            uops, readout, values, usable and not mask_use,
-            source=source, spec_seq=spec_seq,
-        )
-        return GroupHandle(preds, hist, ctx=pending, prov=provs)
+            # Normal fetch, or a policy that generates a new prediction
+            # block for the refetched instructions (Ideal / Repred).
+            first = uops[0]
+            block_pc = first.block_pc
+            predictor = self.predictor
+            window = self.window
+            readout = predictor.read(block_pc, hist)
+            spec_entry = window.lookup_entry(block_pc)
+            if spec_entry is not None:
+                last_values = spec_entry.values
+                usable = True
+                source = "spec_window"
+                spec_seq = spec_entry.seq
+            else:
+                last_values = readout.lvt_last  # zeros when the entry is cold
+                usable = readout.lvt_hit
+                source = "lvt" if usable else "cold"
+            if self._m_on:
+                # Occupancy sampled before this block's insert: what the
+                # hardware's associative probe actually searched.
+                self._m_occupancy.observe(len(window))
+                self._m_uq_depth.observe(len(self.fifo))
+                if spec_entry is not None:
+                    self._m_window_uses.inc()
+                elif not usable:
+                    self._m_cold_blocks.inc()
+            values = predictor.compose(readout, last_values)
+            window.insert(block_pc, first.seq, values)
+            pending = PendingBlock(first.seq, block_pc, hist, readout, values)
+            self.fifo.push(pending)
 
-    def _attribute(
-        self,
-        uops: list[DynMicroOp],
-        readout: BlockReadout,
-        values: list[int],
-        usable: bool,
-        source: str = "lvt",
-        spec_seq: int | None = None,
-    ) -> tuple[list[PredUse | None], list[Provenance | None] | None]:
+        # Attribute the block's predictions to its VP-eligible µ-ops.
         first = uops[0]
         key = (first.pc, first.uop_index, len(uops))
         meta = self._group_meta.get(key)
         if meta is None:
-            eligible = [(pos, uop.boundary) for pos, uop in enumerate(uops)
-                        if uop.is_vp_eligible]
-            meta = self._group_meta[key] = (
-                [pos for pos, _b in eligible], [b for _pos, b in eligible]
-            )
-        positions, boundaries = meta
-        slots = attribute_predictions(readout.byte_tags, boundaries)
+            positions = [pos for pos, uop in enumerate(uops)
+                         if uop.is_vp_eligible]
+            meta = self._group_meta[key] = [
+                positions, [uops[pos].boundary for pos in positions],
+                None, None,
+            ]
+        positions = meta[0]
+        byte_tags = readout.byte_tags
+        if byte_tags == meta[2]:
+            slots = meta[3]
+        else:
+            slots = meta[3] = attribute_predictions(byte_tags, meta[1])
+            meta[2] = byte_tags
         if self._m_on and positions:
             # An attribution miss: a VP-eligible µ-op whose byte boundary
             # matched no prediction slot (§V-B's tag-mismatch case).
@@ -211,8 +220,7 @@ class BeBoPEngine:
         )
         policy = self.policy.value if provs is not None else ""
         conf = readout.conf
-        # FPCPolicy.is_confident: only the saturated level is used.
-        max_level = self.predictor.fpc.max_level
+        max_level = self._max_level
         for pos, slot in zip(positions, slots):
             if slot is None:
                 if provs is not None:
@@ -240,34 +248,7 @@ class BeBoPEngine:
                     confident=confident,
                     policy=policy,
                 )
-        return preds, provs
-
-    def fetch_group(
-        self,
-        uops: list[DynMicroOp],
-        cycle: int,
-        hist: HistoryState,
-        reuse: GroupHandle | None = None,
-    ) -> GroupHandle:
-        fixups = self._result_fixups
-        q = self._deferred
-        if (fixups and fixups[0][0] <= cycle) or (q and q[0][0] <= cycle):
-            self._apply_until(cycle)
-        if reuse is None or self.policy.repredicts:
-            # Normal fetch, or a policy that generates a new prediction
-            # block for the refetched instructions (Ideal / Repred).
-            return self._predict_block(uops, cycle, hist, mask_use=False)
-        # DnRR / DnRDnR: reuse the flushed block's prediction block.  The
-        # kept pending block keeps accumulating the refetched µ-ops' results.
-        pending: PendingBlock = reuse.ctx  # type: ignore[assignment]
-        mask_use = not self.policy.reuses_predictions
-        if mask_use:
-            pending.use_masked = True
-        usable = not mask_use
-        preds, provs = self._attribute(
-            uops, pending.readout, pending.values, usable, source="reuse"
-        )
-        return GroupHandle(preds, hist, ctx=pending, prov=provs)
+        return GroupHandle(preds, hist, pending, provs)
 
     # -- commit -------------------------------------------------------------------
 
@@ -288,10 +269,10 @@ class BeBoPEngine:
     def commit_uop(
         self, handle: GroupHandle, pos: int, uop: DynMicroOp, cycle: int
     ) -> None:
-        if not uop.is_vp_eligible or uop.value is None:
-            return
-        pending: PendingBlock = handle.ctx  # type: ignore[assignment]
-        pending.retired.append((uop.boundary, uop.value))
+        value = uop.value
+        if value is not None:
+            pending: PendingBlock = handle.ctx  # type: ignore[assignment]
+            pending.retired.append((uop.boundary, value))
 
     def finish_group(self, handle: GroupHandle, cycle: int) -> None:
         """The block instance fully retired: pop it from the FIFO and apply

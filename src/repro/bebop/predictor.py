@@ -96,8 +96,6 @@ class BlockReadout:
     """Everything the fetch-time read produced, kept for update time."""
 
     __slots__ = (
-        "block_pc",
-        "hist",
         "lvt_index",
         "lvt_tag",
         "lvt_hit",
@@ -109,14 +107,27 @@ class BlockReadout:
         "strides",          # provider strides (raw stored form)
         "conf",             # provider confidence levels at read time
         "alt_strides",
-        "last_used",        # last values the adders consumed (may be spec)
+        "lanes",            # packed index/tag hashes (TaggedSlots.lanes)
         "values",           # composed predictions, filled by compose()
-        "slots",            # (indices, tags) of every tagged component
     )
 
-    def __init__(self) -> None:
+    def __init__(
+        self, lvt_index, lvt_tag, lvt_hit, lvt_last, byte_tags, provider,
+        provider_index, provider_tag, strides, conf, alt_strides, lanes,
+    ) -> None:
+        self.lvt_index = lvt_index
+        self.lvt_tag = lvt_tag
+        self.lvt_hit = lvt_hit
+        self.lvt_last = lvt_last
+        self.byte_tags = byte_tags
+        self.provider = provider
+        self.provider_index = provider_index
+        self.provider_tag = provider_tag
+        self.strides = strides
+        self.conf = conf
+        self.alt_strides = alt_strides
+        self.lanes = lanes
         self.values: list[int] = []
-        self.last_used: list[int] = []
 
 
 def dvtage_bank_fields(
@@ -159,7 +170,6 @@ class BlockDVTAGE:
         fpc: FPCPolicy | None = None,
         seed: int = 0xBEB0,
         table_backend: str | None = None,
-        banks=None,
     ) -> None:
         self.config = config if config is not None else BlockDVTAGEConfig()
         c = self.config
@@ -171,31 +181,12 @@ class BlockDVTAGE:
             c.components, c.min_history, c.max_history
         )
         lvt_fields, vt0_fields, tagged_fields = dvtage_bank_fields(c.npred)
-        if banks is not None:
-            # Caller-provided storage (e.g. per-variant views of a
-            # variant-stacked bank from batch_stack); shapes must match
-            # what this config would have allocated.
-            self._lvt, self._vt0, self._tagged = banks
-            if (
-                self._lvt.entries != c.base_entries
-                or self._vt0.entries != c.base_entries
-                or self._tagged.entries != c.components * c.tagged_entries
-            ):
-                raise ValueError(
-                    "injected banks do not match the predictor geometry"
-                )
-        else:
-            self._lvt = make_bank(
-                c.base_entries, lvt_fields, backend=table_backend
-            )
-            self._vt0 = make_bank(
-                c.base_entries, vt0_fields, backend=table_backend
-            )
-            self._tagged = make_bank(
-                c.components * c.tagged_entries,
-                tagged_fields,
-                backend=table_backend,
-            )
+        self._lvt = make_bank(c.base_entries, lvt_fields, backend=table_backend)
+        self._vt0 = make_bank(c.base_entries, vt0_fields, backend=table_backend)
+        self._tagged = make_bank(
+            c.components * c.tagged_entries, tagged_fields,
+            backend=table_backend,
+        )
         self.table_backend = self._lvt.backend
         self._l_tag = self._lvt.col("tag")
         self._l_last = self._lvt.col("last")
@@ -217,6 +208,15 @@ class BlockDVTAGE:
             self.history_lengths, self.tagged_index_bits, self.tag_bits,
             c.tagged_entries,
         )
+        self._npred = c.npred
+        self._stride_mask = (1 << c.stride_bits) - 1
+        self._stride_sign = 1 << (c.stride_bits - 1)
+        #: (key, LVT index, LVT tag) per fetch-block PC.
+        self._blocks: dict[int, tuple[int, int, int]] = {}
+        #: Per LVT entry, the last byte-tag update:
+        #: (byte tags, boundaries, assignment, new tags) — the update is a
+        #: pure function of the first two, which rarely change.
+        self._tag_updates: dict[int, tuple[list, list, list, list]] = {}
 
     def fold_geometry(
         self,
@@ -230,86 +230,95 @@ class BlockDVTAGE:
 
     # -- indexing ------------------------------------------------------------
 
-    @staticmethod
-    def _key(block_pc: int) -> int:
-        return block_pc >> 4
-
-    def _lvt_slot(self, key: int) -> tuple[int, int]:
-        index = table_index(key, self.base_index_bits)
-        tag = (key >> self.base_index_bits) & mask(self.config.lvt_tag_bits)
-        return index, tag
-
-    def _vec(self, bank, col, name: str, index: int) -> list[int]:
-        if self._lists:
-            base = index * self.config.npred
-            return col[base:base + self.config.npred]
-        return bank.read_vec(name, index)
+    def _block_slot(self, block_pc: int) -> tuple[int, int, int]:
+        """(key, LVT index, LVT tag) of a fetch block, memoised per block."""
+        key = block_pc >> 4
+        slot = self._blocks[block_pc] = (
+            key,
+            table_index(key, self.base_index_bits),
+            (key >> self.base_index_bits) & mask(self.config.lvt_tag_bits),
+        )
+        return slot
 
     # -- fetch-time read -----------------------------------------------------
 
     def read(self, block_pc: int, hist: HistoryState) -> BlockReadout:
         """Read LVT and stride components for a fetch block."""
-        key = self._key(block_pc)
-        c = self.config
-        npred = c.npred
-        out = BlockReadout()
-        out.block_pc = block_pc
-        out.hist = hist
-        lvt_index, lvt_tag = self._lvt_slot(key)
-        out.lvt_index = lvt_index
-        out.lvt_tag = lvt_tag
-        out.lvt_hit = lvt_hit = bool(self._l_tag[lvt_index] == lvt_tag)
-        if lvt_hit:
-            out.lvt_last = self._vec(self._lvt, self._l_last, "last", lvt_index)
-            out.byte_tags = self._vec(
-                self._lvt, self._l_byte, "byte_tags", lvt_index
-            )
-        else:
-            out.lvt_last = [0] * npred
-            out.byte_tags = [FREE_TAG] * npred
-        out.slots = indices, tags = self._hash.slots(key, hist)
+        key, lvt_index, lvt_tag = (
+            self._blocks.get(block_pc) or self._block_slot(block_pc)
+        )
+        # Provider: the longest hitting tagged component, else VT0; the
+        # next-longest hit (else VT0) supplies the alternate strides.
+        lanes = x, t = self._hash.lanes(key, hist)
         t_tag = self._t_tag
+        imask = self._hash.index_mask
         hit = alt = -1
-        for comp in range(c.components):
-            if t_tag[indices[comp]] == tags[comp]:
-                alt = hit
-                hit = comp
-        if hit >= 0:
-            index = indices[hit]
-            out.provider = hit + 1
-            out.provider_index = index
-            out.provider_tag = tags[hit]
-            out.strides = self._vec(self._tagged, self._t_strides, "strides", index)
-            out.conf = self._vec(self._tagged, self._t_conf, "conf", index)
-            if alt >= 0:
-                out.alt_strides = self._vec(
-                    self._tagged, self._t_strides, "strides", indices[alt]
+        for comp, base, shift, tshift, tmask in self._hash.descending:
+            index = base + ((x >> shift) & imask)
+            if t_tag[index] == (t >> tshift) & tmask:
+                if hit >= 0:
+                    alt = index
+                    break
+                hit = index
+                provider = comp + 1
+                provider_tag = (t >> tshift) & tmask
+        lvt_hit = bool(self._l_tag[lvt_index] == lvt_tag)
+        n = self._npred
+        if self._lists:
+            lb = lvt_index * n
+            if lvt_hit:
+                last = self._l_last[lb:lb + n]
+                byte_tags = self._l_byte[lb:lb + n]
+            if hit >= 0:
+                pb = hit * n
+                strides = self._t_strides[pb:pb + n]
+                conf = self._t_conf[pb:pb + n]
+                if alt >= 0:
+                    ab = alt * n
+                    alt_strides = self._t_strides[ab:ab + n]
+                else:
+                    alt_strides = self._v_strides[lb:lb + n]
+            else:
+                strides = self._v_strides[lb:lb + n]
+                conf = self._v_conf[lb:lb + n]
+                alt_strides = strides[:]
+        else:
+            lvt, vt0, tagged = self._lvt, self._vt0, self._tagged
+            if lvt_hit:
+                last = lvt.read_vec("last", lvt_index)
+                byte_tags = lvt.read_vec("byte_tags", lvt_index)
+            if hit >= 0:
+                strides = tagged.read_vec("strides", hit)
+                conf = tagged.read_vec("conf", hit)
+                alt_strides = (
+                    tagged.read_vec("strides", alt) if alt >= 0
+                    else vt0.read_vec("strides", lvt_index)
                 )
             else:
-                out.alt_strides = self._vec(
-                    self._vt0, self._v_strides, "strides", lvt_index
-                )
-        else:
-            out.provider = 0
-            out.provider_index = lvt_index
-            out.provider_tag = 0
-            out.strides = self._vec(self._vt0, self._v_strides, "strides", lvt_index)
-            out.conf = self._vec(self._vt0, self._v_conf, "conf", lvt_index)
-            out.alt_strides = list(out.strides)
-        return out
+                strides = vt0.read_vec("strides", lvt_index)
+                conf = vt0.read_vec("conf", lvt_index)
+                alt_strides = strides[:]
+        if not lvt_hit:
+            last = [0] * n
+            byte_tags = [FREE_TAG] * n
+        if hit < 0:
+            hit = lvt_index
+            provider = provider_tag = 0
+        return BlockReadout(
+            lvt_index, lvt_tag, lvt_hit, last, byte_tags, provider, hit,
+            provider_tag, strides, conf, alt_strides, lanes,
+        )
 
     def compose(self, readout: BlockReadout, last_values: list[int]) -> list[int]:
         """Predictions = last values (LVT or speculative window) + strides."""
-        readout.last_used = list(last_values)
-        bits = self.config.stride_bits
-        smask = (1 << bits) - 1
-        sign = 1 << (bits - 1)
+        sign = self._stride_sign
+        wrap = self._stride_mask + 1
         values = []
         for last, stored in zip(last_values, readout.strides):
-            # to_unsigned(last + to_signed(stored, stride_bits), 64), inline.
-            stored &= smask
+            # to_unsigned(last + to_signed(stored, stride_bits), 64), inline;
+            # strides are stored masked to stride_bits.
             if stored >= sign:
-                stored -= smask + 1
+                stored -= wrap
             values.append((last + stored) & WORD_MASK)
         readout.values = values
         return values
@@ -328,41 +337,52 @@ class BlockDVTAGE:
 
         ``retired`` holds ``(boundary, actual_value)`` for every VP-eligible
         result-producing µ-op of the block instance, in retire order.
-        Returns the per-slot actual values (slot -> value), which the engine
-        uses to correct the retired instance's speculative-window entry.
+        Returns the per-slot actual values (slot -> value).
         """
         if not retired:
             return {}
-        c = self.config
-        npred = c.npred
+        n = self._npred
         lvt_index = readout.lvt_index
         lvt_tag = readout.lvt_tag
-        lvt_base = lvt_index * npred
+        lvt_base = lvt_index * n
         fresh = bool(self._l_tag[lvt_index] != lvt_tag)
         boundaries = [boundary for boundary, _ in retired]
-        byte_tags = self._vec(self._lvt, self._l_byte, "byte_tags", lvt_index)
-        assignment, new_tags = update_tag_assignment(
-            byte_tags if not fresh else [FREE_TAG] * npred,
-            boundaries,
-            fresh_allocation=fresh,
-            monotonic=c.monotonic_byte_tags,
-        )
+        retagged = ()
         if fresh:
-            retagged = ()
+            assignment, new_tags = update_tag_assignment(
+                [FREE_TAG] * n, boundaries, fresh_allocation=True
+            )
         else:
-            retagged = [s for s in range(npred) if new_tags[s] != byte_tags[s]]
+            byte_tags = (
+                self._l_byte[lvt_base:lvt_base + n] if self._lists
+                else self._lvt.read_vec("byte_tags", lvt_index)
+            )
+            last = self._tag_updates.get(lvt_index)
+            if last is not None and last[0] == byte_tags and last[1] == boundaries:
+                assignment, new_tags = last[2], last[3]
+            else:
+                assignment, new_tags = update_tag_assignment(
+                    byte_tags, boundaries, fresh_allocation=False,
+                    monotonic=self.config.monotonic_byte_tags,
+                )
+                self._tag_updates[lvt_index] = (
+                    byte_tags, boundaries, assignment, new_tags
+                )
+            if new_tags != byte_tags:
+                retagged = [s for s in range(n) if new_tags[s] != byte_tags[s]]
 
         # Locate the provider entry (it may have been reallocated since the
         # read; in that case only the LVT is trained).
+        provider_index = readout.provider_index
         if readout.provider == 0:
             provider_live = True
             p_strides, p_conf = self._v_strides, self._v_conf
         else:
             provider_live = bool(
-                self._t_tag[readout.provider_index] == readout.provider_tag
+                self._t_tag[provider_index] == readout.provider_tag
             )
             p_strides, p_conf = self._t_strides, self._t_conf
-        p_base = readout.provider_index * npred
+        p_base = provider_index * n
 
         # FPCPolicy.advance, inline: per level, None = certain advance (no
         # RNG draw, like XorShift64.chance at p >= 1), -1 = never, else the
@@ -371,116 +391,107 @@ class BlockDVTAGE:
         thresholds = fpc.thresholds
         max_level = fpc.max_level
         rng = fpc._rng
-        smask = (1 << c.stride_bits) - 1
+        smask = self._stride_mask
         l_last = self._l_last
         values = readout.values
         alt_strides = readout.alt_strides
         strides = readout.strides
         any_wrong = False
         any_useful = False
-        observed: dict[int, int] = {}
+        wrong: list[tuple[int, int]] = []   # (slot, observed stride)
         slot_actuals: dict[int, int] = {}
-        correct_slots: set[int] = set()
-        for (boundary, actual), slot in zip(retired, assignment):
+        for (_boundary, actual), slot in zip(retired, assignment):
             if slot is None:
                 continue  # more results than prediction slots: coverage lost
             slot_actuals[slot] = actual
-            # _truncate(actual - prev_last), inline.
-            observed[slot] = (actual - int(l_last[lvt_base + slot])) & smask
-            correct = (not fresh) and bool(values) and values[slot] == actual
-            if correct:
-                correct_slots.add(slot)
+            li = lvt_base + slot
+            if fresh:
+                # First contact with this block: install the last values;
+                # there is no meaningful stride to train yet.
+                any_wrong = True
+                l_last[li] = actual
+                continue
+            if values and values[slot] == actual:
                 if alt_strides[slot] != strides[slot]:
                     any_useful = True
+                if provider_live:
+                    pi = p_base + slot
+                    if slot in retagged:
+                        # The slot now belongs to a different
+                        # instruction: retrain.
+                        p_conf[pi] = 0
+                        p_strides[pi] = (actual - int(l_last[li])) & smask
+                    else:
+                        level = int(p_conf[pi])
+                        if level < max_level:
+                            threshold = thresholds[level]
+                            if threshold is None or (
+                                threshold >= 0 and rng.next_u64() < threshold
+                            ):
+                                p_conf[pi] = level + 1
             else:
                 any_wrong = True
-            if fresh:
-                # First contact with this block: install the last values
-                # below; there is no meaningful stride to train yet.
-                l_last[lvt_base + slot] = actual
-                continue
-            if provider_live and slot not in retagged:
-                if correct:
-                    level = int(p_conf[p_base + slot])
-                    if level < max_level:
-                        threshold = thresholds[level]
-                        if threshold is None or (
-                            threshold >= 0 and rng.next_u64() < threshold
-                        ):
-                            p_conf[p_base + slot] = level + 1
-                else:
+                # _truncate(actual - prev_last), inline.
+                stride = (actual - int(l_last[li])) & smask
+                wrong.append((slot, stride))
+                if provider_live:
                     p_conf[p_base + slot] = 0
-                    p_strides[p_base + slot] = observed[slot]
-            elif provider_live:
-                # The slot now belongs to a different instruction: retrain.
-                p_conf[p_base + slot] = 0
-                p_strides[p_base + slot] = observed[slot]
-            l_last[lvt_base + slot] = actual
+                    p_strides[p_base + slot] = stride
+            l_last[li] = actual
 
         # Per-block usefulness (§III-D-b): one bit for the whole entry.
         if provider_live and readout.provider > 0:
             if any_wrong:
-                self._t_useful[readout.provider_index] = 0
-                self._t_ugen[readout.provider_index] = self._useful_gen
+                self._t_useful[provider_index] = 0
+                self._t_ugen[provider_index] = self._useful_gen
             elif any_useful:
-                self._t_useful[readout.provider_index] = 1
-                self._t_ugen[readout.provider_index] = self._useful_gen
+                self._t_useful[provider_index] = 1
+                self._t_ugen[provider_index] = self._useful_gen
 
         self._l_tag[lvt_index] = lvt_tag
-        if self._lists:
-            self._l_byte[lvt_base:lvt_base + npred] = new_tags
-        else:
-            self._lvt.write_vec("byte_tags", lvt_index, new_tags)
+        self._l_byte[lvt_base:lvt_base + n] = new_tags
 
-        if any_wrong and not fresh:
-            self._allocate(readout, observed, correct_slots)
+        if wrong and not fresh:
+            self._allocate(readout, wrong)
         # _tick_useful_reset, inline.
         self._updates_since_reset += 1
-        if self._updates_since_reset >= c.useful_reset_period:
+        if self._updates_since_reset >= self.config.useful_reset_period:
             self._updates_since_reset = 0
             self._useful_gen += 1
         return slot_actuals
 
     def _allocate(
-        self,
-        readout: BlockReadout,
-        observed: dict[int, int],
-        correct_slots: set[int],
+        self, readout: BlockReadout, wrong: list[tuple[int, int]]
     ) -> None:
         """Allocate a longer-history entry, propagating confidence
-        (§III-D-b): correct slots keep the provider's counters and strides,
-        wrong slots get the observed stride with reset confidence."""
-        c = self.config
+        (§III-D-b): correct slots — and slots this instance did not
+        exercise — keep the provider's counters and strides, the
+        ``wrong`` ones get their observed stride with reset confidence."""
         gen = self._useful_gen
         t_useful, t_ugen = self._t_useful, self._t_ugen
-        indices, tags = readout.slots
-        candidates = []
-        for comp in range(readout.provider, c.components):
-            index = indices[comp]
-            if t_useful[index] == 0 or t_ugen[index] != gen:
-                candidates.append(comp)
+        scanned = self._hash.unpack(readout.lanes, readout.provider)
+        candidates = [
+            slot for slot in scanned
+            if t_useful[slot[0]] == 0 or t_ugen[slot[0]] != gen
+        ]
         if not candidates:
-            for index in indices[readout.provider:]:
+            for index, _tag in scanned:
                 t_useful[index] = 0
                 t_ugen[index] = gen
             return
-        choice = candidates[self._rng.next_below(len(candidates))]
-        index = indices[choice]
-        self._t_tag[index] = tags[choice]
+        index, tag = candidates[self._rng.next_below(len(candidates))]
+        self._t_tag[index] = tag
         t_useful[index] = 0
         t_ugen[index] = gen
-        base = index * c.npred
-        t_strides, t_conf = self._t_strides, self._t_conf
-        propagate = c.propagate_confidence
-        for m in range(c.npred):
-            if m in correct_slots or m not in observed:
-                # Correct slots keep the provider's counters; slots not
-                # exercised by this instance inherit the provider too.
-                t_strides[base + m] = readout.strides[m]
-                t_conf[base + m] = readout.conf[m] if propagate else 0
-            else:
-                t_strides[base + m] = observed[m]
-                t_conf[base + m] = 0
+        n = self._npred
+        strides = readout.strides[:]
+        conf = readout.conf[:] if self.config.propagate_confidence else [0] * n
+        for slot, stride in wrong:
+            strides[slot] = stride
+            conf[slot] = 0
+        base = index * n
+        self._t_strides[base:base + n] = strides
+        self._t_conf[base:base + n] = conf
 
     # -- reporting -------------------------------------------------------------
 
@@ -511,96 +522,6 @@ class BlockDVTAGE:
                 "gen": self._current_useful_gen,
             },
         )
-
-    # -- batched sweeps -------------------------------------------------------
-
-    @classmethod
-    def batch_stack(
-        cls,
-        configs,
-        seed: int = 0xBEB0,
-        table_backend: str | None = None,
-    ):
-        """N predictors over variant-stacked banks, one stack per bank.
-
-        Every config must share the bank shapes (npred, base_entries,
-        tagged_entries, components) so the variants can stack; other
-        knobs (confidence propagation, tag monotonicity, histories) may
-        differ freely.  Each predictor gets its own RNG/FPC streams —
-        exactly what N independently constructed predictors would have —
-        and a per-variant ``view`` of the shared stacks, so scalar
-        ``read``/``update`` code mutates stacked storage in place.
-
-        Returns ``(predictors, (lvt, vt0, tagged))`` with the stacked
-        banks exposed for vector expressions over ``col()`` and for
-        telemetry.
-        """
-        configs = [
-            c if c is not None else BlockDVTAGEConfig() for c in configs
-        ]
-        if not configs:
-            raise ValueError("batch_stack needs at least one config")
-        c0 = configs[0]
-        shape = (c0.npred, c0.base_entries, c0.tagged_entries, c0.components)
-        for c in configs[1:]:
-            if (c.npred, c.base_entries, c.tagged_entries,
-                    c.components) != shape:
-                raise ValueError(
-                    "configs with different bank shapes cannot share a "
-                    f"stack: {shape} != "
-                    f"{(c.npred, c.base_entries, c.tagged_entries, c.components)}"
-                )
-        lvt_fields, vt0_fields, tagged_fields = dvtage_bank_fields(c0.npred)
-        n = len(configs)
-        lvt = make_bank(
-            c0.base_entries, lvt_fields, backend=table_backend, variants=n
-        )
-        vt0 = make_bank(
-            c0.base_entries, vt0_fields, backend=table_backend, variants=n
-        )
-        tagged = make_bank(
-            c0.components * c0.tagged_entries,
-            tagged_fields,
-            backend=table_backend,
-            variants=n,
-        )
-        predictors = [
-            cls(
-                config=c,
-                seed=seed,
-                banks=(lvt.view(v), vt0.view(v), tagged.view(v)),
-            )
-            for v, c in enumerate(configs)
-        ]
-        return predictors, (lvt, vt0, tagged)
-
-    @staticmethod
-    def batch_step(
-        predictors,
-        block_pc: int,
-        hists,
-        retired,
-    ) -> list[tuple[BlockReadout, dict[int, int]]]:
-        """One fetch read + compose + retire update across every variant.
-
-        ``hists`` holds the per-variant :class:`HistoryState` (histories
-        may diverge across variants once predictions alter branch
-        resolution timing); ``retired`` the shared
-        ``(boundary, actual)`` list.  This loop-of-views walk over
-        :meth:`batch_stack` predictors is the authoritative batched
-        reference for D-VTAGE — the fused walk in
-        :mod:`repro.batch.runner` is the performance path and is held
-        bit-identical to the scalar engine by the parity suite.
-
-        Returns ``(readout, slot_actuals)`` per variant, predictions
-        composed against the committed LVT last values.
-        """
-        out = []
-        for v, pred in enumerate(predictors):
-            readout = pred.read(block_pc, hists[v])
-            pred.compose(readout, readout.lvt_last)
-            out.append((readout, pred.update(readout, retired)))
-        return out
 
     def storage_bits(self) -> int:
         """Bit-exact Table III accounting (without the speculative window —

@@ -33,23 +33,29 @@ class _WindowEntry:
 
 
 class SpeculativeWindow:
-    """N-way associative-read / circular-write speculative window."""
+    """N-way associative-read / circular-write speculative window.
+
+    Entries are kept in insertion order (``_entries``) and, per partial
+    tag, in a chain of the same entries in the same order (``_chains``):
+    the associative probe for the most recent instance of a block is the
+    last element of its chain, and an instance is found by (tag, seq) in
+    its chain, which holds only the in-flight instances of blocks sharing
+    the tag.  A disabled window (capacity 0) never has a chain.
+    """
 
     def __init__(self, capacity: int | None = 32, tag_bits: int = 15) -> None:
         if capacity is not None and capacity < 0:
             raise ValueError(f"capacity must be >= 0 or None, got {capacity}")
         self.capacity = capacity
         self.tag_bits = tag_bits
+        self.enabled = capacity is None or capacity > 0
         self._entries: list[_WindowEntry] = []
+        self._chains: dict[int, list[_WindowEntry]] = {}
         # window_tag per block PC: the partial tag is a pure function of
         # the static block address, so it is folded once per block.
         self._tags: dict[int, int] = {}
         self.lookups = 0
         self.hits = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.capacity is None or self.capacity > 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -64,10 +70,24 @@ class SpeculativeWindow:
         """Append a newly predicted block instance at the head."""
         if not self.enabled:
             return
-        self._entries.append(_WindowEntry(self._tag(block_pc), seq, list(values)))
-        if self.capacity is not None and len(self._entries) > self.capacity:
+        tag = self._tags.get(block_pc)
+        if tag is None:
+            tag = self._tag(block_pc)
+        entry = _WindowEntry(tag, seq, list(values))
+        entries = self._entries
+        entries.append(entry)
+        chain = self._chains.get(tag)
+        if chain is None:
+            self._chains[tag] = [entry]
+        else:
+            chain.append(entry)
+        if self.capacity is not None and len(entries) > self.capacity:
             # Head overlaps tail: advance both (the oldest entry is lost).
-            self._entries.pop(0)
+            oldest = entries.pop(0)
+            chain = self._chains[oldest.tag]
+            del chain[0]                # the oldest of its tag, too
+            if not chain:
+                del self._chains[oldest.tag]
 
     def lookup(self, block_pc: int) -> list[int] | None:
         """Predicted values of the most recent in-window instance, if any.
@@ -87,17 +107,15 @@ class SpeculativeWindow:
         if not self.enabled:
             return None
         self.lookups += 1
-        tag = self._tag(block_pc)
-        for entry in reversed(self._entries):
-            if entry.tag == tag:
-                self.hits += 1
-                return entry
-        return None
+        tag = self._tags.get(block_pc)
+        chain = self._chains.get(self._tag(block_pc) if tag is None else tag)
+        if chain is None:
+            return None
+        self.hits += 1
+        return chain[-1]
 
-    def correct_entry(
-        self, block_pc: int, seq: int, slot_values: dict[int, int]
-    ) -> bool:
-        """Write *computed* values into an in-flight instance's entry.
+    def correct_slot(self, block_pc: int, seq: int, slot: int, value: int) -> bool:
+        """Write one *computed* value into an in-flight instance's entry.
 
         The paper's window provides "last computed/predicted values" (§I):
         an entry starts out holding the predictions made at fetch and is
@@ -106,16 +124,28 @@ class SpeculativeWindow:
         a mispredicted chain without waiting for a full pipeline drain.
         Returns whether the instance was still in the window.
         """
-        if not self.enabled:
-            return False
-        tag = self._tag(block_pc)
-        for entry in reversed(self._entries):
-            if entry.tag == tag and entry.seq == seq:
-                for slot, value in slot_values.items():
+        tag = self._tags.get(block_pc)
+        chain = self._chains.get(self._tag(block_pc) if tag is None else tag)
+        if chain is not None:
+            for entry in reversed(chain):
+                if entry.seq == seq:
                     if 0 <= slot < len(entry.values):
                         entry.values[slot] = value
-                return True
+                    return True
         return False
+
+    def correct_entry(
+        self, block_pc: int, seq: int, slot_values: dict[int, int]
+    ) -> bool:
+        """:meth:`correct_slot` for every ``slot -> value`` of a dict."""
+        chain = self._chains.get(self._tag(block_pc), ())
+        entry = next((e for e in reversed(chain) if e.seq == seq), None)
+        if entry is None:
+            return False
+        for slot, value in slot_values.items():
+            if 0 <= slot < len(entry.values):
+                entry.values[slot] = value
+        return True
 
     def retire(self, block_pc: int, seq: int) -> bool:
         """Invalidate a block instance's entry once it retires.
@@ -130,14 +160,20 @@ class SpeculativeWindow:
         meaning "speculative instances only".  Returns whether the instance
         was still present.
         """
-        if not self.enabled:
-            return False
-        tag = self._tag(block_pc)
-        for i in range(len(self._entries) - 1, -1, -1):
-            entry = self._entries[i]
-            if entry.tag == tag and entry.seq == seq:
-                del self._entries[i]
-                return True
+        tag = self._tags.get(block_pc)
+        if tag is None:
+            tag = self._tag(block_pc)
+        chain = self._chains.get(tag)
+        if chain is not None:
+            for i in range(len(chain) - 1, -1, -1):
+                entry = chain[i]
+                if entry.seq == seq:
+                    del chain[i]
+                    if not chain:
+                        del self._chains[tag]
+                    # Identity: entries define no __eq__.
+                    self._entries.remove(entry)
+                    return True
         return False
 
     def squash(self, flush_seq: int, drop_equal: bool = False) -> int:
@@ -154,7 +190,11 @@ class SpeculativeWindow:
             if e.seq < flush_seq or (not drop_equal and e.seq == flush_seq)
         ]
         dropped = len(self._entries) - len(kept)
-        self._entries = kept
+        if dropped:
+            self._entries = kept
+            self._chains = {}
+            for e in kept:
+                self._chains.setdefault(e.tag, []).append(e)
         return dropped
 
     def storage_bits(self, npred: int, value_bits: int = 64) -> int:

@@ -86,11 +86,11 @@ class FifoUpdateQueue:
     def remove(self, block: PendingBlock) -> bool:
         """Drop a specific block (validation popped it). Returns whether it
         was still queued — it may have been squashed away already."""
-        for i, queued in enumerate(self._queue):
-            if queued is block:
-                del self._queue[i]
-                return True
-        return False
+        try:
+            self._queue.remove(block)   # identity: blocks define no __eq__
+        except ValueError:
+            return False
+        return True
 
     def squash(self, flush_seq: int, drop_equal: bool = False) -> int:
         """Roll back entries younger than the flush point.

@@ -669,7 +669,7 @@ class PipelineModel:
                         reg_cause[dest] = exec_cause
                         reg_pc[dest] = exec_pc
 
-                if result_uop is not None and handle is not None and eligible:
+                if result_uop is not None and pred is not None and eligible:
                     result_uop(handle, k, uop, complete)
 
                 # ---- branches -------------------------------------------------
@@ -790,7 +790,7 @@ class PipelineModel:
                     )
 
                 # ---- VP validation at commit -----------------------------------
-                if handle is not None:
+                if handle is not None and eligible:
                     commit_uop(handle, k, uop, cc)
                 if measuring and eligible:
                     n_vp_eligible += 1

@@ -22,21 +22,9 @@ from typing import Protocol
 
 from repro.isa.instruction import DynMicroOp
 from repro.obs.timeline import Provenance
-from repro.predictors.base import HistoryState, Prediction, ValuePredictor
+from repro.predictors.base import HistoryState, Prediction, PredUse, ValuePredictor
 
-
-class PredUse:
-    """A per-µ-op prediction as the pipeline sees it."""
-
-    __slots__ = ("value", "confident", "slot", "meta")
-
-    def __init__(
-        self, value: int, confident: bool, slot: int = -1, meta: object = None
-    ) -> None:
-        self.value = value
-        self.confident = confident
-        self.slot = slot          # BeBoP prediction slot, -1 otherwise
-        self.meta = meta
+__all__ = ["GroupHandle", "InstructionVPAdapter", "PredUse", "VPAdapter"]
 
 
 class GroupHandle:
@@ -91,13 +79,15 @@ class VPAdapter(Protocol):
     def result_uop(
         self, handle: GroupHandle, pos: int, uop: DynMicroOp, complete_cycle: int
     ) -> None:
-        """A µ-op's result finished computing (writeback)."""
+        """A predicted VP-eligible µ-op's result finished computing
+        (writeback); the pipeline does not call it for other µ-ops."""
         ...
 
     def commit_uop(
         self, handle: GroupHandle, pos: int, uop: DynMicroOp, cycle: int
     ) -> None:
-        """A µ-op of the group committed (actual value is ``uop.value``)."""
+        """A VP-eligible µ-op of the group committed (actual value is
+        ``uop.value``); the pipeline does not call it for other µ-ops."""
         ...
 
     def finish_group(self, handle: GroupHandle, cycle: int) -> None:
@@ -146,10 +136,10 @@ class InstructionVPAdapter:
 
     def _apply_until(self, cycle: int) -> None:
         q = self._deferred
-        predictor = self.predictor
+        train = self.predictor.train
         while q and q[0][0] <= cycle:
             _, pc, uop_index, hist, actual, prediction = q.popleft()
-            predictor.train(pc, uop_index, hist, actual, prediction)
+            train(pc, uop_index, hist, actual, prediction)
 
     def flush_training(self) -> None:
         """Apply all deferred updates (end of simulation)."""
@@ -166,7 +156,7 @@ class InstructionVPAdapter:
         if q and q[0][0] <= cycle:
             self._apply_until(cycle)
         predict = self.predictor.predict
-        preds: list[PredUse | None] = [None] * len(uops)
+        preds: list[Prediction | None] = [None] * len(uops)
         provs: list[Provenance | None] | None = (
             [None] * len(uops) if self._prov else None
         )
@@ -176,7 +166,7 @@ class InstructionVPAdapter:
             p = predict(uop.pc, uop.uop_index, hist)
             if p is None:
                 continue
-            preds[pos] = PredUse(p.value, p.confident, meta=p)
+            preds[pos] = p
             if provs is not None:
                 provs[pos] = Provenance(
                     provider=p.provider,
@@ -185,7 +175,7 @@ class InstructionVPAdapter:
                     value=p.value,
                     confident=p.confident,
                 )
-        return GroupHandle(preds, hist, prov=provs)
+        return GroupHandle(preds, hist, None, provs)
 
     def result_uop(
         self, handle: GroupHandle, pos: int, uop: DynMicroOp, complete_cycle: int
@@ -197,13 +187,16 @@ class InstructionVPAdapter:
     def commit_uop(
         self, handle: GroupHandle, pos: int, uop: DynMicroOp, cycle: int
     ) -> None:
-        if uop.value is None or uop.dest is None or uop.is_load_imm:
-            return                  # not a VP-eligible result
+        value = uop.value
+        if value is None:
+            return
         pred = handle.preds[pos]
-        prediction = pred.meta if pred is not None else None
-        self._deferred.append(
-            (cycle + 1, uop.pc, uop.uop_index, handle.hist, uop.value, prediction)
-        )
+        self._deferred.append((
+            cycle + 1, uop.pc, uop.uop_index, handle.hist, value,
+            # Only the predictor's own predictions train it (a caller may
+            # have replaced the handle's PredUse).
+            pred if isinstance(pred, Prediction) else None,
+        ))
 
     def finish_group(self, handle: GroupHandle, cycle: int) -> None:
         return None

@@ -45,17 +45,35 @@ class HistoryState(NamedTuple):
     path: int = 0
 
 
-class Prediction:
+class PredUse:
+    """A per-µ-op prediction as the pipeline sees it: the value and whether
+    it may be used.  ``slot`` is the BeBoP prediction slot (-1 otherwise)
+    and ``meta`` is opaque to the pipeline."""
+
+    __slots__ = ("value", "confident", "slot", "meta")
+
+    def __init__(
+        self, value: int, confident: bool, slot: int = -1, meta: object = None
+    ) -> None:
+        self.value = value
+        self.confident = confident
+        self.slot = slot
+        self.meta = meta
+
+
+class Prediction(PredUse):
     """A value prediction plus the bookkeeping its producer needs at train.
 
     ``provider`` identifies the component that produced the value (predictor
     specific; VTAGE-family uses 0 for the base component and ``i + 1`` for
     tagged component ``i``) and ``conf`` is that provider's confidence
     counter at predict time (0 for predictors without one) — both feed the
-    timeline provenance records.  ``meta`` is opaque to the pipeline.
+    timeline provenance records.  ``meta`` is opaque to the pipeline.  A
+    prediction is itself what the pipeline consumes (a :class:`PredUse`),
+    so the instruction-based adapter hands it over as is.
     """
 
-    __slots__ = ("value", "confident", "provider", "conf", "meta")
+    __slots__ = ("provider", "conf")
 
     def __init__(
         self,
@@ -67,6 +85,7 @@ class Prediction:
     ) -> None:
         self.value = value
         self.confident = confident
+        self.slot = -1
         self.provider = provider
         self.conf = conf
         self.meta = meta
@@ -237,18 +256,26 @@ class TaggedSlots:
     ``slots(key, hist)`` returns ``(indices, tags)`` with ``indices[c] =
     c * entries + tagged_index(key, hist, lengths[c], index_bits)`` and
     ``tags[c] = tagged_tag(key, hist, lengths[c], tag_bits[c])`` — the same
-    hashes, computed for all components in one pass.  The key halves are
-    memoised per key (keys are static PCs or blocks, so the memo grows with
-    the program, not the trace), already packed lane by lane.  From a
-    :class:`~repro.common.history.FoldedHistoryState` whose set registered
-    this geometry, the history halves of all components come out of its
-    packed fold registers with four shifts; any other history takes the
-    on-demand path.
+    hashes, computed for all components in one pass.  ``lanes(key, hist)``
+    returns the same hashes still packed, ``(x, t)``: component ``c``'s
+    index is ``c * entries + ((x >> c * index_bits) & index_mask)`` and its
+    tag ``(t >> shift_c) & mask_c`` (the constants are in :attr:`ascending`
+    and, longest component first, :attr:`descending`), so a caller can
+    search for the longest hit without building both lists, and
+    :meth:`unpack` recovers the pairs later.
+
+    The key halves are memoised per key (keys are static PCs or blocks, so
+    the memo grows with the program, not the trace), already packed lane by
+    lane.  From a :class:`~repro.common.history.FoldedHistoryState` whose
+    set registered this geometry, the history halves of all components
+    come out of its packed fold registers with four shifts; any other
+    history takes the on-demand path.
     """
 
-    __slots__ = ("lengths", "index_bits", "tag_bits", "entries", "_keys",
-                 "_layout", "_block", "_idx_lanes", "_tag_lanes",
-                 "_idx_mask", "_tag_mask", "_twin_mask")
+    __slots__ = ("lengths", "index_bits", "tag_bits", "entries", "index_mask",
+                 "ascending", "descending", "_keys", "_layout", "_block",
+                 "_hist", "_halves", "_idx_lanes",
+                 "_tag_lanes", "_idx_mask", "_tag_mask", "_twin_mask")
 
     def __init__(
         self,
@@ -262,7 +289,7 @@ class TaggedSlots:
         self.tag_bits = tuple(tag_bits)
         self.entries = entries
         n = len(self.lengths)
-        imask = (1 << index_bits) - 1
+        self.index_mask = imask = (1 << index_bits) - 1
         #: (bank offset, lane shift, lane mask) per component.
         self._idx_lanes = tuple(
             (comp * entries, comp * index_bits, imask) for comp in range(n)
@@ -272,12 +299,23 @@ class TaggedSlots:
             (shift, (1 << width) - 1)
             for shift, width in zip(shifts, self.tag_bits)
         )
+        #: (component, bank offset, index lane shift, tag lane shift, tag
+        #: mask) per component, and the same longest component first.
+        self.ascending = tuple(
+            (comp, base, shift, tshift, tmask)
+            for comp, ((base, shift, _m), (tshift, tmask)) in enumerate(
+                zip(self._idx_lanes, self._tag_lanes)
+            )
+        )
+        self.descending = self.ascending[::-1]
         self._idx_mask = (1 << (n * index_bits)) - 1
         self._tag_mask = (1 << sum(self.tag_bits)) - 1
         self._twin_mask = self._tag_mask >> 1
         self._keys: dict[int, tuple[int, int]] = {}
         self._layout = None
         self._block: tuple[int, int, int, int] | None = None
+        self._hist = None
+        self._halves = (0, 0)
 
     def _key_lanes(self, key: int) -> tuple[int, int]:
         """The key halves of every component, packed like the folds."""
@@ -292,37 +330,53 @@ class TaggedSlots:
         parts = self._keys[key] = (packed_index, packed_tag)
         return parts
 
-    def slots(self, key: int, hist: HistoryState) -> tuple[list[int], list[int]]:
-        layout = getattr(hist, "layout", None)
-        if layout is not self._layout:
-            self._layout = layout
-            self._block = None if layout is None else layout.component_lanes(
-                self.lengths, self.index_bits, self.tag_bits
-            )
-        block = self._block
-        if block is None:
-            return (
-                [comp * self.entries
-                 + tagged_index(key, hist, length, self.index_bits)
-                 for comp, length in enumerate(self.lengths)],
-                [tagged_tag(key, hist, length, width)
-                 for length, width in zip(self.lengths, self.tag_bits)],
-            )
+    def lanes(self, key: int, hist: HistoryState) -> tuple[int, int]:
+        """``(x, t)``: every component's index and tag hash, packed."""
+        if hist is not self._hist:
+            # History snapshots are immutable, so the history halves are
+            # folded once per snapshot, not once per lookup.
+            self._hist = hist
+            layout = getattr(hist, "layout", None)
+            if layout is not self._layout:
+                self._layout = layout
+                self._block = None if layout is None else layout.component_lanes(
+                    self.lengths, self.index_bits, self.tag_bits
+                )
+            block = self._block
+            if block is not None:
+                ib, ip, t1, t2 = block
+                b = hist.bfolds
+                self._halves = (
+                    ((b >> ib) & self._idx_mask)
+                    ^ ((hist.pfolds >> ip) & self._idx_mask),
+                    ((b >> t1) & self._tag_mask)
+                    ^ (((b >> t2) & self._twin_mask) << 1),
+                )
+        if self._block is None:
+            x = t = 0
+            for (_b, shift, _m), (tshift, _tm), length, width in zip(
+                self._idx_lanes, self._tag_lanes, self.lengths, self.tag_bits
+            ):
+                x |= tagged_index(key, hist, length, self.index_bits) << shift
+                t |= tagged_tag(key, hist, length, width) << tshift
+            return x, t
         parts = self._keys.get(key)
         if parts is None:
             parts = self._key_lanes(key)
-        ib, ip, t1, t2 = block
-        b = hist.bfolds
-        x = (
-            ((b >> ib) & self._idx_mask)
-            ^ ((hist.pfolds >> ip) & self._idx_mask)
-            ^ parts[0]
-        )
-        t = (
-            ((b >> t1) & self._tag_mask)
-            ^ (((b >> t2) & self._twin_mask) << 1)
-            ^ parts[1]
-        )
+        hx, ht = self._halves
+        return hx ^ parts[0], ht ^ parts[1]
+
+    def unpack(self, lanes: tuple[int, int], first: int = 0) -> list[tuple[int, int]]:
+        """``(index, tag)`` of components ``first..n-1`` from packed lanes."""
+        x, t = lanes
+        imask = self.index_mask
+        return [
+            (base + ((x >> shift) & imask), (t >> tshift) & tmask)
+            for _comp, base, shift, tshift, tmask in self.ascending[first:]
+        ]
+
+    def slots(self, key: int, hist: HistoryState) -> tuple[list[int], list[int]]:
+        x, t = self.lanes(key, hist)
         return (
             [base + ((x >> shift) & m) for base, shift, m in self._idx_lanes],
             [(t >> shift) & m for shift, m in self._tag_lanes],

@@ -26,7 +26,7 @@ one bank each, and all tagged components share one flat bank addressed by
 
 from __future__ import annotations
 
-from repro.common.bits import mask, to_signed, to_unsigned
+from repro.common.bits import WORD_MASK
 from repro.common.rng import XorShift64
 from repro.common.tables import Field, make_bank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
@@ -65,26 +65,6 @@ TAGGED_FIELDS = (
     # reads as useful == 0, making the periodic reset O(1).
     Field("useful_gen"),
 )
-
-
-class _TrainMeta:
-    __slots__ = ("provider", "index", "tag", "alt_stride", "last_used", "conf")
-
-    def __init__(
-        self,
-        provider: int,
-        index: int,
-        tag: int,
-        alt_stride: int,
-        last_used: int,
-        conf: int,
-    ) -> None:
-        self.provider = provider
-        self.index = index
-        self.tag = tag
-        self.alt_stride = alt_stride
-        self.last_used = last_used     # the last value the adder consumed
-        self.conf = conf               # provider confidence at predict time
 
 
 class DVTAGEPredictor(ValuePredictor):
@@ -162,6 +142,14 @@ class DVTAGEPredictor(ValuePredictor):
         self._updates_since_reset = 0
         self._useful_gen = 0
         self._spec_dirty: set[int] = set()
+        # Hot-path constants: stride width, FPC levels and draw thresholds.
+        self._stride_mask = (1 << stride_bits) - 1
+        self._stride_sign = 1 << (stride_bits - 1)
+        self._max_level = self.fpc.max_level
+        self._fpc_thresholds = self.fpc.thresholds
+        self._fpc_rng = self.fpc._rng
+        #: (LVT index, LVT tag) per static key (PC xor µ-op index).
+        self._lvt_slots: dict[int, tuple[int, int]] = {}
 
     def fold_geometry(
         self,
@@ -175,90 +163,85 @@ class DVTAGEPredictor(ValuePredictor):
     # -- lookups -----------------------------------------------------------
 
     def _lvt_slot(self, key: int) -> tuple[int, int]:
-        index = table_index(key, self.base_index_bits)
-        tag = (key >> self.base_index_bits) & mask(self.lvt_tag_bits)
-        return index, tag
-
-    def _select_stride(
-        self, key: int, hist: HistoryState
-    ) -> tuple[int, int, int, int, int, int]:
-        """Pick the providing stride entry.
-
-        Returns ``(provider, index, tag, stride, conf, alt_stride)`` with
-        provider 0 for VT0 and ``comp + 1`` for tagged component ``comp``;
-        ``index`` is a flat index into the provider's bank.  ``stride`` is
-        the provider's stored (masked) stride and ``conf`` its confidence;
-        ``alt_stride`` is the stride of the next-longest hitting component —
-        or VT0's when the provider is the only hit — which training feeds
-        to the usefulness heuristic.
-        """
-        hits = []
-        t_tag = self._t_tag
-        indices, tags = self._hash.slots(key, hist)
-        for comp in range(self.components):
-            index, tag = indices[comp], tags[comp]
-            if t_tag[index] == tag:
-                hits.append((comp, index, tag))
-        if hits:
-            comp, index, tag = hits[-1]
-            if len(hits) > 1:
-                _alt_comp, alt_index, _ = hits[-2]
-                alt_stride = int(self._t_stride[alt_index])
-            else:
-                alt_stride = int(
-                    self._v_stride[table_index(key, self.base_index_bits)]
-                )
-            return (
-                comp + 1, index, tag,
-                int(self._t_stride[index]), int(self._t_conf[index]), alt_stride,
+        """(LVT/VT0 index, LVT tag) of ``key``, memoised per static key."""
+        slot = self._lvt_slots.get(key)
+        if slot is None:
+            slot = self._lvt_slots[key] = (
+                table_index(key, self.base_index_bits),
+                (key >> self.base_index_bits) & ((1 << self.lvt_tag_bits) - 1),
             )
-        index = table_index(key, self.base_index_bits)
-        stride = int(self._v_stride[index])
-        return 0, index, 0, stride, int(self._v_conf[index]), stride
-
-    def _stride_value(self, stored: int) -> int:
-        """Sign-extend a stored (possibly partial) stride for the adder."""
-        return to_signed(stored, self.stride_bits)
+        return slot
 
     # -- prediction ---------------------------------------------------------
 
     def predict(
         self, pc: int, uop_index: int, hist: HistoryState
     ) -> Prediction | None:
-        key = mix_pc(pc, uop_index)
-        lvt_index, lvt_tag = self._lvt_slot(key)
+        key = pc ^ uop_index                     # mix_pc
+        lvt_index, lvt_tag = self._lvt_slots.get(key) or self._lvt_slot(key)
+        l_inflight = self._l_inflight
         if self._l_tag[lvt_index] != lvt_tag:
             # Claim the LVT entry at fetch so in-flight instances are
             # counted from the first one; the base strides are retrained.
             self._l_tag[lvt_index] = lvt_tag
             self._l_valid[lvt_index] = 0
-            self._l_inflight[lvt_index] = 1
-            vt0_index = table_index(key, self.base_index_bits)
-            self._v_stride[vt0_index] = 0
-            self._v_conf[vt0_index] = 0
+            l_inflight[lvt_index] = 1
+            self._v_stride[lvt_index] = 0
+            self._v_conf[lvt_index] = 0
             self._spec_dirty.add(lvt_index)
             return None
-        self._l_inflight[lvt_index] += 1
+        inflight = int(l_inflight[lvt_index]) + 1
+        l_inflight[lvt_index] = inflight
         self._spec_dirty.add(lvt_index)
         if not self._l_valid[lvt_index]:
             # Still waiting for the first commit of this instruction.
             return None
-        provider, index, tag, stored, conf, alt_stride = self._select_stride(
-            key, hist
-        )
+        # Provider: the longest hitting tagged component, else VT0 (whose
+        # index is the LVT's).  The next-longest hit (or VT0) supplies the
+        # alternate stride the usefulness heuristic compares against.
+        lanes = x, t = self._hash.lanes(key, hist)
+        t_tag = self._t_tag
+        imask = self._hash.index_mask
+        hit = alt = -1
+        for comp, base, shift, tshift, tmask in self._hash.descending:
+            index = base + ((x >> shift) & imask)
+            if t_tag[index] == (t >> tshift) & tmask:
+                if hit >= 0:
+                    alt = index
+                    break
+                hit = index
+                provider = comp + 1
+                tag = (t >> tshift) & tmask
+        if hit >= 0:
+            index = hit
+            stored = int(self._t_stride[index])
+            conf = int(self._t_conf[index])
+            alt_stride = int(
+                self._t_stride[alt] if alt >= 0 else self._v_stride[lvt_index]
+            )
+        else:
+            index = lvt_index
+            provider = tag = 0
+            stored = alt_stride = int(self._v_stride[lvt_index])
+            conf = int(self._v_conf[lvt_index])
         # Idealistic instruction-level speculative history: with k older
         # instances in flight this instance is last + (k+1)*stride (instance
         # counting); the realistic chained-value alternative is the BeBoP
-        # speculative window of repro.bebop.
-        stride = self._stride_value(stored)
-        last = int(self._l_last[lvt_index])
-        value = to_unsigned(last + stride * int(self._l_inflight[lvt_index]), 64)
+        # speculative window of repro.bebop.  The stored (possibly partial)
+        # stride is sign-extended for the adder.
+        stored &= self._stride_mask
+        if stored >= self._stride_sign:
+            stored -= self._stride_mask + 1
+        value = (int(self._l_last[lvt_index]) + stored * inflight) & WORD_MASK
         return Prediction(
             value,
-            self.fpc.is_confident(conf),
-            provider=provider,
-            conf=conf,
-            meta=_TrainMeta(provider, index, tag, alt_stride, last, conf),
+            conf >= self._max_level,             # FPCPolicy.is_confident
+            provider,
+            conf,
+            # Training state: the provider entry, the alternate stride,
+            # the provider's confidence and every component's packed
+            # hashes, so allocation does not hash again.
+            (provider, index, tag, alt_stride, conf, lanes),
         )
 
     # -- training -----------------------------------------------------------
@@ -271,80 +254,98 @@ class DVTAGEPredictor(ValuePredictor):
         actual: int,
         prediction: Prediction | None,
     ) -> None:
-        key = mix_pc(pc, uop_index)
-        lvt_index, lvt_tag = self._lvt_slot(key)
+        key = pc ^ uop_index
+        lvt_index, lvt_tag = self._lvt_slots.get(key) or self._lvt_slot(key)
         if self._l_tag[lvt_index] != lvt_tag:
             # Entry re-claimed by another instruction at fetch; drop the
             # stale update.
             return
-        if self._l_inflight[lvt_index] > 0:
-            self._l_inflight[lvt_index] -= 1
-        if prediction is None or not isinstance(prediction.meta, _TrainMeta):
+        l_inflight = self._l_inflight
+        inflight = int(l_inflight[lvt_index])
+        if inflight > 0:
+            inflight -= 1
+            l_inflight[lvt_index] = inflight
+        meta = prediction.meta if prediction is not None else None
+        if type(meta) is not tuple:
             # LVT was claimed but had no valid last value at predict time:
             # the first committed result initialises it.
             self._l_valid[lvt_index] = 1
             self._l_last[lvt_index] = actual
-            if self._l_inflight[lvt_index] == 0:
+            if inflight == 0:
                 self._spec_dirty.discard(lvt_index)
             return
-        meta: _TrainMeta = prediction.meta
+        provider, index, tag, alt_stride, provider_conf, lanes = meta
         correct = prediction.value == actual
-        observed_stride = to_unsigned(
-            to_signed(actual - int(self._l_last[lvt_index]), self.stride_bits),
-            self.stride_bits,
-        )
+        # to_unsigned(to_signed(actual - last, bits), bits), inline.
+        observed_stride = (
+            actual - int(self._l_last[lvt_index])
+        ) & self._stride_mask
 
-        if meta.provider == 0:
-            index = meta.index
-            if correct:
-                self._v_conf[index] = self.fpc.advance(int(self._v_conf[index]))
-            else:
-                self._v_conf[index] = self.fpc.reset_level()
+        if provider == 0:
+            conf_col = self._v_conf
+            if not correct:
                 self._v_stride[index] = observed_stride
+        elif self._t_tag[index] == tag:
+            conf_col = self._t_conf
+            if correct:
+                self._t_useful[index] = (
+                    1 if alt_stride != self._t_stride[index] else 0
+                )
+            else:
+                self._t_stride[index] = observed_stride
+                self._t_useful[index] = 0
+            self._t_ugen[index] = self._useful_gen
         else:
-            index = meta.index
-            if self._t_tag[index] == meta.tag:
-                if correct:
-                    self._t_conf[index] = self.fpc.advance(int(self._t_conf[index]))
-                    self._t_useful[index] = (
-                        1 if meta.alt_stride != self._t_stride[index] else 0
-                    )
-                else:
-                    self._t_conf[index] = self.fpc.reset_level()
-                    self._t_stride[index] = observed_stride
-                    self._t_useful[index] = 0
-                self._t_ugen[index] = self._useful_gen
+            conf_col = None                      # provider reallocated
+        if conf_col is not None:
+            if correct:
+                # FPCPolicy.advance, inline (see FPCPolicy.thresholds).
+                level = int(conf_col[index])
+                if level < self._max_level:
+                    threshold = self._fpc_thresholds[level]
+                    if threshold is None or (
+                        threshold >= 0 and self._fpc_rng.next_u64() < threshold
+                    ):
+                        conf_col[index] = level + 1
+            else:
+                conf_col[index] = 0              # FPCPolicy.reset_level
         if not correct:
-            self._allocate(key, hist, meta.provider, observed_stride, meta.conf)
+            self._allocate(lanes, provider, observed_stride, provider_conf)
         # The LVT always tracks committed last values.
         self._l_last[lvt_index] = actual
-        if self._l_inflight[lvt_index] == 0:
+        if inflight == 0:
             self._spec_dirty.discard(lvt_index)
-        self._tick_useful_reset()
+        # O(1) periodic useful reset: bumping the generation makes every
+        # entry's stale useful bit read as 0 without walking the entries.
+        self._updates_since_reset += 1
+        if self._updates_since_reset >= self._useful_reset_period:
+            self._updates_since_reset = 0
+            self._useful_gen += 1
 
     def _allocate(
         self,
-        key: int,
-        hist: HistoryState,
+        lanes: tuple[int, int],
         provider: int,
         stride: int,
         provider_conf: int,
     ) -> None:
+        """Allocate one entry among the components longer than the
+        provider, at the predict-time hashes ``lanes``
+        (:meth:`TaggedSlots.lanes`); with no candidate, age those
+        components' useful bits instead."""
         gen = self._useful_gen
-        candidates = []
-        scanned = []
-        indices, tags = self._hash.slots(key, hist)
-        for comp in range(provider, self.components):
-            index, tag = indices[comp], tags[comp]
-            scanned.append(index)
-            if self._t_useful[index] == 0 or self._t_ugen[index] != gen:
-                candidates.append((comp, index, tag))
+        t_useful, t_ugen = self._t_useful, self._t_ugen
+        scanned = self._hash.unpack(lanes, provider)
+        candidates = [
+            slot for slot in scanned
+            if t_useful[slot[0]] == 0 or t_ugen[slot[0]] != gen
+        ]
         if not candidates:
-            for index in scanned:
-                self._t_useful[index] = 0
-                self._t_ugen[index] = gen
+            for index, _tag in scanned:
+                t_useful[index] = 0
+                t_ugen[index] = gen
             return
-        _comp, index, tag = candidates[self._rng.next_below(len(candidates))]
+        index, tag = candidates[self._rng.next_below(len(candidates))]
         self._t_tag[index] = tag
         self._t_stride[index] = stride
         # §III-D-b's confidence propagation pays off at the *block* level
@@ -352,16 +353,8 @@ class DVTAGEPredictor(ValuePredictor):
         # at the instruction level the allocated prediction was wrong, so
         # propagation is off by default and ablatable.
         self._t_conf[index] = provider_conf if self.propagate_confidence else 0
-        self._t_useful[index] = 0
-        self._t_ugen[index] = gen
-
-    def _tick_useful_reset(self) -> None:
-        # O(1) periodic reset: bumping the generation makes every entry's
-        # stale useful bit read as 0 without walking the 6×1024 entries.
-        self._updates_since_reset += 1
-        if self._updates_since_reset >= self._useful_reset_period:
-            self._updates_since_reset = 0
-            self._useful_gen += 1
+        t_useful[index] = 0
+        t_ugen[index] = gen
 
     def _useful_value(self, index: int) -> int:
         """Logical usefulness of the tagged entry at flat ``index``: a
@@ -379,8 +372,7 @@ class DVTAGEPredictor(ValuePredictor):
         if not surviving:
             return
         for (pc, uop_index), count in surviving.items():
-            key = mix_pc(pc, uop_index)
-            index, tag = self._lvt_slot(key)
+            index, tag = self._lvt_slot(mix_pc(pc, uop_index))
             if self._l_tag[index] == tag:
                 self._l_inflight[index] = count
                 self._spec_dirty.add(index)

@@ -96,88 +96,3 @@ class LastValuePredictor(ValuePredictor):
 
     def storage_bits(self) -> int:
         return self.entries * (self.tag_bits + self.value_bits + self.fpc.bits)
-
-    # -- batched sweeps -------------------------------------------------------
-
-    @classmethod
-    def batch_step(
-        cls,
-        bank,
-        fpcs,
-        pc: int,
-        uop_index: int,
-        actual: int,
-        tag_bits: int = 5,
-    ) -> list[Prediction | None]:
-        """One predict-then-train step across every variant of a stacked bank.
-
-        ``bank`` is a variant-stacked :func:`make_bank(..., variants=N)`
-        over :data:`TABLE_FIELDS`; ``fpcs`` holds one per-variant
-        :class:`FPCPolicy` (each owns its own RNG stream, exactly as N
-        independent predictors would).  Returns the per-variant
-        :class:`Prediction` (or ``None`` on a tag miss) made *before*
-        training, bit-identical to running ``predict`` + ``train`` on N
-        separate predictors.
-
-        The python backend runs the authoritative loop-of-banks
-        transcription over ``view(v)``; the numpy backend uses vector
-        expressions over the stacked ``col()`` rows for lookup and table
-        writes, looping only where per-variant FPC RNG draws force
-        sequencing.
-        """
-        if bank.variants is None:
-            raise ValueError("batch_step needs a variant-stacked bank")
-        key = mix_pc(pc, uop_index)
-        index_bits = bank.entries.bit_length() - 1
-        index = table_index(key, index_bits)
-        tag = (key >> index_bits) & mask(tag_bits)
-        preds: list[Prediction | None] = []
-        if bank.backend != "numpy":
-            for v in range(bank.variants):
-                view = bank.view(v)
-                t_col = view.col("tag")
-                v_col = view.col("value")
-                c_col = view.col("conf")
-                fpc = fpcs[v]
-                if t_col[index] != tag:
-                    preds.append(None)
-                    t_col[index] = tag
-                    v_col[index] = actual
-                    c_col[index] = 0
-                    continue
-                preds.append(
-                    Prediction(
-                        int(v_col[index]), fpc.is_confident(int(c_col[index]))
-                    )
-                )
-                if v_col[index] == actual:
-                    c_col[index] = fpc.advance(int(c_col[index]))
-                else:
-                    c_col[index] = fpc.reset_level()
-                    v_col[index] = actual
-            return preds
-        t_col = bank.col("tag")[:, index]
-        v_col = bank.col("value")[:, index]
-        c_col = bank.col("conf")[:, index]
-        hit = t_col == tag
-        correct = hit & (v_col == actual)
-        for v in range(bank.variants):
-            if hit[v]:
-                preds.append(
-                    Prediction(
-                        int(v_col[v]), fpcs[v].is_confident(int(c_col[v]))
-                    )
-                )
-            else:
-                preds.append(None)
-        miss = ~hit
-        wrong = hit & ~correct
-        t_col[miss] = tag
-        v_col[miss] = actual
-        c_col[miss] = 0
-        for v in correct.nonzero()[0]:
-            c_col[v] = fpcs[v].advance(int(c_col[v]))
-        for v in wrong.nonzero()[0]:
-            c_col[v] = fpcs[v].reset_level()
-        v_col[wrong] = actual
-        return preds

@@ -164,151 +164,6 @@ class _BaseStride(ValuePredictor):
         if self._inflight[index] == 0:
             self._spec_dirty.discard(index)
 
-    # -- batched sweeps -------------------------------------------------------
-
-    @classmethod
-    def batch_step(
-        cls,
-        bank,
-        fpcs,
-        pc: int,
-        uop_index: int,
-        actual: int,
-        tag_bits: int = 5,
-        stride_bits: int = 64,
-    ) -> list[Prediction | None]:
-        """One predict-then-train step across every variant of a stacked bank.
-
-        Transcribes the atomic ``predict`` + ``train`` pair on a
-        variant-stacked :func:`make_bank(..., variants=N)` over
-        :data:`TABLE_FIELDS` — bit-identical to N independent predictors
-        from any starting state (entries claimed mid-flight, nonzero
-        ``inflight`` counts).  ``fpcs`` holds one per-variant
-        :class:`FPCPolicy`; returns the pre-train per-variant prediction.
-
-        The speculative-dirty bookkeeping of the scalar path is instance
-        state, not bank state: a matched predict/train pair leaves it
-        net-unchanged, so the atomic step needs none.
-
-        Python backend: authoritative loop over ``view(v)``.  Numpy
-        backend: the tag compare and miss-claim writes are vector
-        expressions over the stacked ``col()`` rows; the signed-stride
-        arithmetic stays per-variant in python ints (mixing ``uint64``
-        last values with ``int64`` strides would promote to ``float64``
-        and corrupt 64-bit values), as do the RNG-coupled FPC draws.
-        """
-        if bank.variants is None:
-            raise ValueError("batch_step needs a variant-stacked bank")
-        key = mix_pc(pc, uop_index)
-        index_bits = bank.entries.bit_length() - 1
-        index = table_index(key, index_bits)
-        tag = (key >> index_bits) & mask(tag_bits)
-        preds: list[Prediction | None] = []
-        if bank.backend != "numpy":
-            for v in range(bank.variants):
-                view = bank.view(v)
-                t_col = view.col("tag")
-                valid = view.col("valid")
-                last = view.col("last")
-                s1 = view.col("stride1")
-                s2 = view.col("stride2")
-                conf = view.col("conf")
-                infl = view.col("inflight")
-                fpc = fpcs[v]
-                # -- predict --
-                if t_col[index] != tag:
-                    t_col[index] = tag
-                    valid[index] = 0
-                    s1[index] = 0
-                    s2[index] = 0
-                    conf[index] = 0
-                    infl[index] = 1
-                    pred = None
-                else:
-                    infl[index] += 1
-                    if not valid[index]:
-                        pred = None
-                    else:
-                        stride = int(s2[index] if cls.two_delta else s1[index])
-                        value = to_unsigned(
-                            int(last[index]) + stride * int(infl[index]), 64
-                        )
-                        pred = Prediction(
-                            value, fpc.is_confident(int(conf[index]))
-                        )
-                preds.append(pred)
-                # -- train (tag matches by construction after predict) --
-                if infl[index] > 0:
-                    infl[index] -= 1
-                if not valid[index]:
-                    valid[index] = 1
-                    last[index] = actual
-                    continue
-                observed = to_signed(actual - int(last[index]), stride_bits)
-                if cls.two_delta:
-                    if observed == s1[index]:
-                        s2[index] = observed
-                    s1[index] = observed
-                else:
-                    s1[index] = observed
-                correct = pred is not None and pred.value == actual
-                conf[index] = (
-                    fpc.advance(int(conf[index]))
-                    if correct
-                    else fpc.reset_level()
-                )
-                last[index] = actual
-            return preds
-        t_col = bank.col("tag")[:, index]
-        valid = bank.col("valid")[:, index]
-        last = bank.col("last")[:, index]
-        s1 = bank.col("stride1")[:, index]
-        s2 = bank.col("stride2")[:, index]
-        conf = bank.col("conf")[:, index]
-        infl = bank.col("inflight")[:, index]
-        # -- predict: vectorized miss-claim, then counted in-flight hits --
-        hit = t_col == tag
-        miss = ~hit
-        t_col[miss] = tag
-        valid[miss] = 0
-        s1[miss] = 0
-        s2[miss] = 0
-        conf[miss] = 0
-        infl[miss] = 1
-        infl[hit] += 1
-        predictable = hit & (valid != 0)
-        for v in range(bank.variants):
-            if not predictable[v]:
-                preds.append(None)
-                continue
-            stride = int(s2[v] if cls.two_delta else s1[v])
-            value = to_unsigned(int(last[v]) + stride * int(infl[v]), 64)
-            preds.append(
-                Prediction(value, fpcs[v].is_confident(int(conf[v])))
-            )
-        # -- train --
-        infl[infl > 0] -= 1
-        first_commit = valid == 0
-        valid[first_commit] = 1
-        last[first_commit] = actual
-        for v in (~first_commit).nonzero()[0]:
-            observed = to_signed(actual - int(last[v]), stride_bits)
-            if cls.two_delta:
-                if observed == s1[v]:
-                    s2[v] = observed
-                s1[v] = observed
-            else:
-                s1[v] = observed
-            pred = preds[v]
-            correct = pred is not None and pred.value == actual
-            conf[v] = (
-                fpcs[v].advance(int(conf[v]))
-                if correct
-                else fpcs[v].reset_level()
-            )
-            last[v] = actual
-        return preds
-
     def squash(self, surviving: dict[tuple[int, int], int] | None = None) -> None:
         """Pipeline flush: restore in-flight counts from the checkpoint.
 
