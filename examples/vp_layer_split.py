@@ -24,6 +24,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import statistics
 import sys
@@ -72,6 +73,7 @@ def run_live(cell: str, uops: int):
     core, make_adapter = CONFIGS[config]
     model = PipelineModel(core(), make_adapter())
     trace = get_trace(workload, uops)
+    gc.collect()            # start each timed run from the same heap state
     t0 = time.perf_counter()
     stats = model.run(trace, warmup_uops=uops // 3)
     return stats, time.perf_counter() - t0
@@ -82,6 +84,7 @@ def run_replayed(cell: str, uops: int, groups, geometry):
     core, _ = CONFIGS[config]
     model = PipelineModel(core(), ReplayVPAdapter(groups, geometry))
     trace = get_trace(workload, uops)
+    gc.collect()
     t0 = time.perf_counter()
     stats = model.run(trace, warmup_uops=uops // 3)
     return stats, time.perf_counter() - t0
