@@ -53,6 +53,7 @@ class BeBoPEngine:
         self._fixup_counter = 0
         # FPCPolicy.is_confident: only the saturated level is used.
         self._max_level = predictor.fpc.max_level
+        self.cold_blocks = 0      # fetches with neither window nor LVT values
         # Namespaced metrics, hoisted once from the current registry (one
         # engine per run; run_job creates it under the per-job registry).
         # `_m_on` gates the per-fetch observations so a disabled registry
@@ -171,7 +172,11 @@ class BeBoPEngine:
             else:
                 last_values = readout.lvt_last  # zeros when the entry is cold
                 usable = readout.lvt_hit
-                source = "lvt" if usable else "cold"
+                if usable:
+                    source = "lvt"
+                else:
+                    self.cold_blocks += 1
+                    source = "cold"
             if self._m_on:
                 # Occupancy sampled before this block's insert: what the
                 # hardware's associative probe actually searched.
