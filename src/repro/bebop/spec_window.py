@@ -51,6 +51,9 @@ class SpeculativeWindow:
         self.enabled = capacity is None or capacity > 0
         self._entries: list[_WindowEntry] = []
         self._chains: dict[int, list[_WindowEntry]] = {}
+        # True while every insert came in sequence order, so `_entries` is
+        # sorted by seq (removals keep it sorted).
+        self._in_seq_order = True
         # window_tag per block PC: the partial tag is a pure function of
         # the static block address, so it is folded once per block.
         self._tags: dict[int, int] = {}
@@ -75,6 +78,8 @@ class SpeculativeWindow:
             tag = self._tag(block_pc)
         entry = _WindowEntry(tag, seq, list(values))
         entries = self._entries
+        if entries and seq < entries[-1].seq:
+            self._in_seq_order = False
         entries.append(entry)
         chain = self._chains.get(tag)
         if chain is None:
@@ -160,6 +165,12 @@ class SpeculativeWindow:
         meaning "speculative instances only".  Returns whether the instance
         was still present.
         """
+        entries = self._entries
+        if entries and self._in_seq_order and seq < entries[0].seq:
+            # Older than every entry present: already evicted, which is
+            # what usually happens to a block instance by the time it
+            # retires.
+            return False
         tag = self._tags.get(block_pc)
         if tag is None:
             tag = self._tag(block_pc)
@@ -172,7 +183,7 @@ class SpeculativeWindow:
                     if not chain:
                         del self._chains[tag]
                     # Identity: entries define no __eq__.
-                    self._entries.remove(entry)
+                    entries.remove(entry)
                     return True
         return False
 
