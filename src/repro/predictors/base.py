@@ -330,18 +330,23 @@ class TaggedSlots:
         parts = self._keys[key] = (packed_index, packed_tag)
         return parts
 
+    def _refresh_layout(self, layout) -> None:
+        self._layout = layout
+        self._hist = None               # lanes() halves belong to the old one
+        self._block = None if layout is None else layout.component_lanes(
+            self.lengths, self.index_bits, self.tag_bits
+        )
+
     def lanes(self, key: int, hist: HistoryState) -> tuple[int, int]:
         """``(x, t)``: every component's index and tag hash, packed."""
         if hist is not self._hist:
             # History snapshots are immutable, so the history halves are
-            # folded once per snapshot, not once per lookup.
+            # folded once per snapshot, not once per lookup: the µ-ops of
+            # a fetch group share one.
             self._hist = hist
             layout = getattr(hist, "layout", None)
             if layout is not self._layout:
-                self._layout = layout
-                self._block = None if layout is None else layout.component_lanes(
-                    self.lengths, self.index_bits, self.tag_bits
-                )
+                self._refresh_layout(layout)
             block = self._block
             if block is not None:
                 ib, ip, t1, t2 = block
@@ -353,12 +358,13 @@ class TaggedSlots:
                     ^ (((b >> t2) & self._twin_mask) << 1),
                 )
         if self._block is None:
+            indices, tags = self.slots(key, hist)
             x = t = 0
-            for (_b, shift, _m), (tshift, _tm), length, width in zip(
-                self._idx_lanes, self._tag_lanes, self.lengths, self.tag_bits
+            for (base, shift, _m), (tshift, _tm), index, tag in zip(
+                self._idx_lanes, self._tag_lanes, indices, tags
             ):
-                x |= tagged_index(key, hist, length, self.index_bits) << shift
-                t |= tagged_tag(key, hist, length, width) << tshift
+                x |= (index - base) << shift
+                t |= tag << tshift
             return x, t
         parts = self._keys.get(key)
         if parts is None:
@@ -376,7 +382,35 @@ class TaggedSlots:
         ]
 
     def slots(self, key: int, hist: HistoryState) -> tuple[list[int], list[int]]:
-        x, t = self.lanes(key, hist)
+        # The lookup the branch predictor makes per branch; it does not go
+        # through lanes() so that it costs no extra call.
+        layout = getattr(hist, "layout", None)
+        if layout is not self._layout:
+            self._refresh_layout(layout)
+        block = self._block
+        if block is None:
+            return (
+                [comp * self.entries
+                 + tagged_index(key, hist, length, self.index_bits)
+                 for comp, length in enumerate(self.lengths)],
+                [tagged_tag(key, hist, length, width)
+                 for length, width in zip(self.lengths, self.tag_bits)],
+            )
+        parts = self._keys.get(key)
+        if parts is None:
+            parts = self._key_lanes(key)
+        ib, ip, t1, t2 = block
+        b = hist.bfolds
+        x = (
+            ((b >> ib) & self._idx_mask)
+            ^ ((hist.pfolds >> ip) & self._idx_mask)
+            ^ parts[0]
+        )
+        t = (
+            ((b >> t1) & self._tag_mask)
+            ^ (((b >> t2) & self._twin_mask) << 1)
+            ^ parts[1]
+        )
         return (
             [base + ((x >> shift) & m) for base, shift, m in self._idx_lanes],
             [(t >> shift) & m for shift, m in self._tag_lanes],
