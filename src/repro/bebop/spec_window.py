@@ -51,9 +51,6 @@ class SpeculativeWindow:
         self.enabled = capacity is None or capacity > 0
         self._entries: list[_WindowEntry] = []
         self._chains: dict[int, list[_WindowEntry]] = {}
-        # True while every insert came in sequence order, so `_entries` is
-        # sorted by seq (removals keep it sorted).
-        self._in_seq_order = True
         # window_tag per block PC: the partial tag is a pure function of
         # the static block address, so it is folded once per block.
         self._tags: dict[int, int] = {}
@@ -78,8 +75,6 @@ class SpeculativeWindow:
             tag = self._tag(block_pc)
         entry = _WindowEntry(tag, seq, list(values))
         entries = self._entries
-        if entries and seq < entries[-1].seq:
-            self._in_seq_order = False
         entries.append(entry)
         chain = self._chains.get(tag)
         if chain is None:
@@ -142,15 +137,13 @@ class SpeculativeWindow:
     def correct_entry(
         self, block_pc: int, seq: int, slot_values: dict[int, int]
     ) -> bool:
-        """:meth:`correct_slot` for every ``slot -> value`` of a dict."""
-        chain = self._chains.get(self._tag(block_pc), ())
-        entry = next((e for e in reversed(chain) if e.seq == seq), None)
-        if entry is None:
-            return False
+        """:meth:`correct_slot` for every ``slot -> value`` of a dict;
+        returns whether the instance was in the window (False for an empty
+        dict)."""
+        found = False
         for slot, value in slot_values.items():
-            if 0 <= slot < len(entry.values):
-                entry.values[slot] = value
-        return True
+            found = self.correct_slot(block_pc, seq, slot, value)
+        return found
 
     def retire(self, block_pc: int, seq: int) -> bool:
         """Invalidate a block instance's entry once it retires.
@@ -165,12 +158,6 @@ class SpeculativeWindow:
         meaning "speculative instances only".  Returns whether the instance
         was still present.
         """
-        entries = self._entries
-        if entries and self._in_seq_order and seq < entries[0].seq:
-            # Older than every entry present: already evicted, which is
-            # what usually happens to a block instance by the time it
-            # retires.
-            return False
         tag = self._tags.get(block_pc)
         if tag is None:
             tag = self._tag(block_pc)
@@ -183,7 +170,7 @@ class SpeculativeWindow:
                     if not chain:
                         del self._chains[tag]
                     # Identity: entries define no __eq__.
-                    entries.remove(entry)
+                    self._entries.remove(entry)
                     return True
         return False
 

@@ -124,14 +124,6 @@ class TestWritebackCorrection:
         assert w.lookup(BLOCK_A) == [3]
         assert w.retire(BLOCK_B, 2)
 
-    def test_retire_finds_entries_inserted_out_of_sequence_order(self):
-        w = SpeculativeWindow(8)
-        w.insert(BLOCK_A, 5, [5])
-        w.insert(BLOCK_B, 3, [3])            # older seq, inserted later
-        assert w.retire(BLOCK_B, 3)
-        assert w.lookup(BLOCK_B) is None
-        assert w.lookup(BLOCK_A) == [5]
-
 
 class TestPartialTags:
     def test_tag_is_partial(self):
