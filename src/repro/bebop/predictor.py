@@ -201,8 +201,8 @@ class BlockDVTAGE:
         self._rng = XorShift64(seed)
         self._updates_since_reset = 0
         self._useful_gen = 0
-        # Vector reads: plain column slices on python lists; numpy columns
-        # go through read_vec so values stay plain ints.
+        # Vector reads are column slices; numpy slices are arrays, turned
+        # into lists so values stay plain ints.
         self._lists = self.table_backend == "python"
         self._hash = TaggedSlots(
             self.history_lengths, self.tagged_index_bits, self.tag_bits,
@@ -264,40 +264,27 @@ class BlockDVTAGE:
                 provider_tag = (t >> tshift) & tmask
         lvt_hit = bool(self._l_tag[lvt_index] == lvt_tag)
         n = self._npred
-        if self._lists:
-            lb = lvt_index * n
-            if lvt_hit:
-                last = self._l_last[lb:lb + n]
-                byte_tags = self._l_byte[lb:lb + n]
-            if hit >= 0:
-                pb = hit * n
-                strides = self._t_strides[pb:pb + n]
-                conf = self._t_conf[pb:pb + n]
-                if alt >= 0:
-                    ab = alt * n
-                    alt_strides = self._t_strides[ab:ab + n]
-                else:
-                    alt_strides = self._v_strides[lb:lb + n]
+        lb = lvt_index * n
+        last = self._l_last[lb:lb + n]
+        byte_tags = self._l_byte[lb:lb + n]
+        if hit >= 0:
+            pb = hit * n
+            strides = self._t_strides[pb:pb + n]
+            conf = self._t_conf[pb:pb + n]
+            if alt >= 0:
+                ab = alt * n
+                alt_strides = self._t_strides[ab:ab + n]
             else:
-                strides = self._v_strides[lb:lb + n]
-                conf = self._v_conf[lb:lb + n]
-                alt_strides = strides[:]
+                alt_strides = self._v_strides[lb:lb + n]
         else:
-            lvt, vt0, tagged = self._lvt, self._vt0, self._tagged
-            if lvt_hit:
-                last = lvt.read_vec("last", lvt_index)
-                byte_tags = lvt.read_vec("byte_tags", lvt_index)
-            if hit >= 0:
-                strides = tagged.read_vec("strides", hit)
-                conf = tagged.read_vec("conf", hit)
-                alt_strides = (
-                    tagged.read_vec("strides", alt) if alt >= 0
-                    else vt0.read_vec("strides", lvt_index)
-                )
-            else:
-                strides = vt0.read_vec("strides", lvt_index)
-                conf = vt0.read_vec("conf", lvt_index)
-                alt_strides = strides[:]
+            strides = self._v_strides[lb:lb + n]
+            conf = self._v_conf[lb:lb + n]
+            alt_strides = strides[:]
+        if not self._lists:
+            # numpy columns slice to arrays; the readout holds plain ints.
+            last, byte_tags, strides, conf, alt_strides = (
+                v.tolist() for v in (last, byte_tags, strides, conf, alt_strides)
+            )
         if not lvt_hit:
             last = [0] * n
             byte_tags = [FREE_TAG] * n
@@ -353,10 +340,9 @@ class BlockDVTAGE:
                 [FREE_TAG] * n, boundaries, fresh_allocation=True
             )
         else:
-            byte_tags = (
-                self._l_byte[lvt_base:lvt_base + n] if self._lists
-                else self._lvt.read_vec("byte_tags", lvt_index)
-            )
+            byte_tags = self._l_byte[lvt_base:lvt_base + n]
+            if not self._lists:
+                byte_tags = byte_tags.tolist()
             last = self._tag_updates.get(lvt_index)
             if last is not None and last[0] == byte_tags and last[1] == boundaries:
                 assignment, new_tags = last[2], last[3]
