@@ -315,7 +315,7 @@ class TaggedSlots:
         self._layout = None
         self._block: tuple[int, int, int, int] | None = None
         self._hist = None
-        self._halves = (0, 0)
+        self._halves: tuple[int, int] | None = None
 
     def _key_lanes(self, key: int) -> tuple[int, int]:
         """The key halves of every component, packed like the folds."""
@@ -330,11 +330,24 @@ class TaggedSlots:
         parts = self._keys[key] = (packed_index, packed_tag)
         return parts
 
-    def _refresh_layout(self, layout) -> None:
-        self._layout = layout
-        self._hist = None               # lanes() halves belong to the old one
-        self._block = None if layout is None else layout.component_lanes(
-            self.lengths, self.index_bits, self.tag_bits
+    def _fold_halves(self, hist: HistoryState) -> tuple[int, int] | None:
+        """The history halves of every component, packed like
+        :meth:`lanes`, read from ``hist``'s packed fold registers; None
+        when ``hist`` has no fold layout that registered this geometry."""
+        layout = getattr(hist, "layout", None)
+        if layout is not self._layout:
+            self._layout = layout
+            self._block = None if layout is None else layout.component_lanes(
+                self.lengths, self.index_bits, self.tag_bits
+            )
+        block = self._block
+        if block is None:
+            return None
+        ib, ip, t1, t2 = block
+        b = hist.bfolds
+        return (
+            ((b >> ib) & self._idx_mask) ^ ((hist.pfolds >> ip) & self._idx_mask),
+            ((b >> t1) & self._tag_mask) ^ (((b >> t2) & self._twin_mask) << 1),
         )
 
     def lanes(self, key: int, hist: HistoryState) -> tuple[int, int]:
@@ -344,20 +357,9 @@ class TaggedSlots:
             # folded once per snapshot, not once per lookup: the µ-ops of
             # a fetch group share one.
             self._hist = hist
-            layout = getattr(hist, "layout", None)
-            if layout is not self._layout:
-                self._refresh_layout(layout)
-            block = self._block
-            if block is not None:
-                ib, ip, t1, t2 = block
-                b = hist.bfolds
-                self._halves = (
-                    ((b >> ib) & self._idx_mask)
-                    ^ ((hist.pfolds >> ip) & self._idx_mask),
-                    ((b >> t1) & self._tag_mask)
-                    ^ (((b >> t2) & self._twin_mask) << 1),
-                )
-        if self._block is None:
+            self._halves = self._fold_halves(hist)
+        halves = self._halves
+        if halves is None:
             indices, tags = self.slots(key, hist)
             x = t = 0
             for (base, shift, _m), (tshift, _tm), index, tag in zip(
@@ -369,8 +371,7 @@ class TaggedSlots:
         parts = self._keys.get(key)
         if parts is None:
             parts = self._key_lanes(key)
-        hx, ht = self._halves
-        return hx ^ parts[0], ht ^ parts[1]
+        return halves[0] ^ parts[0], halves[1] ^ parts[1]
 
     def unpack(self, lanes: tuple[int, int], first: int = 0) -> list[tuple[int, int]]:
         """``(index, tag)`` of components ``first..n-1`` from packed lanes."""
@@ -382,13 +383,8 @@ class TaggedSlots:
         ]
 
     def slots(self, key: int, hist: HistoryState) -> tuple[list[int], list[int]]:
-        # The lookup the branch predictor makes per branch; it does not go
-        # through lanes() so that it costs no extra call.
-        layout = getattr(hist, "layout", None)
-        if layout is not self._layout:
-            self._refresh_layout(layout)
-        block = self._block
-        if block is None:
+        halves = self._fold_halves(hist)
+        if halves is None:
             return (
                 [comp * self.entries
                  + tagged_index(key, hist, length, self.index_bits)
@@ -399,18 +395,8 @@ class TaggedSlots:
         parts = self._keys.get(key)
         if parts is None:
             parts = self._key_lanes(key)
-        ib, ip, t1, t2 = block
-        b = hist.bfolds
-        x = (
-            ((b >> ib) & self._idx_mask)
-            ^ ((hist.pfolds >> ip) & self._idx_mask)
-            ^ parts[0]
-        )
-        t = (
-            ((b >> t1) & self._tag_mask)
-            ^ (((b >> t2) & self._twin_mask) << 1)
-            ^ parts[1]
-        )
+        x = halves[0] ^ parts[0]
+        t = halves[1] ^ parts[1]
         return (
             [base + ((x >> shift) & m) for base, shift, m in self._idx_lanes],
             [(t >> shift) & m for shift, m in self._tag_lanes],
