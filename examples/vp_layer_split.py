@@ -11,8 +11,8 @@ live :class:`SimStats` exactly; the tool exits non-zero if it does not.
     replayed    the same walk fed the recorded predictions
     VP layers   full - replayed
 
-Times are medians over ``--repeats`` runs, scaled to the reference host
-with ``perfbench/hostspeed.py`` (a fixed pure-Python kernel timed between
+Times are medians over five runs, scaled to the reference host with
+``perfbench/hostspeed.py`` (a fixed pure-Python kernel timed between
 runs), so numbers taken at different times on a shared host compare.
 
 Usage::
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import json
 import statistics
 import sys
 import time
@@ -55,6 +54,11 @@ CONFIGS = {
 }
 
 CELLS = tuple(f"{wl}/{cfg}" for wl in WORKLOADS for cfg in CONFIGS)
+
+#: (µops per cell, timed runs per side and cell): the documented run and
+#: ``--quick``, a fast identity check.
+FULL = (16_000, 5)
+QUICK = (4_000, 1)
 
 
 def record(cell: str, uops: int):
@@ -122,21 +126,13 @@ def split(uops: int, repeats: int, cells=CELLS) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--uops", type=int, default=16_000,
-                        help="trace length per cell (default 16000)")
-    parser.add_argument("--repeats", type=int, default=5,
-                        help="timed runs per side and cell (default 5)")
     parser.add_argument("--quick", action="store_true",
                         help="4000 µops, one run: a fast identity check")
-    parser.add_argument("--json", metavar="FILE",
-                        help="also write the per-cell numbers as JSON")
     args = parser.parse_args(argv)
-    if args.quick:
-        args.uops, args.repeats = 4_000, 1
-    result = split(args.uops, args.repeats)
+    uops, repeats = QUICK if args.quick else FULL
+    result = split(uops, repeats)
 
-    print(f"{args.uops} µops per cell, median of {args.repeats}, "
-          "host-scaled ms")
+    print(f"{uops} µops per cell, median of {repeats}, host-scaled ms")
     print(f"{'cell':<14}{'full':>9}{'replayed':>10}{'VP layers':>11}"
           f"{'share':>8}")
     for cell, r in result.items():
@@ -148,10 +144,6 @@ def main(argv=None) -> int:
           f"{total['replayed_s'] * 1e3:10.1f}{total['vp_s'] * 1e3:11.1f}"
           f"{total['vp_s'] / total['full_s']:8.0%}")
     print("replayed SimStats identical to live: yes")
-    if args.json:
-        Path(args.json).write_text(json.dumps(
-            {"uops": args.uops, "repeats": args.repeats, "cells": result,
-             "total": total}, indent=2) + "\n")
     return 0
 
 
