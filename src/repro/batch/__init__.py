@@ -8,8 +8,9 @@ times.  This package factors that shared front-end out:
 
 * :mod:`repro.batch.precompute` runs the trace once and captures the
   variant-independent per-µ-op streams (flat tuples, history epochs,
-  TAGE slot hashes, BTB miss bits) plus memoised D-VTAGE slot
-  geometries;
+  TAGE hash lanes, BTB miss bits) plus one D-VTAGE slot geometry per
+  distinct geometry, both hashing through the serial predictors'
+  ``TaggedSlots``;
 * :mod:`repro.batch.runner` is the fused per-variant walk: the
   pipeline/engine/predictor inner loop specialised to the EOLE_4_60
   BeBoP configuration, consuming the precomputed streams and keeping

@@ -6,17 +6,17 @@ and they share a front end when (workload, uops, warmup, pipeline)
 match — the grid axes of the Fig 6a/6b/7a/7b sweeps.  Each group runs
 as one call to :func:`run_batched_group`:
 
-1. the shared front end is precomputed once
-   (:func:`repro.batch.precompute.precompute_front_end`), with the
+1. the shared front end is precomputed once (:func:`shared_front_end`
+   over :func:`repro.batch.precompute.precompute_front_end`), with the
    folded-history registration unioned over every variant's D-VTAGE
-   geometry (FoldedHistorySet dedupes per (length, width), so the union
-   is bit-identity-safe);
+   geometry (a fold is a pure function of the history, so the union is
+   bit-identity-safe);
 2. per-variant table state is allocated as variant-stacked banks
    (``make_bank(..., variants=N)``) — variants sharing a D-VTAGE bank
    shape share a stack, TAGE always shares one stack — and each variant
    gets its storage-sharing ``view``;
 3. :func:`repro.batch.runner.run_fused_variant` walks each variant over
-   the shared streams, reusing one memoised
+   the shared streams, hashing through one
    :class:`~repro.batch.precompute.DVTAGESlotGeometry` per distinct
    slot geometry.
 
@@ -38,13 +38,16 @@ import gc
 
 from repro.batch.precompute import (
     DVTAGESlotGeometry,
-    dvtage_fold_pairs,
+    FrontEnd,
     geometry_key,
     precompute_front_end,
-    tage_fold_pairs,
 )
 from repro.batch.runner import run_fused_variant
-from repro.bebop.predictor import BlockDVTAGEConfig, dvtage_bank_fields
+from repro.bebop.predictor import (
+    BlockDVTAGEConfig,
+    dvtage_bank_fields,
+    dvtage_slots,
+)
 from repro.bebop.recovery import RecoveryPolicy
 from repro.branch.tage import BIMODAL_FIELDS, TAGGED_FIELDS
 from repro.common.tables import make_bank
@@ -145,6 +148,34 @@ def build_variant_tables(variants) -> list[dict[str, list[int]]]:
     return tables
 
 
+def shared_front_end(
+    trace, configs
+) -> tuple[FrontEnd, dict[tuple, DVTAGESlotGeometry]]:
+    """The front end of ``trace`` and one slot geometry per distinct
+    D-VTAGE geometry among ``configs`` (keyed by ``geometry_key``).
+
+    Each geometry's folds are registered after the TAGE ones, one
+    geometry after another, so every snapshot carries them as the
+    contiguous runs its :class:`~repro.predictors.base.TaggedSlots`
+    reads directly.
+    """
+    geo_configs: dict[tuple, BlockDVTAGEConfig] = {}
+    idx_pairs: list[tuple[int, int]] = []
+    tag_pairs: list[tuple[int, int]] = []
+    for config in configs:
+        key = geometry_key(config)
+        if key not in geo_configs:
+            geo_configs[key] = config
+            dv_idx, dv_tag = dvtage_slots(config).fold_geometry()
+            idx_pairs.extend(dv_idx)
+            tag_pairs.extend(dv_tag)
+    fe = precompute_front_end(trace, idx_pairs, tag_pairs)
+    return fe, {
+        key: DVTAGESlotGeometry(config, fe.states)
+        for key, config in geo_configs.items()
+    }
+
+
 def run_batched_group(specs) -> list[SimStats]:
     """Run a shared-front-end group of batchable specs in one trace pass.
 
@@ -169,27 +200,15 @@ def run_batched_group(specs) -> list[SimStats]:
             (BlockDVTAGEConfig(**dict(items)), window, RecoveryPolicy(policy))
         )
     trace = get_trace(first.workload, first.uops)
-    idx_pairs: list[tuple[int, int]] = []
-    tag_pairs: list[tuple[int, int]] = []
-    geo_configs: dict[tuple, BlockDVTAGEConfig] = {}
-    for config, _window, _policy in variants:
-        key = geometry_key(config)
-        if key not in geo_configs:
-            geo_configs[key] = config
-            dv_idx, dv_tag = dvtage_fold_pairs(config)
-            idx_pairs.extend(dv_idx)
-            tag_pairs.extend(dv_tag)
     # The fused walk churns through millions of short-lived acyclic
     # temporaries; pausing the cyclic collector for the batch avoids
     # repeated full-heap scans without changing any result.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        fe = precompute_front_end(trace, idx_pairs, tag_pairs)
-        geos = {
-            key: DVTAGESlotGeometry(config, fe.states)
-            for key, config in geo_configs.items()
-        }
+        fe, geos = shared_front_end(
+            trace, [config for config, _window, _policy in variants]
+        )
         tables = build_variant_tables(variants)
         results = []
         for v, (config, window, policy) in enumerate(variants):

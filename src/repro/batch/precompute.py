@@ -17,10 +17,11 @@ This module runs that front end exactly once and materialises flat
 per-µ-op tuples, per-fetch-group metadata, and the folded-history
 *epoch* stream (the history only changes at branches, so each distinct
 state gets one epoch id and one captured ``FoldedHistoryState``).
-TAGE slots are computed eagerly (every conditional branch needs them);
-D-VTAGE slots are memoised lazily per (epoch, block key) through
-:class:`DVTAGESlotGeometry` so variants sharing a slot geometry share
-the hashing work.
+Both hashes are the serial predictors' own
+:class:`~repro.predictors.base.TaggedSlots`, reading each snapshot's
+packed fold registers: TAGE lanes are computed eagerly (every
+conditional branch needs them); D-VTAGE lanes on demand per (epoch,
+block key) through :class:`DVTAGESlotGeometry`, one per slot geometry.
 
 What is *not* shareable: TAGE table contents (training is deferred to
 variant-dependent commit cycles), D-VTAGE state, and all pipeline
@@ -33,11 +34,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.branch.btb import BranchTargetBuffer
-from repro.common.bits import fold_bits
+from repro.bebop.predictor import dvtage_slots
 from repro.common.history import FoldedHistorySet, FoldedHistoryState
 from repro.isa.instruction import LatencyClass
 from repro.pipeline.core import group_block_instances
-from repro.predictors.base import table_index, tagged_index, tagged_tag
+from repro.predictors.base import TaggedSlots, table_index
 from repro.predictors.vtage import geometric_history_lengths
 from repro.workloads.trace import Trace
 
@@ -107,24 +108,9 @@ U_BTB_MISS = 22
 U_EPOCH = 23
 
 
-def tage_fold_pairs() -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """(index, tag) folded-history register pairs for the default TAGE."""
-    idx = tuple((length, TAGE_INDEX_BITS) for length in TAGE_HISTORY)
-    tag = tuple(zip(TAGE_HISTORY, TAGE_TAG_BITS))
-    return idx, tag
-
-
-def dvtage_fold_pairs(config) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
-    """(index, tag) folded-history register pairs for a BlockDVTAGEConfig."""
-    lengths = geometric_history_lengths(
-        config.components, config.min_history, config.max_history
-    )
-    tagged_index_bits = config.tagged_entries.bit_length() - 1
-    idx = tuple((length, tagged_index_bits) for length in lengths)
-    tag = tuple(
-        (length, config.first_tag_bits + i) for i, length in enumerate(lengths)
-    )
-    return idx, tag
+def tage_slots() -> TaggedSlots:
+    """The tagged-component hashes of the default TAGE."""
+    return TaggedSlots(TAGE_HISTORY, TAGE_INDEX_BITS, TAGE_TAG_BITS, TAGE_ENTRIES)
 
 
 def geometry_key(config) -> tuple:
@@ -141,64 +127,43 @@ def geometry_key(config) -> tuple:
 
 
 class DVTAGESlotGeometry:
-    """Lazy memo of D-VTAGE slots keyed by (history epoch, block key).
+    """The D-VTAGE slots of one geometry at the front end's history epochs.
 
-    A slot bundle is a flat tuple ``(lvt_index, lvt_tag, idx0, tag0,
-    idx1, tag1, ...)`` where component ``c`` reads index ``[2 + 2*c]``
-    and tag ``[3 + 2*c]``.  Tagged indices are pre-offset by
-    ``c * tagged_entries`` into the flat component bank.  Shared across
-    every variant (and every refetch replay) with the same geometry.
+    ``slots(epoch, key)`` returns ``((lvt_index, lvt_tag), lanes)`` for a
+    block key: its LVT entry (memoised per key) and the tagged components'
+    packed index and tag hashes under the history snapshot of ``epoch``,
+    computed by the same :class:`~repro.predictors.base.TaggedSlots` the
+    serial :class:`~repro.bebop.predictor.BlockDVTAGE` reads through
+    (``hash.descending`` walks the lanes, ``hash.unpack`` expands them).
+    Shared by every variant with this geometry.
     """
 
-    __slots__ = (
-        "components",
-        "tagged_entries",
-        "base_index_bits",
-        "tagged_index_bits",
-        "lvt_tag_mask",
-        "tag_bits",
-        "history_lengths",
-        "states",
-        "_memo",
-    )
+    __slots__ = ("hash", "states", "base_index_bits", "lvt_tag_mask", "_lvt")
 
     def __init__(self, config, states: Sequence[FoldedHistoryState]) -> None:
-        self.components = config.components
-        self.tagged_entries = config.tagged_entries
-        self.base_index_bits = config.base_entries.bit_length() - 1
-        self.tagged_index_bits = config.tagged_entries.bit_length() - 1
-        self.lvt_tag_mask = (1 << config.lvt_tag_bits) - 1
-        self.tag_bits = tuple(
-            config.first_tag_bits + i for i in range(config.components)
-        )
-        self.history_lengths = geometric_history_lengths(
-            config.components, config.min_history, config.max_history
-        )
+        self.hash = dvtage_slots(config)
         self.states = states
-        self._memo: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.base_index_bits = config.base_entries.bit_length() - 1
+        self.lvt_tag_mask = (1 << config.lvt_tag_bits) - 1
+        self._lvt: dict[int, tuple[int, int]] = {}
 
-    def slots(self, epoch: int, key: int) -> tuple[int, ...]:
-        memo_key = (epoch, key)
-        cached = self._memo.get(memo_key)
-        if cached is not None:
-            return cached
-        state = self.states[epoch]
-        flat = [
-            table_index(key, self.base_index_bits),
-            (key >> self.base_index_bits) & self.lvt_tag_mask,
-        ]
-        entries = self.tagged_entries
-        index_bits = self.tagged_index_bits
-        for comp, length in enumerate(self.history_lengths):
-            flat.append(comp * entries + tagged_index(key, state, length, index_bits))
-            flat.append(tagged_tag(key, state, length, self.tag_bits[comp]))
-        result = tuple(flat)
-        self._memo[memo_key] = result
-        return result
+    def slots(self, epoch: int, key: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        lvt = self._lvt.get(key)
+        if lvt is None:
+            bits = self.base_index_bits
+            lvt = self._lvt[key] = (
+                table_index(key, bits), (key >> bits) & self.lvt_tag_mask
+            )
+        return lvt, self.hash.lanes(key, self.states[epoch])
 
 
 class FrontEnd:
-    """Precomputed variant-independent streams for one trace."""
+    """Precomputed variant-independent streams for one trace.
+
+    ``group_meta[i]`` describes fetch group ``groups[i]``: ``(block key,
+    static group id, positions of its VP-eligible µ-ops, their byte
+    boundaries)``, one shared tuple per static group.
+    """
 
     __slots__ = ("trace", "uops", "groups", "group_meta", "states")
 
@@ -224,34 +189,25 @@ def precompute_front_end(
 ) -> FrontEnd:
     """Run the shared front end once over ``trace``.
 
-    ``extra_*_pairs`` register additional folded-history widths (one
-    per distinct D-VTAGE geometry in the batch); FoldedHistorySet
-    dedupes per (length, width), so a union registration yields
-    bit-identical folds for every consumer.
+    ``extra_*_pairs`` register additional folded-history widths (the
+    ``fold_geometry()`` of each distinct D-VTAGE geometry in the batch,
+    one after another).  Each geometry's folds then form contiguous runs
+    in the packed registers, so its :class:`TaggedSlots` reads them
+    straight from every snapshot; a fold is a pure function of the
+    history, so the union yields bit-identical hashes for every consumer.
     """
-    tage_idx, tage_tag = tage_fold_pairs()
+    tage_hash = tage_slots()
+    tage_idx, tage_tag = tage_hash.fold_geometry()
     hists = FoldedHistorySet(
         640, 64, tage_idx + tuple(extra_idx_pairs), tage_tag + tuple(extra_tag_pairs)
     )
+    tage_lanes = tage_hash.lanes
     btb = BranchTargetBuffer(table_backend="python")
     source = trace.uops
     states: list[FoldedHistoryState] = []
     uops: list[tuple] = []
     epoch = 0
     bim_mask = (1 << TAGE_BIMODAL_BITS) - 1
-    # Memoised PC-only halves of the TAGE hashes (hot branches repeat):
-    # tagged_index = pc_idx ^ idx_fold, tagged_tag = pc_tag ^ tag_fold,
-    # with the component bank offset added after the XOR (both fold terms
-    # stay below the index width, so the offset is unaffected).
-    idx_w_mask = TAGE_ENTRIES - 1
-    idx_fkeys = tuple(
-        (TAGE_HISTORY[c] << 7) | TAGE_INDEX_BITS for c in range(TAGE_COMPONENTS)
-    )
-    tag_fkeys = tuple(
-        (TAGE_HISTORY[c] << 7) | TAGE_TAG_BITS[c] for c in range(TAGE_COMPONENTS)
-    )
-    comp_base = tuple(c * TAGE_ENTRIES for c in range(TAGE_COMPONENTS))
-    pc_parts_memo: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for uop in source:
         if len(states) == epoch:
             states.append(hists.state())
@@ -260,30 +216,8 @@ def precompute_front_end(
         taken = uop.branch_taken
         tage = None
         if is_cond:
-            state = states[epoch]
             pc = uop.pc
-            parts = pc_parts_memo.get(pc)
-            if parts is None:
-                pc_idx = table_index(pc, TAGE_INDEX_BITS) ^ (
-                    (pc >> TAGE_INDEX_BITS) & idx_w_mask
-                )
-                parts = pc_parts_memo[pc] = (
-                    (pc_idx,) * TAGE_COMPONENTS,
-                    tuple(
-                        fold_bits(pc * 0x9E3779B9, 64, TAGE_TAG_BITS[c])
-                        for c in range(TAGE_COMPONENTS)
-                    ),
-                )
-            pc_idxs, pc_tags = parts
-            idxf = state.idx_folds
-            tagf = state.tag_folds
-            flat = []
-            for comp in range(TAGE_COMPONENTS):
-                flat.append(
-                    comp_base[comp] + (pc_idxs[comp] ^ idxf[idx_fkeys[comp]])
-                )
-                flat.append(pc_tags[comp] ^ tagf[tag_fkeys[comp]])
-            tage = ((pc >> 2) & bim_mask, tuple(flat))
+            tage = ((pc >> 2) & bim_mask, tage_lanes(pc, states[epoch]))
         btb_miss = False
         if is_branch and taken:
             target = btb.lookup(uop.pc)
@@ -346,18 +280,23 @@ def precompute_front_end(
         if pushed:
             epoch += 1
     groups = group_block_instances(source)
+    # Fetch groups with the same first µ-op and length are one static
+    # group (fall-through code of one block): they share one meta tuple.
+    static: dict[tuple[int, int, int], tuple] = {}
     group_meta: list[tuple] = []
-    wtag_memo: dict[int, int] = {}
     for start, end in groups:
-        block_pc = source[start].block_pc
-        wtag = wtag_memo.get(block_pc)
-        if wtag is None:
-            wtag = wtag_memo[block_pc] = fold_bits(block_pc >> 4, 60, 15)
-        elig = tuple(
-            (i - start, uops[i][U_BOUNDARY])
-            for i in range(start, end)
-            if uops[i][U_ELIGIBLE]
-        )
-        boundaries = tuple(b for _, b in elig)
-        group_meta.append((wtag, block_pc >> 4, elig, boundaries))
+        first = source[start]
+        skey = (first.pc, first.uop_index, end - start)
+        meta = static.get(skey)
+        if meta is None:
+            positions = tuple(
+                i - start for i in range(start, end) if uops[i][U_ELIGIBLE]
+            )
+            meta = static[skey] = (
+                first.block_pc >> 4,
+                len(static),
+                positions,
+                tuple(uops[start + pos][U_BOUNDARY] for pos in positions),
+            )
+        group_meta.append(meta)
     return FrontEnd(trace, uops, groups, group_meta, states)

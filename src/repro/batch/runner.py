@@ -5,29 +5,33 @@
 ``bebop/predictor.BlockDVTAGE`` + ``branch/tage.TAGEBranchPredictor`` —
 specialised to the ``eole_4_60`` BeBoP configuration and fed by the
 precomputed variant-independent streams of :mod:`repro.batch.precompute`
-(per-µ-op tuples, TAGE slot hashes, BTB miss bits, memoised D-VTAGE
-slots).  All instrumentation hooks of the serial path (obs counters,
-timeline recorders, CPI stacks, provenance) are stats-passive there and
-simply absent here.
+(per-µ-op tuples, TAGE hash lanes, BTB miss bits, D-VTAGE hash lanes per
+slot geometry).  All instrumentation hooks of the serial path (obs
+counters, timeline recorders, CPI stacks, provenance) are stats-passive
+there and simply absent here.
 
 The serial python path remains the golden contract: every branch of this
 function mirrors a specific statement of the originals, including RNG
 draw order (TAGE allocation's chance-then-uniform choice, FPC's
-no-draw-at-p>=1 advance) and container semantics (speculative-window
-reversed scans, FIFO identity removal, heap fixups with a unique
-tiebreak).  ``tests/test_batch_parity.py`` proves SimStats bit-identity
-against the serial path; treat any edit here that is not paired with a
-parity run as wrong.
+no-draw-at-p>=1 advance) and container semantics (FIFO identity removal,
+heap fixups with a unique tiebreak).  ``tests/test_batch_parity.py``
+proves SimStats bit-identity against the serial path; treat any edit
+here that is not paired with a parity run as wrong.
 
-The serial walk now shares most of this walk's specialisations
-(DESIGN.md §11): config and collaborators bound to locals, statistics
-in locals, cheap occupancy counters instead of per-cycle dicts, inline
-L1 hit paths, memoised PC/block halves of the TAGE and D-VTAGE hashes,
-per-static-group attribution metadata, column-slice vector reads, and
-inline FPC advance and compose.  What remains specific to this walk is
-the front end precomputed once and shared by every variant, the
-``eole_4_60`` constants folded in, and the engine and predictor inlined
-with pending blocks as plain lists.
+Some pieces are not transcribed but shared with the serial path: the
+speculative window is the engine's own
+:class:`~repro.bebop.spec_window.SpeculativeWindow`, both hashes are the
+predictors' :class:`~repro.predictors.base.TaggedSlots` (read through
+their packed lanes like ``BlockDVTAGE.read``), and fetch-time
+attribution and update-time byte-tag reassignment go through the same
+:class:`~repro.bebop.attribution.TagMemo` rule.  The serial walk has the
+rest of this walk's specialisations too (DESIGN.md §11): config and
+collaborators bound to locals, statistics in locals, cheap occupancy
+counters instead of per-cycle dicts, inline L1 hit paths, column-slice
+vector reads, and inline FPC advance and compose.  What remains specific
+to this walk is the front end precomputed once and shared by every
+variant, the ``eole_4_60`` constants folded in, and the engine and
+predictor update inlined with pending blocks as plain lists.
 
 Table state arrives as plain-python column lists — per-variant views of
 variant-stacked ``TableBank`` storage (``make_bank(..., variants=N)``)
@@ -43,13 +47,19 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.batch.precompute import (
-    TAGE_COMPONENTS,
     DVTAGESlotGeometry,
     FrontEnd,
     U_EPOCH,
+    tage_slots,
 )
-from repro.bebop.attribution import FREE_TAG, attribute_predictions, update_tag_assignment
+from repro.bebop.attribution import (
+    FREE_TAG,
+    TagMemo,
+    attribute_predictions,
+    update_tag_assignment,
+)
 from repro.bebop.recovery import RecoveryPolicy
+from repro.bebop.spec_window import SpeculativeWindow
 from repro.common.bits import WORD_MASK
 from repro.pipeline.caches import MemoryHierarchy
 from repro.pipeline.stats import SimStats
@@ -85,21 +95,19 @@ _FPC_MAX = 7
 # plus the BlockReadout fields update time needs; use_masked is
 # write-only in the serial engine and dropped here).
 _P_SEQ = 0
-_P_WTAG = 1
-_P_BLOCK_PC = 2
-_P_VALUES = 3
-_P_RETIRED = 4
-_P_BYTE_TAGS = 5
-_P_PROVIDER = 6
-_P_PINDEX = 7
-_P_PTAG = 8
-_P_STRIDES = 9
-_P_CONF = 10
-_P_ALT = 11
-_P_EPOCH = 12
-_P_KEY = 13
-_P_LIDX = 14
-_P_LTAG = 15
+_P_BLOCK_PC = 1
+_P_VALUES = 2
+_P_RETIRED = 3
+_P_BYTE_TAGS = 4
+_P_PROVIDER = 5
+_P_PINDEX = 6
+_P_PTAG = 7
+_P_STRIDES = 8
+_P_CONF = 9
+_P_ALT = 10
+_P_LANES = 11
+_P_LIDX = 12
+_P_LTAG = 13
 
 
 def run_fused_variant(
@@ -126,7 +134,6 @@ def run_fused_variant(
 
     # ---- D-VTAGE constants / state ------------------------------------
     npred = config.npred
-    components = config.components
     stride_bits = config.stride_bits
     s_sign = 1 << (stride_bits - 1)
     s_mod = 1 << stride_bits
@@ -153,6 +160,17 @@ def run_fused_variant(
     bt_ugen = tables["bt_ugen"]
 
     geo_slots = geo.slots
+    dv_desc = geo.hash.descending
+    dv_imask = geo.hash.index_mask
+    dv_unpack = geo.hash.unpack
+    tage_hash = tage_slots()
+    tage_desc = tage_hash.descending
+    tage_imask = tage_hash.index_mask
+    tage_unpack = tage_hash.unpack
+    # The byte-tag memos of BeBoPEngine.fetch_group (per static group)
+    # and BlockDVTAGE.update (per LVT entry).
+    attribution = TagMemo()
+    tag_updates = TagMemo(monotonic)
 
     # Inline RNG states (XorShift64; seeds match the serial constructors).
     rng_dv = [0xBEB0]
@@ -169,11 +187,9 @@ def run_fused_variant(
     reuses_predictions = policy.reuses_predictions
     squashes_head = policy.squashes_head
     is_ideal = policy is RecoveryPolicy.IDEAL
-    win_cap = window_capacity
-    win_enabled = win_cap is None or win_cap > 0
+    window = SpeculativeWindow(window_capacity)
 
     # ---- engine state --------------------------------------------------
-    window: list[list] = []      # [wtag, seq, values] in insertion order
     fifo: list[list] = []        # pending blocks in push order
     deferred: deque = deque()    # (apply_cycle, pending)
     fixups: list[tuple] = []     # heap of (cycle, tiebreak, pending, slot, value)
@@ -196,24 +212,18 @@ def run_fused_variant(
     l1d_tshift = _l1d.sets.bit_length() - 1
     _l1d_lat = _l1d.latency
 
-    geo_memo = geo._memo
-
     # ---- predictor training closures ----------------------------------
 
-    def dv_allocate(key, pending, observed, correct_slots):
+    def dv_allocate(pending, observed, correct_slots):
         # BlockDVTAGE._allocate
         gen = dv_gen[0]
-        slots = geo_slots(pending[_P_EPOCH], key)
-        candidates = []
-        scanned = []
-        for comp in range(pending[_P_PROVIDER], components):
-            index = slots[2 + 2 * comp]
-            tag = slots[3 + 2 * comp]
-            scanned.append(index)
-            if t_useful[index] == 0 or t_ugen[index] != gen:
-                candidates.append((index, tag))
+        scanned = dv_unpack(pending[_P_LANES], pending[_P_PROVIDER])
+        candidates = [
+            slot for slot in scanned
+            if t_useful[slot[0]] == 0 or t_ugen[slot[0]] != gen
+        ]
         if not candidates:
-            for index in scanned:
+            for index, _tag in scanned:
                 t_useful[index] = 0
                 t_ugen[index] = gen
             return
@@ -245,25 +255,25 @@ def run_fused_variant(
         retired = pending[_P_RETIRED]
         if not retired:
             return
-        key = pending[_P_KEY]
         lvt_index = pending[_P_LIDX]
         lvt_tag = pending[_P_LTAG]
         lvt_base = lvt_index * npred
         fresh = l_tag[lvt_index] != lvt_tag
         boundaries = [boundary for boundary, _ in retired]
-        byte_tags = l_byte[lvt_base:lvt_base + npred]
-        assignment, new_tags = update_tag_assignment(
-            byte_tags if not fresh else [FREE_TAG] * npred,
-            boundaries,
-            fresh_allocation=fresh,
-            monotonic=monotonic,
-        )
+        retagged = ()
         if fresh:
-            retagged = ()
+            assignment, new_tags = update_tag_assignment(
+                [FREE_TAG] * npred, boundaries, fresh_allocation=True
+            )
         else:
-            retagged = [
-                s for s in range(npred) if new_tags[s] != byte_tags[s]
-            ]
+            byte_tags = l_byte[lvt_base:lvt_base + npred]
+            assignment, new_tags = tag_updates.reassign(
+                lvt_index, byte_tags, boundaries
+            )
+            if new_tags != byte_tags:
+                retagged = [
+                    s for s in range(npred) if new_tags[s] != byte_tags[s]
+                ]
         provider = pending[_P_PROVIDER]
         provider_index = pending[_P_PINDEX]
         if provider == 0:
@@ -333,7 +343,7 @@ def run_fused_variant(
         l_byte[lvt_base:lvt_base + npred] = new_tags
 
         if any_wrong and not fresh:
-            dv_allocate(key, pending, observed, correct_slots)
+            dv_allocate(pending, observed, correct_slots)
         # _tick_useful_reset
         ticks = dv_updates[0] + 1
         if ticks >= useful_reset_period:
@@ -342,22 +352,20 @@ def run_fused_variant(
         else:
             dv_updates[0] = ticks
 
-    def tage_allocate(tage_slots, provider, taken):
+    def tage_allocate(tage_lanes, provider, taken):
         # TAGEBranchPredictor._allocate
         gen = tage_gen[0]
         candidates = []
-        scanned = []
-        for comp in range(provider, TAGE_COMPONENTS):
-            index = tage_slots[2 * comp]
-            tag = tage_slots[2 * comp + 1]
-            scanned.append(index)
+        scanned = tage_unpack(tage_lanes, provider)
+        for slot in scanned:
+            index = slot[0]
             if bt_ugen[index] != gen:
                 bt_useful[index] = 0
                 bt_ugen[index] = gen
             if bt_useful[index] == 0:
-                candidates.append((index, tag))
+                candidates.append(slot)
         if not candidates:
-            for index in scanned:
+            for index, _tag in scanned:
                 u = bt_useful[index] - 1
                 bt_useful[index] = u if u > 0 else 0
             return
@@ -383,7 +391,7 @@ def run_fused_variant(
         bt_useful[index] = 0
         bt_ugen[index] = gen
 
-    def tage_train(bim_index, tage_slots, taken, meta):
+    def tage_train(bim_index, tage_lanes, taken, meta):
         # TAGEBranchPredictor.train; meta = (provider, index, tag,
         # alt_taken, provider_weak)
         provider = meta[0]
@@ -391,7 +399,7 @@ def run_fused_variant(
             ctr = b_ctr[bim_index]
             b_ctr[bim_index] = min(3, ctr + 1) if taken else max(0, ctr - 1)
             if meta[3] != taken:
-                tage_allocate(tage_slots, 0, taken)
+                tage_allocate(tage_lanes, 0, taken)
         else:
             index = meta[1]
             if bt_tag[index] == meta[2]:
@@ -413,9 +421,9 @@ def run_fused_variant(
                     else:
                         use_alt[0] = max(0, use_alt[0] - 1)
                 if not provider_correct:
-                    tage_allocate(tage_slots, provider, taken)
+                    tage_allocate(tage_lanes, provider, taken)
             else:
-                tage_allocate(tage_slots, provider, taken)
+                tage_allocate(tage_lanes, provider, taken)
         # _tick
         ticks = tage_updates[0] + 1
         if ticks >= 262144:
@@ -490,22 +498,22 @@ def run_fused_variant(
     pending_refetch = None        # (start, end, handle pending)
     reuse_next_group = None
     reuse_block_pc = -1
-    gwtag = 0
     gkey = 0
 
     while gi < n_groups or pending_refetch is not None:
         if pending_refetch is not None:
             gstart, gend, reuse = pending_refetch
             pending_refetch = None
-            # Dynamic remainder of the same block: gwtag/gkey persist from
-            # the originating static group (same block_pc by construction).
-            elig = tuple(
-                (i - gstart, U[i][3]) for i in range(gstart, gend) if U[i][15]
+            # Dynamic remainder of the same block: gkey persists from the
+            # originating static group (same block_pc by construction).
+            positions = tuple(
+                i - gstart for i in range(gstart, gend) if U[i][15]
             )
-            boundaries = tuple(b for _, b in elig)
+            boundaries = tuple(U[gstart + pos][3] for pos in positions)
+            gid = None
         else:
             gstart, gend = groups[gi]
-            gwtag, gkey, elig, boundaries = group_meta[gi]
+            gkey, gid, positions, boundaries = group_meta[gi]
             gi += 1
             reuse = None
             if reuse_next_group is not None:
@@ -549,37 +557,28 @@ def run_fused_variant(
         # _apply_until(fetch_cycle): result fixups first, then deferred
         # trainings + window retires.
         while fixups and fixups[0][0] <= fetch_cycle:
-            item = heappop(fixups)
-            p = item[2]
-            wt = p[1]
-            sq = p[0]
-            for j in range(len(window) - 1, -1, -1):
-                entry = window[j]
-                if entry[0] == wt and entry[1] == sq:
-                    vals = entry[2]
-                    slot = item[3]
-                    if 0 <= slot < len(vals):
-                        vals[slot] = item[4]
-                    break
+            _c, _n, p, slot, value = heappop(fixups)
+            window.correct_slot(p[_P_BLOCK_PC], p[_P_SEQ], slot, value)
         while deferred and deferred[0][0] <= fetch_cycle:
             p = deferred.popleft()[1]
             dv_update(p)
-            wt = p[1]
-            sq = p[0]
-            for j in range(len(window) - 1, -1, -1):
-                entry = window[j]
-                if entry[0] == wt and entry[1] == sq:
-                    del window[j]
-                    break
+            window.retire(p[_P_BLOCK_PC], p[_P_SEQ])
 
         if reuse is None or repredicts:
-            # _predict_block (mask_use=False)
-            epoch = U[gstart][U_EPOCH]
-            slots_flat = geo_memo.get((epoch, gkey))
-            if slots_flat is None:
-                slots_flat = geo_slots(epoch, gkey)
-            lvt_index = slots_flat[0]
-            lvt_tag = slots_flat[1]
+            # BeBoPEngine.fetch_group: BlockDVTAGE.read, the window probe
+            # and compose.
+            (lvt_index, lvt_tag), lanes = geo_slots(U[gstart][U_EPOCH], gkey)
+            x, t = lanes
+            hit = alt = -1
+            for comp, base, shift, tshift, tmask in dv_desc:
+                index = base + ((x >> shift) & dv_imask)
+                if t_tag[index] == (t >> tshift) & tmask:
+                    if hit >= 0:
+                        alt = index
+                        break
+                    hit = index
+                    provider = comp + 1
+                    provider_tag = (t >> tshift) & tmask
             lvt_base = lvt_index * npred
             lvt_hit = l_tag[lvt_index] == lvt_tag
             if lvt_hit:
@@ -588,46 +587,26 @@ def run_fused_variant(
             else:
                 lvt_last = [0] * npred
                 byte_tags = [FREE_TAG] * npred
-            last_index = -1
-            alt_index = -1
-            last_comp = -1
-            for comp in range(components):
-                index = slots_flat[2 + 2 * comp]
-                if t_tag[index] == slots_flat[3 + 2 * comp]:
-                    alt_index = last_index
-                    last_index = index
-                    last_comp = comp
-            if last_comp >= 0:
-                provider = last_comp + 1
-                provider_index = last_index
-                provider_tag = slots_flat[3 + 2 * last_comp]
-                pb = last_index * npred
+            if hit >= 0:
+                provider_index = hit
+                pb = hit * npred
                 strides = t_strides[pb:pb + npred]
                 conf = t_conf[pb:pb + npred]
-                if alt_index >= 0:
-                    ab = alt_index * npred
+                if alt >= 0:
+                    ab = alt * npred
                     alt_strides = t_strides[ab:ab + npred]
                 else:
-                    vb = lvt_index * npred
-                    alt_strides = v_strides[vb:vb + npred]
+                    alt_strides = v_strides[lvt_base:lvt_base + npred]
             else:
                 provider = 0
                 provider_index = lvt_index
                 provider_tag = 0
-                vb = lvt_index * npred
-                strides = v_strides[vb:vb + npred]
-                conf = v_conf[vb:vb + npred]
+                strides = v_strides[lvt_base:lvt_base + npred]
+                conf = v_conf[lvt_base:lvt_base + npred]
                 alt_strides = list(strides)
-            # Speculative-window probe (most recent matching tag wins).
-            spec_values = None
-            if win_enabled:
-                for j in range(len(window) - 1, -1, -1):
-                    entry = window[j]
-                    if entry[0] == gwtag:
-                        spec_values = entry[2]
-                        break
-            if spec_values is not None:
-                last_values = spec_values
+            spec_entry = window.lookup_entry(block_pc)
+            if spec_entry is not None:
+                last_values = spec_entry.values
                 usable = True
             elif lvt_hit:
                 last_values = lvt_last
@@ -643,23 +622,13 @@ def run_fused_variant(
                     s -= s_mod
                 values[m] = (last_values[m] + s) & _M64
             first_seq = U[gstart][0]
-            if win_enabled:
-                window.append([gwtag, first_seq, list(values)])
-                if win_cap is not None and len(window) > win_cap:
-                    del window[0]
+            window.insert(block_pc, first_seq, values)
             pending = [
-                first_seq, gwtag, block_pc, values, [], byte_tags,
+                first_seq, block_pc, values, [], byte_tags,
                 provider, provider_index, provider_tag, strides, conf,
-                alt_strides, epoch, gkey, lvt_index, lvt_tag,
+                alt_strides, lanes, lvt_index, lvt_tag,
             ]
             fifo.append(pending)
-            preds = [None] * glen
-            slot_assign = attribute_predictions(byte_tags, boundaries)
-            for (pos, _b), slot in zip(elig, slot_assign):
-                if slot is not None:
-                    preds[pos] = (
-                        values[slot], usable and conf[slot] >= _FPC_MAX, slot
-                    )
         else:
             # DnRR / DnRDnR: reuse the flushed block's prediction block.
             pending = reuse
@@ -667,13 +636,17 @@ def run_fused_variant(
             values = pending[_P_VALUES]
             byte_tags = pending[_P_BYTE_TAGS]
             conf = pending[_P_CONF]
-            preds = [None] * glen
+        # Attribute the block's predictions to its VP-eligible µ-ops.
+        if gid is None:
             slot_assign = attribute_predictions(byte_tags, boundaries)
-            for (pos, _b), slot in zip(elig, slot_assign):
-                if slot is not None:
-                    preds[pos] = (
-                        values[slot], usable and conf[slot] >= _FPC_MAX, slot
-                    )
+        else:
+            slot_assign = attribution.attribute(gid, byte_tags, boundaries)
+        preds = [None] * glen
+        for pos, slot in zip(positions, slot_assign):
+            if slot is not None:
+                preds[pos] = (
+                    values[slot], usable and conf[slot] >= _FPC_MAX, slot
+                )
 
         group_broken = False
         for k in range(gstart, gend):
@@ -845,33 +818,33 @@ def run_fused_variant(
                 while deferred_bp and deferred_bp[0][0] <= fetch_cycle:
                     db = deferred_bp.popleft()
                     tage_train(db[1], db[2], db[3], db[4])
-                # TAGEBranchPredictor.predict over precomputed slots.
-                bim_index, tage_slots = tage_pre
-                last_index = -1
-                alt_tindex = -1
-                last_comp = -1
-                for comp in range(TAGE_COMPONENTS):
-                    index = tage_slots[2 * comp]
-                    if bt_tag[index] == tage_slots[2 * comp + 1]:
-                        alt_tindex = last_index
-                        last_index = index
-                        last_comp = comp
+                # TAGEBranchPredictor.predict over precomputed lanes: the
+                # longest hit provides, the next longest is the alternate.
+                bim_index, tage_lanes = tage_pre
+                x, t = tage_lanes
+                hit = alt = -1
+                for comp, base, shift, tshift, tmask in tage_desc:
+                    index = base + ((x >> shift) & tage_imask)
+                    if bt_tag[index] == (t >> tshift) & tmask:
+                        if hit >= 0:
+                            alt = index
+                            break
+                        hit = index
+                        hit_comp = comp
+                        hit_tag = (t >> tshift) & tmask
                 base_taken = b_ctr[bim_index] >= 2
-                if last_comp < 0:
+                if hit < 0:
                     pred_taken = base_taken
                     bmeta = (0, 0, 0, base_taken, False)
                 else:
-                    ctr = bt_ctr[last_index]
+                    ctr = bt_ctr[hit]
                     provider_taken = ctr >= 4
                     weak = ctr == 3 or ctr == 4
-                    if alt_tindex >= 0:
-                        alt_taken = bt_ctr[alt_tindex] >= 4
+                    if alt >= 0:
+                        alt_taken = bt_ctr[alt] >= 4
                     else:
                         alt_taken = base_taken
-                    bmeta = (
-                        last_comp + 1, last_index,
-                        tage_slots[2 * last_comp + 1], alt_taken, weak,
-                    )
+                    bmeta = (hit_comp + 1, hit, hit_tag, alt_taken, weak)
                     if weak and use_alt[0] >= 8:
                         pred_taken = alt_taken
                     else:
@@ -898,14 +871,14 @@ def run_fused_variant(
             rob_count += 1
 
             if is_cond:
-                deferred_bp.append((cc + 1, bim_index, tage_slots, taken, bmeta))
+                deferred_bp.append((cc + 1, bim_index, tage_lanes, taken, bmeta))
                 if mispredicted_branch:
                     if measuring:
                         s_branch_mispredicts += 1
                     if complete + 1 > next_fetch_min:
                         next_fetch_min = complete + 1
                     # BeBoPEngine.branch_squash(seq, complete)
-                    window = [e for e in window if e[1] <= seq]
+                    window.squash(seq)
                     fifo = [b for b in fifo if b[0] <= seq]
             elif is_branch and taken:
                 if btb_miss:
@@ -946,11 +919,11 @@ def run_fused_variant(
                         and next_block_pc == pending[_P_BLOCK_PC]
                     )
                     flush = pending[_P_SEQ]
-                    if same_block and squashes_head:
-                        window = [e for e in window if e[1] < flush]
+                    drop_head = same_block and squashes_head
+                    window.squash(flush, drop_equal=drop_head)
+                    if drop_head:
                         fifo = [b for b in fifo if b[0] < flush]
                     else:
-                        window = [e for e in window if e[1] <= flush]
                         fifo = [b for b in fifo if b[0] <= flush]
                     if same_block and is_ideal:
                         for j, b in enumerate(fifo):
@@ -967,17 +940,9 @@ def run_fused_variant(
                             for slot, (_b, val) in zip(ideal_slots, retired)
                             if slot is not None
                         }
-                        if fixmap:
-                            wt = pending[_P_WTAG]
-                            sq = pending[_P_SEQ]
-                            for j in range(len(window) - 1, -1, -1):
-                                entry = window[j]
-                                if entry[0] == wt and entry[1] == sq:
-                                    vals = entry[2]
-                                    for slot, val in fixmap.items():
-                                        if 0 <= slot < len(vals):
-                                            vals[slot] = val
-                                    break
+                        window.correct_entry(
+                            pending[_P_BLOCK_PC], flush, fixmap
+                        )
                     if k + 1 < gend:
                         pending_refetch = (k + 1, gend, pending)
                         group_broken = True

@@ -123,3 +123,51 @@ def update_tag_assignment(
                 cursor += 1
         assignment.append(assigned)
     return assignment, tags
+
+
+class TagMemo:
+    """The last byte-tag computation per key, reused while its inputs hold.
+
+    :func:`attribute_predictions` and :func:`update_tag_assignment` are pure
+    functions of an entry's byte tags and the boundaries matched against
+    them, and per key — a static fetch group at fetch, an LVT entry at
+    update — both rarely change from one call to the next.  The memo keeps,
+    per key, the last inputs and their result and recomputes only when
+    either input differs.  One memo serves one of the two functions; it
+    holds one record per key, so it grows with the program, not the trace.
+    """
+
+    __slots__ = ("monotonic", "_last")
+
+    def __init__(self, monotonic: bool = True) -> None:
+        self.monotonic = monotonic
+        self._last: dict[object, tuple] = {}
+
+    def __len__(self) -> int:
+        return len(self._last)
+
+    def attribute(
+        self, key: object, slot_tags: Sequence[int], boundaries: Sequence[int]
+    ) -> list[int | None]:
+        """:func:`attribute_predictions`, memoised under ``key``."""
+        last = self._last.get(key)
+        if last is not None and last[0] == slot_tags and last[1] == boundaries:
+            return last[2]
+        slots = attribute_predictions(slot_tags, boundaries)
+        self._last[key] = (slot_tags, boundaries, slots)
+        return slots
+
+    def reassign(
+        self, key: object, slot_tags: Sequence[int], boundaries: Sequence[int]
+    ) -> tuple[list[int | None], list[int]]:
+        """:func:`update_tag_assignment` of an entry that is not freshly
+        allocated, memoised under ``key``."""
+        last = self._last.get(key)
+        if last is not None and last[0] == slot_tags and last[1] == boundaries:
+            return last[2]
+        result = update_tag_assignment(
+            slot_tags, boundaries, fresh_allocation=False,
+            monotonic=self.monotonic,
+        )
+        self._last[key] = (slot_tags, boundaries, result)
+        return result

@@ -23,7 +23,7 @@ import repro.obs as obs
 from repro.obs.timeline import Provenance, provider_label
 from repro.isa.instruction import DynMicroOp
 from repro.predictors.base import HistoryState
-from repro.bebop.attribution import attribute_predictions
+from repro.bebop.attribution import TagMemo, attribute_predictions
 from repro.bebop.predictor import BlockDVTAGE, BlockReadout
 from repro.bebop.recovery import RecoveryPolicy
 from repro.bebop.spec_window import SpeculativeWindow
@@ -76,10 +76,9 @@ class BeBoPEngine:
         # so the positions and boundaries of its VP-eligible µ-ops are
         # computed once per (pc, µ-op index, length).  The slots they take
         # depend only on those boundaries and the entry's byte tags, which
-        # rarely change: the group also keeps the last tags it was
-        # attributed against and the resulting slots.
-        # [positions, boundaries, byte tags, slots]
-        self._group_meta: dict[tuple[int, int, int], list] = {}
+        # rarely change: ``_attribution`` keeps each group's last result.
+        self._group_meta: dict[tuple[int, int, int], tuple[list, list]] = {}
+        self._attribution = TagMemo()
 
     def set_provenance(self, enabled: bool) -> None:
         """Toggle provenance collection (called by the pipeline when a
@@ -198,17 +197,13 @@ class BeBoPEngine:
         if meta is None:
             positions = [pos for pos, uop in enumerate(uops)
                          if uop.is_vp_eligible]
-            meta = self._group_meta[key] = [
-                positions, [uops[pos].boundary for pos in positions],
-                None, None,
-            ]
-        positions = meta[0]
-        byte_tags = readout.byte_tags
-        if byte_tags == meta[2]:
-            slots = meta[3]
-        else:
-            slots = meta[3] = attribute_predictions(byte_tags, meta[1])
-            meta[2] = byte_tags
+            meta = self._group_meta[key] = (
+                positions, [uops[pos].boundary for pos in positions]
+            )
+        positions, boundaries = meta
+        slots = self._attribution.attribute(
+            key, readout.byte_tags, boundaries
+        )
         if self._m_on and positions:
             # An attribution miss: a VP-eligible µ-op whose byte boundary
             # matched no prediction slot (§V-B's tag-mismatch case).

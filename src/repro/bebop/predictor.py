@@ -42,7 +42,7 @@ from repro.common.tables import Field, make_bank
 from repro.predictors.base import HistoryState, TaggedSlots, table_index
 from repro.predictors.confidence import FPCPolicy
 from repro.predictors.vtage import geometric_history_lengths
-from repro.bebop.attribution import FREE_TAG, update_tag_assignment
+from repro.bebop.attribution import FREE_TAG, TagMemo, update_tag_assignment
 
 
 @dataclass(frozen=True)
@@ -161,6 +161,22 @@ def dvtage_bank_fields(
     return lvt, vt0, tagged
 
 
+def dvtage_slots(config: BlockDVTAGEConfig) -> TaggedSlots:
+    """The tagged components' index and tag hashes of a geometry.
+
+    Like :func:`dvtage_bank_fields`, shared with the batched sweep engine,
+    which hashes every variant of one geometry through the same object.
+    """
+    return TaggedSlots(
+        geometric_history_lengths(
+            config.components, config.min_history, config.max_history
+        ),
+        config.tagged_entries.bit_length() - 1,
+        tuple(config.first_tag_bits + i for i in range(config.components)),
+        config.tagged_entries,
+    )
+
+
 class BlockDVTAGE:
     """The block-based Differential VTAGE predictor."""
 
@@ -175,11 +191,10 @@ class BlockDVTAGE:
         c = self.config
         self.fpc = fpc if fpc is not None else FPCPolicy()
         self.base_index_bits = c.base_entries.bit_length() - 1
-        self.tagged_index_bits = c.tagged_entries.bit_length() - 1
-        self.tag_bits = tuple(c.first_tag_bits + i for i in range(c.components))
-        self.history_lengths = geometric_history_lengths(
-            c.components, c.min_history, c.max_history
-        )
+        self._hash = dvtage_slots(c)
+        self.tagged_index_bits = self._hash.index_bits
+        self.tag_bits = self._hash.tag_bits
+        self.history_lengths = self._hash.lengths
         lvt_fields, vt0_fields, tagged_fields = dvtage_bank_fields(c.npred)
         self._lvt = make_bank(c.base_entries, lvt_fields, backend=table_backend)
         self._vt0 = make_bank(c.base_entries, vt0_fields, backend=table_backend)
@@ -204,29 +219,19 @@ class BlockDVTAGE:
         # Vector reads are column slices; numpy slices are arrays, turned
         # into lists so values stay plain ints.
         self._lists = self.table_backend == "python"
-        self._hash = TaggedSlots(
-            self.history_lengths, self.tagged_index_bits, self.tag_bits,
-            c.tagged_entries,
-        )
         self._npred = c.npred
         self._stride_mask = (1 << c.stride_bits) - 1
         self._stride_sign = 1 << (c.stride_bits - 1)
         #: (key, LVT index, LVT tag) per fetch-block PC.
         self._blocks: dict[int, tuple[int, int, int]] = {}
-        #: Per LVT entry, the last byte-tag update:
-        #: (byte tags, boundaries, assignment, new tags) — the update is a
-        #: pure function of the first two, which rarely change.
-        self._tag_updates: dict[int, tuple[list, list, list, list]] = {}
+        #: The last byte-tag update per LVT entry.
+        self._tag_updates = TagMemo(c.monotonic_byte_tags)
 
     def fold_geometry(
         self,
     ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """(idx_pairs, tag_pairs) for the pipeline's folded-history set."""
-        idx = tuple(
-            (length, self.tagged_index_bits) for length in self.history_lengths
-        )
-        tag = tuple(zip(self.history_lengths, self.tag_bits))
-        return idx, tag
+        return self._hash.fold_geometry()
 
     # -- indexing ------------------------------------------------------------
 
@@ -343,17 +348,9 @@ class BlockDVTAGE:
             byte_tags = self._l_byte[lvt_base:lvt_base + n]
             if not self._lists:
                 byte_tags = byte_tags.tolist()
-            last = self._tag_updates.get(lvt_index)
-            if last is not None and last[0] == byte_tags and last[1] == boundaries:
-                assignment, new_tags = last[2], last[3]
-            else:
-                assignment, new_tags = update_tag_assignment(
-                    byte_tags, boundaries, fresh_allocation=False,
-                    monotonic=self.config.monotonic_byte_tags,
-                )
-                self._tag_updates[lvt_index] = (
-                    byte_tags, boundaries, assignment, new_tags
-                )
+            assignment, new_tags = self._tag_updates.reassign(
+                lvt_index, byte_tags, boundaries
+            )
             if new_tags != byte_tags:
                 retagged = [s for s in range(n) if new_tags[s] != byte_tags[s]]
 

@@ -131,11 +131,7 @@ class TAGEBranchPredictor:
         self,
     ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         """(idx_pairs, tag_pairs) for the pipeline's folded-history set."""
-        idx = tuple(
-            (length, self.tagged_index_bits) for length in self.history_lengths
-        )
-        tag = tuple(zip(self.history_lengths, self.tag_bits))
-        return idx, tag
+        return self._hash.fold_geometry()
 
     # -- lookups -----------------------------------------------------------
 

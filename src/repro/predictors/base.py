@@ -317,6 +317,15 @@ class TaggedSlots:
         self._hist = None
         self._halves: tuple[int, int] | None = None
 
+    def fold_geometry(
+        self,
+    ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
+        """(idx_pairs, tag_pairs) of these hashes, registered in this
+        order so :meth:`FoldLayout.component_lanes
+        <repro.common.history.FoldLayout.component_lanes>` finds them."""
+        idx = tuple((length, self.index_bits) for length in self.lengths)
+        return idx, tuple(zip(self.lengths, self.tag_bits))
+
     def _key_lanes(self, key: int) -> tuple[int, int]:
         """The key halves of every component, packed like the folds."""
         bits = self.index_bits

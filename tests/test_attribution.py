@@ -1,7 +1,11 @@
 """Unit tests for BeBoP byte-index tag attribution (paper §II-B1, Fig 2)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.bebop.attribution import (
     FREE_TAG,
+    TagMemo,
     attribute_predictions,
     update_tag_assignment,
 )
@@ -102,3 +106,33 @@ class TestUpdateAssignment:
         assignment, tags2 = update_tag_assignment(tags, [3, 7], False)
         assert tags2 == tags
         assert assignment == [1, 2]
+
+
+TAGS = st.lists(st.sampled_from([FREE_TAG, 0, 3, 7]), min_size=4, max_size=4)
+BOUNDARIES = st.lists(st.sampled_from([0, 3, 7, 9]), max_size=5)
+
+
+class TestTagMemo:
+    @settings(deadline=None, max_examples=100)
+    @given(calls=st.lists(
+        st.tuples(st.integers(0, 2), TAGS, BOUNDARIES), max_size=30
+    ))
+    def test_memo_equals_plain_functions(self, calls):
+        """Whatever the call order, a memo answers like the function."""
+        for monotonic in (True, False):
+            fetch, update = TagMemo(), TagMemo(monotonic)
+            for key, tags, boundaries in calls:
+                assert fetch.attribute(key, tags, boundaries) == (
+                    attribute_predictions(tags, boundaries)
+                )
+                assert update.reassign(key, tags, boundaries) == (
+                    update_tag_assignment(tags, boundaries, False, monotonic)
+                )
+            assert len(fetch) == len(update) == len({k for k, _, _ in calls})
+
+    def test_reuses_last_result_per_key(self):
+        memo = TagMemo()
+        first = memo.attribute("g", [0, 3], [3])
+        assert memo.attribute("g", [0, 3], [3]) is first
+        assert memo.attribute("g", [3, 0], [3]) == [0]
+        assert memo.attribute("h", [0, 3], [3]) is not first

@@ -1,6 +1,8 @@
 """Unit tests for the block-based speculative window (paper §IV)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bebop.spec_window import SpeculativeWindow, window_tag
 
@@ -143,3 +145,109 @@ class TestStorage:
     def test_infinite_storage_raises(self):
         with pytest.raises(ValueError):
             SpeculativeWindow(None).storage_bits(npred=6)
+
+
+class ListWindow:
+    """Reference model: one list in insertion order, scanned linearly.
+
+    The semantics the batched walk implemented inline before it used
+    :class:`SpeculativeWindow`: probes and (tag, seq) searches scan from
+    the most recent entry back, squashes rebuild the list.
+    """
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.entries = []           # [tag, seq, values]
+
+    def _find(self, block_pc, seq):
+        tag = window_tag(block_pc)
+        for entry in reversed(self.entries):
+            if entry[0] == tag and entry[1] == seq:
+                return entry
+        return None
+
+    def insert(self, block_pc, seq, values):
+        if self.capacity is None or self.capacity > 0:
+            self.entries.append([window_tag(block_pc), seq, list(values)])
+            if self.capacity is not None and len(self.entries) > self.capacity:
+                del self.entries[0]
+
+    def lookup_entry(self, block_pc):
+        tag = window_tag(block_pc)
+        for entry in reversed(self.entries):
+            if entry[0] == tag:
+                return entry
+        return None
+
+    def correct_entry(self, block_pc, seq, slot_values):
+        entry = self._find(block_pc, seq) if slot_values else None
+        if entry is None:
+            return False
+        for slot, value in slot_values.items():
+            if 0 <= slot < len(entry[2]):
+                entry[2][slot] = value
+        return True
+
+    def correct_slot(self, block_pc, seq, slot, value):
+        return self.correct_entry(block_pc, seq, {slot: value})
+
+    def retire(self, block_pc, seq):
+        entry = self._find(block_pc, seq)
+        if entry is not None:
+            self.entries.remove(entry)
+        return entry is not None
+
+    def squash(self, flush_seq, drop_equal=False):
+        kept = [e for e in self.entries
+                if e[1] < flush_seq or (not drop_equal and e[1] == flush_seq)]
+        dropped = len(self.entries) - len(kept)
+        self.entries = kept
+        return dropped
+
+
+#: Block PCs whose partial tags collide in pairs (the folded halves of
+#: ``block_pc >> 4`` cancel), so chains hold more than one block.
+BLOCKS = [0x40, 0x80, ((1 << 15) | 5) << 4, ((1 << 15) | 9) << 4]
+#: Few sequence numbers, so instances repeat (tag, seq) within a chain.
+SEQS = st.integers(0, 4)
+VALUES = st.lists(st.integers(0, 3), min_size=1, max_size=3)
+OPS = st.one_of(
+    st.tuples(st.just("insert"), st.sampled_from(BLOCKS), SEQS, VALUES),
+    st.tuples(st.just("lookup_entry"), st.sampled_from(BLOCKS)),
+    st.tuples(st.just("correct_slot"), st.sampled_from(BLOCKS), SEQS,
+              st.integers(0, 3), st.integers(10, 13)),
+    st.tuples(st.just("correct_entry"), st.sampled_from(BLOCKS), SEQS,
+              st.dictionaries(st.integers(0, 3), st.integers(10, 13),
+                              max_size=3)),
+    st.tuples(st.just("retire"), st.sampled_from(BLOCKS), SEQS),
+    st.tuples(st.just("squash"), SEQS, st.booleans()),
+)
+
+
+class TestAgainstListModel:
+    @pytest.mark.parametrize("capacity", [None, 0, 8, 32])
+    @settings(deadline=None, max_examples=200)
+    @given(ops=st.lists(OPS, max_size=60))
+    def test_matches_linear_scan_model(self, capacity, ops):
+        window = SpeculativeWindow(capacity)
+        model = ListWindow(capacity)
+        assert window_tag(BLOCKS[0]) == window_tag(BLOCKS[2])
+        assert window_tag(BLOCKS[1]) == window_tag(BLOCKS[3])
+        for name, *args in ops:
+            if name == "squash":
+                flush_seq, drop_equal = args
+                got = window.squash(flush_seq, drop_equal=drop_equal)
+                want = model.squash(flush_seq, drop_equal=drop_equal)
+            elif name == "lookup_entry":
+                entry = window.lookup_entry(*args)
+                got = None if entry is None else (entry.seq, entry.values)
+                want = model.lookup_entry(*args)
+                want = None if want is None else (want[1], want[2])
+            else:
+                got = getattr(window, name)(*args)
+                want = getattr(model, name)(*args)
+            assert got == want, (name, args)
+            assert len(window) == len(model.entries)
+            assert [[e.tag, e.seq, e.values] for e in window._entries] == (
+                model.entries
+            )
