@@ -8,7 +8,7 @@ times.  This package factors that shared front-end out:
 
 * :mod:`repro.batch.precompute` runs the trace once and captures the
   variant-independent per-µ-op streams (flat tuples, history epochs,
-  TAGE hash lanes, BTB miss bits) plus one D-VTAGE slot geometry per
+  TAGE slots, BTB miss bits) plus one D-VTAGE slot geometry per
   distinct geometry, both hashing through the serial predictors'
   ``TaggedSlots``;
 * :mod:`repro.batch.runner` is the fused per-variant walk: the

@@ -19,7 +19,8 @@ per-µ-op tuples, per-fetch-group metadata, and the folded-history
 state gets one epoch id and one captured ``FoldedHistoryState``).
 Both hashes are the serial predictors' own
 :class:`~repro.predictors.base.TaggedSlots`, reading each snapshot's
-packed fold registers: TAGE lanes are computed eagerly (every
+packed fold registers: TAGE slots — ``(indices, tags)`` as
+``TAGEBranchPredictor.predict`` reads them — are computed eagerly (every
 conditional branch needs them); D-VTAGE lanes on demand per (epoch,
 block key) through :class:`DVTAGESlotGeometry`, one per slot geometry.
 
@@ -201,7 +202,7 @@ def precompute_front_end(
     hists = FoldedHistorySet(
         640, 64, tage_idx + tuple(extra_idx_pairs), tage_tag + tuple(extra_tag_pairs)
     )
-    tage_lanes = tage_hash.lanes
+    tage_slots_of = tage_hash.slots
     btb = BranchTargetBuffer(table_backend="python")
     source = trace.uops
     states: list[FoldedHistoryState] = []
@@ -217,7 +218,7 @@ def precompute_front_end(
         tage = None
         if is_cond:
             pc = uop.pc
-            tage = ((pc >> 2) & bim_mask, tage_lanes(pc, states[epoch]))
+            tage = ((pc >> 2) & bim_mask, tage_slots_of(pc, states[epoch]))
         btb_miss = False
         if is_branch and taken:
             target = btb.lookup(uop.pc)

@@ -5,7 +5,7 @@
 ``bebop/predictor.BlockDVTAGE`` + ``branch/tage.TAGEBranchPredictor`` —
 specialised to the ``eole_4_60`` BeBoP configuration and fed by the
 precomputed variant-independent streams of :mod:`repro.batch.precompute`
-(per-µ-op tuples, TAGE hash lanes, BTB miss bits, D-VTAGE hash lanes per
+(per-µ-op tuples, TAGE slots, BTB miss bits, D-VTAGE hash lanes per
 slot geometry).  All instrumentation hooks of the serial path (obs
 counters, timeline recorders, CPI stacks, provenance) are stats-passive
 there and simply absent here.
@@ -21,9 +21,9 @@ here that is not paired with a parity run as wrong.
 Some pieces are not transcribed but shared with the serial path: the
 speculative window is the engine's own
 :class:`~repro.bebop.spec_window.SpeculativeWindow`, both hashes are the
-predictors' :class:`~repro.predictors.base.TaggedSlots` (read through
-their packed lanes like ``BlockDVTAGE.read``), and fetch-time
-attribution and update-time byte-tag reassignment go through the same
+predictors' :class:`~repro.predictors.base.TaggedSlots` (TAGE slots
+scanned like ``TAGEBranchPredictor.predict``, D-VTAGE lanes like
+``BlockDVTAGE.read``), and fetch-time attribution and update-time byte-tag reassignment go through the same
 :class:`~repro.bebop.attribution.TagMemo` rule.  The serial walk has the
 rest of this walk's specialisations too (DESIGN.md §11): config and
 collaborators bound to locals, statistics in locals, cheap occupancy
@@ -47,10 +47,10 @@ from collections import deque
 from heapq import heappop, heappush
 
 from repro.batch.precompute import (
+    TAGE_COMPONENTS,
     DVTAGESlotGeometry,
     FrontEnd,
     U_EPOCH,
-    tage_slots,
 )
 from repro.bebop.attribution import (
     FREE_TAG,
@@ -163,10 +163,6 @@ def run_fused_variant(
     dv_desc = geo.hash.descending
     dv_imask = geo.hash.index_mask
     dv_unpack = geo.hash.unpack
-    tage_hash = tage_slots()
-    tage_desc = tage_hash.descending
-    tage_imask = tage_hash.index_mask
-    tage_unpack = tage_hash.unpack
     # The byte-tag memos of BeBoPEngine.fetch_group (per static group)
     # and BlockDVTAGE.update (per LVT entry).
     attribution = TagMemo()
@@ -352,20 +348,20 @@ def run_fused_variant(
         else:
             dv_updates[0] = ticks
 
-    def tage_allocate(tage_lanes, provider, taken):
+    def tage_allocate(tage_slots, provider, taken):
         # TAGEBranchPredictor._allocate
+        indices, tags = tage_slots
         gen = tage_gen[0]
         candidates = []
-        scanned = tage_unpack(tage_lanes, provider)
-        for slot in scanned:
-            index = slot[0]
+        for comp in range(provider, TAGE_COMPONENTS):
+            index = indices[comp]
             if bt_ugen[index] != gen:
                 bt_useful[index] = 0
                 bt_ugen[index] = gen
             if bt_useful[index] == 0:
-                candidates.append(slot)
+                candidates.append(comp)
         if not candidates:
-            for index, _tag in scanned:
+            for index in indices[provider:]:
                 u = bt_useful[index] - 1
                 bt_useful[index] = u if u > 0 else 0
             return
@@ -385,13 +381,13 @@ def run_fused_variant(
             x ^= (x << 17) & _M64
             rng_tage[0] = x
             choice = candidates[x % len(candidates)]
-        index, tag = choice
-        bt_tag[index] = tag
+        index = indices[choice]
+        bt_tag[index] = tags[choice]
         bt_ctr[index] = 4 if taken else 3
         bt_useful[index] = 0
         bt_ugen[index] = gen
 
-    def tage_train(bim_index, tage_lanes, taken, meta):
+    def tage_train(bim_index, tage_slots, taken, meta):
         # TAGEBranchPredictor.train; meta = (provider, index, tag,
         # alt_taken, provider_weak)
         provider = meta[0]
@@ -399,7 +395,7 @@ def run_fused_variant(
             ctr = b_ctr[bim_index]
             b_ctr[bim_index] = min(3, ctr + 1) if taken else max(0, ctr - 1)
             if meta[3] != taken:
-                tage_allocate(tage_lanes, 0, taken)
+                tage_allocate(tage_slots, 0, taken)
         else:
             index = meta[1]
             if bt_tag[index] == meta[2]:
@@ -421,9 +417,9 @@ def run_fused_variant(
                     else:
                         use_alt[0] = max(0, use_alt[0] - 1)
                 if not provider_correct:
-                    tage_allocate(tage_lanes, provider, taken)
+                    tage_allocate(tage_slots, provider, taken)
             else:
-                tage_allocate(tage_lanes, provider, taken)
+                tage_allocate(tage_slots, provider, taken)
         # _tick
         ticks = tage_updates[0] + 1
         if ticks >= 262144:
@@ -818,20 +814,16 @@ def run_fused_variant(
                 while deferred_bp and deferred_bp[0][0] <= fetch_cycle:
                     db = deferred_bp.popleft()
                     tage_train(db[1], db[2], db[3], db[4])
-                # TAGEBranchPredictor.predict over precomputed lanes: the
-                # longest hit provides, the next longest is the alternate.
-                bim_index, tage_lanes = tage_pre
-                x, t = tage_lanes
+                # TAGEBranchPredictor.predict over precomputed slots.
+                bim_index, tage_slots = tage_pre
+                indices, tags = tage_slots
                 hit = alt = -1
-                for comp, base, shift, tshift, tmask in tage_desc:
-                    index = base + ((x >> shift) & tage_imask)
-                    if bt_tag[index] == (t >> tshift) & tmask:
-                        if hit >= 0:
-                            alt = index
-                            break
+                for comp in range(TAGE_COMPONENTS):
+                    index = indices[comp]
+                    if bt_tag[index] == tags[comp]:
+                        alt = hit
                         hit = index
                         hit_comp = comp
-                        hit_tag = (t >> tshift) & tmask
                 base_taken = b_ctr[bim_index] >= 2
                 if hit < 0:
                     pred_taken = base_taken
@@ -844,7 +836,7 @@ def run_fused_variant(
                         alt_taken = bt_ctr[alt] >= 4
                     else:
                         alt_taken = base_taken
-                    bmeta = (hit_comp + 1, hit, hit_tag, alt_taken, weak)
+                    bmeta = (hit_comp + 1, hit, tags[hit_comp], alt_taken, weak)
                     if weak and use_alt[0] >= 8:
                         pred_taken = alt_taken
                     else:
@@ -871,7 +863,7 @@ def run_fused_variant(
             rob_count += 1
 
             if is_cond:
-                deferred_bp.append((cc + 1, bim_index, tage_lanes, taken, bmeta))
+                deferred_bp.append((cc + 1, bim_index, tage_slots, taken, bmeta))
                 if mispredicted_branch:
                     if measuring:
                         s_branch_mispredicts += 1

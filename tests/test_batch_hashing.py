@@ -99,14 +99,13 @@ def test_dvtage_slots_match_reference(front_end):
 def test_tage_slots_match_reference(front_end):
     _configs, fe, _geos = front_end
     tage = TAGEBranchPredictor()
-    unpack = tage_slots().unpack
     branches = [u for u in fe.uops if u[U_IS_COND]]
     assert len(branches) > 100
     for uop in branches:
         pc = uop[U_PC]
-        bim_index, lanes = uop[U_TAGE]
+        bim_index, (indices, tags) = uop[U_TAGE]
         assert bim_index == (pc >> 2) & (tage.bimodal_entries - 1)
-        assert unpack(lanes) == reference_slots(
+        assert list(zip(indices, tags)) == reference_slots(
             pc, fe.states[uop[U_EPOCH]], tage.history_lengths,
             tage.tagged_index_bits, tage.tag_bits, tage.tagged_entries,
         )
