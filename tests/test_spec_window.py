@@ -1,7 +1,7 @@
 """Unit tests for the block-based speculative window (paper §IV)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.bebop.spec_window import SpeculativeWindow, window_tag
@@ -160,10 +160,11 @@ class ListWindow:
         self.entries = []           # [tag, seq, values]
 
     def _find(self, block_pc, seq):
+        """Index of the most recent (tag, seq) match, or None."""
         tag = window_tag(block_pc)
-        for entry in reversed(self.entries):
-            if entry[0] == tag and entry[1] == seq:
-                return entry
+        for i in range(len(self.entries) - 1, -1, -1):
+            if self.entries[i][0] == tag and self.entries[i][1] == seq:
+                return i
         return None
 
     def insert(self, block_pc, seq, values):
@@ -180,22 +181,23 @@ class ListWindow:
         return None
 
     def correct_entry(self, block_pc, seq, slot_values):
-        entry = self._find(block_pc, seq) if slot_values else None
-        if entry is None:
+        i = self._find(block_pc, seq) if slot_values else None
+        if i is None:
             return False
+        values = self.entries[i][2]
         for slot, value in slot_values.items():
-            if 0 <= slot < len(entry[2]):
-                entry[2][slot] = value
+            if 0 <= slot < len(values):
+                values[slot] = value
         return True
 
     def correct_slot(self, block_pc, seq, slot, value):
         return self.correct_entry(block_pc, seq, {slot: value})
 
     def retire(self, block_pc, seq):
-        entry = self._find(block_pc, seq)
-        if entry is not None:
-            self.entries.remove(entry)
-        return entry is not None
+        i = self._find(block_pc, seq)
+        if i is not None:
+            del self.entries[i]
+        return i is not None
 
     def squash(self, flush_seq, drop_equal=False):
         kept = [e for e in self.entries
@@ -228,6 +230,9 @@ class TestAgainstListModel:
     @pytest.mark.parametrize("capacity", [None, 0, 8, 32])
     @settings(deadline=None, max_examples=200)
     @given(ops=st.lists(OPS, max_size=60))
+    # Equal instances: retire drops the most recent, not the first equal.
+    @example(ops=[("insert", 0x40, 0, [0]), ("insert", 0x40, 0, [0, 0]),
+                  ("insert", 0x40, 0, [0]), ("retire", 0x40, 0)])
     def test_matches_linear_scan_model(self, capacity, ops):
         window = SpeculativeWindow(capacity)
         model = ListWindow(capacity)
