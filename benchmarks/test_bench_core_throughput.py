@@ -5,14 +5,6 @@ these time the simulation inner loop itself on the three hot configuration
 shapes of the paper: the plain baseline core, instruction-based D-VTAGE
 (Fig 5a's main subject) and the full BeBoP + EOLE stack (Fig 8 / Table 2).
 
-Each shape runs once per available :mod:`repro.common.tables` backend, so
-``BENCH_timeline.json`` records one trajectory per backend under
-``core_throughput::test_*[python]`` / ``[numpy]``.  Measured end to end
-the two backends are within run-to-run noise of each other at this scale
-(the inner loop's table accesses are scalar, where ndarray element
-indexing + int conversion roughly cancels the layout win), but the
-balance is host-dependent, so the numpy floors carry extra headroom.
-
 Each test reports the µops/sec it measured and asserts a conservative
 throughput floor (an order of magnitude below current hosts) so a
 catastrophic inner-loop regression fails loudly even without the timeline
@@ -23,10 +15,8 @@ committed trajectory (``examples/perf_guard.py``).
 
 import time
 
-import pytest
 from conftest import run_once
 
-from repro.common.tables import numpy_available, use_table_backend
 from repro.eval.runner import (
     get_trace,
     make_bebop_engine,
@@ -42,14 +32,8 @@ WORKLOAD = "gcc"
 UOPS = 60_000
 WARMUP = 20_000
 
-BACKENDS = [
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not numpy_available(), reason="numpy backend not installed")),
-]
-
 #: Conservative floors in simulated µops per wall second; current hosts do
-#: 70K+ (baseline) and 27K+ (BeBoP) on the python backend.  Only a
+#: 70K+ (baseline) and 27K+ (BeBoP).  Only a
 #: catastrophic (~10x) regression trips these — finer regressions are
 #: caught by the timeline perf guard.
 MIN_UOPS_PER_SEC = {
@@ -58,49 +42,34 @@ MIN_UOPS_PER_SEC = {
     "bebop-eole": 2_500,
 }
 
-#: ndarray scalar element access can be much slower than a plain list's
-#: on some hosts; give the numpy backend headroom rather than flake.
-NUMPY_FLOOR_FACTOR = 2
 
-
-def _floor(kind: str, backend: str) -> float:
-    floor = MIN_UOPS_PER_SEC[kind]
-    return floor / NUMPY_FLOOR_FACTOR if backend == "numpy" else floor
-
-
-def _throughput(benchmark, backend, fn, *args):
+def _throughput(benchmark, fn, *args):
     trace = get_trace(WORKLOAD, UOPS)
-    with use_table_backend(backend):
-        t0 = time.perf_counter()
-        stats = run_once(benchmark, fn, trace, *args)
-        wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    stats = run_once(benchmark, fn, trace, *args)
+    wall = time.perf_counter() - t0
     uops_per_sec = UOPS / wall
-    print(f"\n[{backend}] {UOPS} µops in {wall:.2f}s "
-          f"-> {uops_per_sec:,.0f} µops/sec")
+    print(f"\n{UOPS} µops in {wall:.2f}s -> {uops_per_sec:,.0f} µops/sec")
     return stats, uops_per_sec
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_throughput_baseline(benchmark, backend):
-    stats, ups = _throughput(benchmark, backend, run_baseline, WARMUP)
+def test_throughput_baseline(benchmark):
+    stats, ups = _throughput(benchmark, run_baseline, WARMUP)
     assert UOPS - WARMUP - 8 <= stats.uops <= UOPS - WARMUP
-    assert ups > _floor("baseline", backend)
+    assert ups > MIN_UOPS_PER_SEC["baseline"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_throughput_dvtage(benchmark, backend):
+def test_throughput_dvtage(benchmark):
     stats, ups = _throughput(
-        benchmark, backend, run_instr_vp, make_instr_predictor("d-vtage"),
-        WARMUP,
+        benchmark, run_instr_vp, make_instr_predictor("d-vtage"), WARMUP
     )
     assert UOPS - WARMUP - 8 <= stats.uops <= UOPS - WARMUP
-    assert ups > _floor("d-vtage", backend)
+    assert ups > MIN_UOPS_PER_SEC["d-vtage"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_throughput_bebop_eole(benchmark, backend):
+def test_throughput_bebop_eole(benchmark):
     stats, ups = _throughput(
-        benchmark, backend, run_bebop_eole, make_bebop_engine(), WARMUP
+        benchmark, run_bebop_eole, make_bebop_engine(), WARMUP
     )
     assert UOPS - WARMUP - 8 <= stats.uops <= UOPS - WARMUP
-    assert ups > _floor("bebop-eole", backend)
+    assert ups > MIN_UOPS_PER_SEC["bebop-eole"]

@@ -188,12 +188,6 @@ def main() -> int:
                              "coordinator (--dist-workers); a lease whose "
                              "worker stops heartbeating for this long is "
                              "re-queued (default 30)")
-    parser.add_argument("--table-backend", default=None,
-                        choices=("python", "numpy"),
-                        help="predictor table storage backend (default: "
-                             "$REPRO_TABLE_BACKEND or python); results are "
-                             "bit-identical either way, so cached cells "
-                             "computed on one backend satisfy the other")
     args = parser.parse_args()
     if args.obs_out or args.timeline or args.metrics_out or args.bank_telemetry:
         args.obs = True
@@ -206,17 +200,6 @@ def main() -> int:
         parser.error(str(exc))
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
-
-    if args.table_backend:
-        from repro.common.tables import set_table_backend
-        try:
-            # Spec builders resolve the global default, so this one call
-            # routes every cell of the run (local or remote) through the
-            # requested backend.
-            set_table_backend(args.table_backend)
-        except ValueError as exc:
-            parser.error(str(exc))
-        print(f"[exec] table backend: {args.table_backend}")
 
     if args.obs:
         obs.enable()

@@ -14,8 +14,8 @@ times.  This package factors that shared front-end out:
 * :mod:`repro.batch.runner` is the fused per-variant walk: the
   pipeline/engine/predictor inner loop specialised to the EOLE_4_60
   BeBoP configuration, consuming the precomputed streams and keeping
-  its table state in per-variant views of variant-stacked
-  :class:`~repro.common.tables.TableBank` storage;
+  its table state in each variant's own
+  :class:`~repro.common.tables.TableBank` columns;
 * :mod:`repro.batch.dispatch` groups batchable
   :class:`~repro.exec.jobs.JobSpec` cells by shared front-end key and
   runs each group in one pass, unstacking per-variant

@@ -11,10 +11,8 @@ as one call to :func:`run_batched_group`:
    folded-history registration unioned over every variant's D-VTAGE
    geometry (a fold is a pure function of the history, so the union is
    bit-identity-safe);
-2. per-variant table state is allocated as variant-stacked banks
-   (``make_bank(..., variants=N)``) — variants sharing a D-VTAGE bank
-   shape share a stack, TAGE always shares one stack — and each variant
-   gets its storage-sharing ``view``;
+2. each variant gets fresh table state: its own D-VTAGE and TAGE
+   :class:`~repro.common.tables.TableBank` columns;
 3. :func:`repro.batch.runner.run_fused_variant` walks each variant over
    the shared streams, hashing through one
    :class:`~repro.batch.precompute.DVTAGESlotGeometry` per distinct
@@ -24,12 +22,6 @@ Results come back in spec order, bit-identical to ``run_job`` per the
 parity suite, so the scheduler unstacks them into the existing cache
 cells (JobSpec digests are untouched — the batch is an execution
 strategy, not a new cell shape).
-
-The walk pins ``backend="python"`` for its internal table state: the
-backends are bit-identical by contract (hypothesis state-parity +
-golden suite) and digests exclude the backend, so a numpy-backend spec
-may be satisfied by a python-state walk — ``REPRO_TABLE_BACKEND=numpy``
-parity runs in CI keep that honest.
 """
 
 from __future__ import annotations
@@ -50,7 +42,7 @@ from repro.bebop.predictor import (
 )
 from repro.bebop.recovery import RecoveryPolicy
 from repro.branch.tage import BIMODAL_FIELDS, TAGGED_FIELDS
-from repro.common.tables import make_bank
+from repro.common.tables import TableBank
 from repro.eval.runner import get_trace
 from repro.pipeline.stats import SimStats
 
@@ -79,72 +71,38 @@ def batchable_groups(specs) -> dict[tuple, list[int]]:
 
 
 def build_variant_tables(variants) -> list[dict[str, list[int]]]:
-    """Variant-stacked table state for a batch; one cols dict per variant.
+    """Fresh table state for a batch; one cols dict per variant.
 
     ``variants`` is a list of ``(BlockDVTAGEConfig, window, policy)``;
-    D-VTAGE stacks are allocated per distinct bank shape, the TAGE stack
-    spans all variants (its shape is fixed).
+    each variant gets its own D-VTAGE and TAGE banks.
     """
-    shape_members: dict[tuple, list[int]] = {}
-    for v, (config, _window, _policy) in enumerate(variants):
-        shape = (
-            config.npred,
-            config.base_entries,
-            config.tagged_entries,
-            config.components,
+    tables = []
+    for config, _window, _policy in variants:
+        lvt_fields, vt0_fields, tagged_fields = dvtage_bank_fields(config.npred)
+        lvt = TableBank(config.base_entries, lvt_fields)
+        vt0 = TableBank(config.base_entries, vt0_fields)
+        tagged = TableBank(
+            config.components * config.tagged_entries, tagged_fields
         )
-        shape_members.setdefault(shape, []).append(v)
-    tables: list[dict[str, list[int]] | None] = [None] * len(variants)
-    for (npred, base_entries, tagged_entries, components), members in (
-        shape_members.items()
-    ):
-        lvt_fields, vt0_fields, tagged_fields = dvtage_bank_fields(npred)
-        lvt = make_bank(
-            base_entries, lvt_fields, backend="python", variants=len(members)
-        )
-        vt0 = make_bank(
-            base_entries, vt0_fields, backend="python", variants=len(members)
-        )
-        tagged = make_bank(
-            components * tagged_entries,
-            tagged_fields,
-            backend="python",
-            variants=len(members),
-        )
-        for slot, v in enumerate(members):
-            lvt_view = lvt.view(slot)
-            vt0_view = vt0.view(slot)
-            tagged_view = tagged.view(slot)
-            tables[v] = {
-                "l_tag": lvt_view.col("tag"),
-                "l_last": lvt_view.col("last"),
-                "l_byte": lvt_view.col("byte_tags"),
-                "v_strides": vt0_view.col("strides"),
-                "v_conf": vt0_view.col("conf"),
-                "t_tag": tagged_view.col("tag"),
-                "t_strides": tagged_view.col("strides"),
-                "t_conf": tagged_view.col("conf"),
-                "t_useful": tagged_view.col("useful"),
-                "t_ugen": tagged_view.col("useful_gen"),
-            }
-    bimodal = make_bank(
-        4096, BIMODAL_FIELDS, backend="python", variants=len(variants)
-    )
-    tage = make_bank(
-        12 * 1024, TAGGED_FIELDS, backend="python", variants=len(variants)
-    )
-    for v in range(len(variants)):
-        bim_view = bimodal.view(v)
-        tage_view = tage.view(v)
-        tables[v].update(
-            {
-                "b_ctr": bim_view.col("ctr"),
-                "bt_tag": tage_view.col("tag"),
-                "bt_ctr": tage_view.col("ctr"),
-                "bt_useful": tage_view.col("useful"),
-                "bt_ugen": tage_view.col("useful_gen"),
-            }
-        )
+        bimodal = TableBank(4096, BIMODAL_FIELDS)
+        tage = TableBank(12 * 1024, TAGGED_FIELDS)
+        tables.append({
+            "l_tag": lvt.col("tag"),
+            "l_last": lvt.col("last"),
+            "l_byte": lvt.col("byte_tags"),
+            "v_strides": vt0.col("strides"),
+            "v_conf": vt0.col("conf"),
+            "t_tag": tagged.col("tag"),
+            "t_strides": tagged.col("strides"),
+            "t_conf": tagged.col("conf"),
+            "t_useful": tagged.col("useful"),
+            "t_ugen": tagged.col("useful_gen"),
+            "b_ctr": bimodal.col("ctr"),
+            "bt_tag": tage.col("tag"),
+            "bt_ctr": tage.col("ctr"),
+            "bt_useful": tage.col("useful"),
+            "bt_ugen": tage.col("useful_gen"),
+        })
     return tables
 
 

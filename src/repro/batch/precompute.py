@@ -203,7 +203,7 @@ def precompute_front_end(
         640, 64, tage_idx + tuple(extra_idx_pairs), tage_tag + tuple(extra_tag_pairs)
     )
     tage_slots_of = tage_hash.slots
-    btb = BranchTargetBuffer(table_backend="python")
+    btb = BranchTargetBuffer()
     source = trace.uops
     states: list[FoldedHistoryState] = []
     uops: list[tuple] = []

@@ -33,12 +33,8 @@ to this walk is the front end precomputed once and shared by every
 variant, the ``eole_4_60`` constants folded in, and the engine and
 predictor update inlined with pending blocks as plain lists.
 
-Table state arrives as plain-python column lists — per-variant views of
-variant-stacked ``TableBank`` storage (``make_bank(..., variants=N)``)
-built by :mod:`repro.batch.dispatch`.  The walk pins the python backend
-for its internal state regardless of ``REPRO_TABLE_BACKEND``: backends
-are bit-identical by contract and JobSpec digests exclude the backend,
-so results remain valid for either cache cell.
+Table state arrives as the column lists of each variant's own
+``TableBank`` banks, built by :mod:`repro.batch.dispatch`.
 """
 
 from __future__ import annotations

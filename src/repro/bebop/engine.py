@@ -90,9 +90,6 @@ class BeBoPEngine:
     ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         return self.predictor.fold_geometry()
 
-    def storage_backend(self) -> str:
-        return self.predictor.table_backend
-
     def table_banks(self) -> tuple[dict, ...]:
         """Bank descriptions for :class:`repro.obs.BankTelemetry` — the
         pipeline attaches these when a run carries a ``banks`` collector."""

@@ -38,7 +38,7 @@ from repro.common.errors import (
     require_positive,
     require_power_of_two,
 )
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.predictors.base import HistoryState, TaggedSlots, table_index
 from repro.predictors.confidence import FPCPolicy
 from repro.predictors.vtage import geometric_history_lengths
@@ -185,7 +185,6 @@ class BlockDVTAGE:
         config: BlockDVTAGEConfig | None = None,
         fpc: FPCPolicy | None = None,
         seed: int = 0xBEB0,
-        table_backend: str | None = None,
     ) -> None:
         self.config = config if config is not None else BlockDVTAGEConfig()
         c = self.config
@@ -196,13 +195,9 @@ class BlockDVTAGE:
         self.tag_bits = self._hash.tag_bits
         self.history_lengths = self._hash.lengths
         lvt_fields, vt0_fields, tagged_fields = dvtage_bank_fields(c.npred)
-        self._lvt = make_bank(c.base_entries, lvt_fields, backend=table_backend)
-        self._vt0 = make_bank(c.base_entries, vt0_fields, backend=table_backend)
-        self._tagged = make_bank(
-            c.components * c.tagged_entries, tagged_fields,
-            backend=table_backend,
-        )
-        self.table_backend = self._lvt.backend
+        self._lvt = TableBank(c.base_entries, lvt_fields)
+        self._vt0 = TableBank(c.base_entries, vt0_fields)
+        self._tagged = TableBank(c.components * c.tagged_entries, tagged_fields)
         self._l_tag = self._lvt.col("tag")
         self._l_last = self._lvt.col("last")
         self._l_byte = self._lvt.col("byte_tags")
@@ -216,9 +211,6 @@ class BlockDVTAGE:
         self._rng = XorShift64(seed)
         self._updates_since_reset = 0
         self._useful_gen = 0
-        # Vector reads are column slices; numpy slices are arrays, turned
-        # into lists so values stay plain ints.
-        self._lists = self.table_backend == "python"
         self._npred = c.npred
         self._stride_mask = (1 << c.stride_bits) - 1
         self._stride_sign = 1 << (c.stride_bits - 1)
@@ -267,7 +259,7 @@ class BlockDVTAGE:
                 hit = index
                 provider = comp + 1
                 provider_tag = (t >> tshift) & tmask
-        lvt_hit = bool(self._l_tag[lvt_index] == lvt_tag)
+        lvt_hit = self._l_tag[lvt_index] == lvt_tag
         n = self._npred
         lb = lvt_index * n
         last = self._l_last[lb:lb + n]
@@ -285,11 +277,6 @@ class BlockDVTAGE:
             strides = self._v_strides[lb:lb + n]
             conf = self._v_conf[lb:lb + n]
             alt_strides = strides[:]
-        if not self._lists:
-            # numpy columns slice to arrays; the readout holds plain ints.
-            last, byte_tags, strides, conf, alt_strides = (
-                v.tolist() for v in (last, byte_tags, strides, conf, alt_strides)
-            )
         if not lvt_hit:
             last = [0] * n
             byte_tags = [FREE_TAG] * n
@@ -337,7 +324,7 @@ class BlockDVTAGE:
         lvt_index = readout.lvt_index
         lvt_tag = readout.lvt_tag
         lvt_base = lvt_index * n
-        fresh = bool(self._l_tag[lvt_index] != lvt_tag)
+        fresh = self._l_tag[lvt_index] != lvt_tag
         boundaries = [boundary for boundary, _ in retired]
         retagged = ()
         if fresh:
@@ -346,8 +333,6 @@ class BlockDVTAGE:
             )
         else:
             byte_tags = self._l_byte[lvt_base:lvt_base + n]
-            if not self._lists:
-                byte_tags = byte_tags.tolist()
             assignment, new_tags = self._tag_updates.reassign(
                 lvt_index, byte_tags, boundaries
             )
@@ -361,9 +346,7 @@ class BlockDVTAGE:
             provider_live = True
             p_strides, p_conf = self._v_strides, self._v_conf
         else:
-            provider_live = bool(
-                self._t_tag[provider_index] == readout.provider_tag
-            )
+            provider_live = self._t_tag[provider_index] == readout.provider_tag
             p_strides, p_conf = self._t_strides, self._t_conf
         p_base = provider_index * n
 
@@ -403,9 +386,9 @@ class BlockDVTAGE:
                         # The slot now belongs to a different
                         # instruction: retrain.
                         p_conf[pi] = 0
-                        p_strides[pi] = (actual - int(l_last[li])) & smask
+                        p_strides[pi] = (actual - l_last[li]) & smask
                     else:
-                        level = int(p_conf[pi])
+                        level = p_conf[pi]
                         if level < max_level:
                             threshold = thresholds[level]
                             if threshold is None or (
@@ -415,7 +398,7 @@ class BlockDVTAGE:
             else:
                 any_wrong = True
                 # _truncate(actual - prev_last), inline.
-                stride = (actual - int(l_last[li])) & smask
+                stride = (actual - l_last[li]) & smask
                 wrong.append((slot, stride))
                 if provider_live:
                     p_conf[p_base + slot] = 0

@@ -13,7 +13,7 @@ each set (MRU in the highest occupied slot), plus a per-set occupancy bank.
 
 from __future__ import annotations
 
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError
 
 WAY_FIELDS = (
@@ -29,9 +29,7 @@ SET_FIELDS = (
 class BranchTargetBuffer:
     """2-way set-associative BTB, 8K entries by default (Table I)."""
 
-    def __init__(
-        self, entries: int = 8192, ways: int = 2, table_backend: str | None = None
-    ) -> None:
+    def __init__(self, entries: int = 8192, ways: int = 2) -> None:
         violations: list[str] = []
         if entries <= 0:
             violations.append(f"entries must be positive, got {entries}")
@@ -51,9 +49,8 @@ class BranchTargetBuffer:
         self.ways = ways
         self.sets = sets
         self._index_mask = sets - 1
-        self._ways = make_bank(sets * ways, WAY_FIELDS, backend=table_backend)
-        self._sets = make_bank(sets, SET_FIELDS, backend=table_backend)
-        self.table_backend = self._ways.backend
+        self._ways = TableBank(sets * ways, WAY_FIELDS)
+        self._sets = TableBank(sets, SET_FIELDS)
         self._tag = self._ways.col("tag")
         self._target = self._ways.col("target")
         self._count = self._sets.col("count")
@@ -79,11 +76,11 @@ class BranchTargetBuffer:
         """Predicted target of the branch at ``pc``, or None on miss."""
         set_index, tag = self._set_and_tag(pc)
         base = set_index * self.ways
-        count = int(self._count[set_index])
+        count = self._count[set_index]
         tag_col = self._tag
         for i in range(count):
             if tag_col[base + i] == tag:
-                target = int(self._target[base + i])
+                target = self._target[base + i]
                 self._bump_to_mru(base, i, count)
                 self.hits += 1
                 return target
@@ -94,7 +91,7 @@ class BranchTargetBuffer:
         """Record the resolved target of a taken branch."""
         set_index, tag = self._set_and_tag(pc)
         base = set_index * self.ways
-        count = int(self._count[set_index])
+        count = self._count[set_index]
         tag_col = self._tag
         for i in range(count):
             if tag_col[base + i] == tag:

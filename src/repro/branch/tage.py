@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.common.bits import mask
 from repro.common.rng import XorShift64
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import HistoryState, TaggedSlots
 from repro.predictors.vtage import geometric_history_lengths
@@ -84,7 +84,6 @@ class TAGEBranchPredictor:
         max_history: int = 640,
         useful_reset_period: int = 262144,
         seed: int = 0x7A63,
-        table_backend: str | None = None,
     ) -> None:
         self.bimodal_entries = bimodal_entries
         self.tagged_entries = tagged_entries
@@ -104,13 +103,8 @@ class TAGEBranchPredictor:
         self.history_lengths = geometric_history_lengths(
             components, min_history, max_history
         )
-        self._bimodal = make_bank(
-            bimodal_entries, BIMODAL_FIELDS, backend=table_backend
-        )
-        self._tagged = make_bank(
-            components * tagged_entries, TAGGED_FIELDS, backend=table_backend
-        )
-        self.table_backend = self._bimodal.backend
+        self._bimodal = TableBank(bimodal_entries, BIMODAL_FIELDS)
+        self._tagged = TableBank(components * tagged_entries, TAGGED_FIELDS)
         self._b_ctr = self._bimodal.col("ctr")
         self._t_tag = self._tagged.col("tag")
         self._t_ctr = self._tagged.col("ctr")
@@ -150,15 +144,15 @@ class TAGEBranchPredictor:
             if t_tag[indices[comp]] == tags[comp]:
                 alt = hit
                 hit = comp
-        base_taken = bool(self._b_ctr[(pc >> 2) & self._bimodal_mask] >= 2)
+        base_taken = self._b_ctr[(pc >> 2) & self._bimodal_mask] >= 2
         if hit < 0:
             return base_taken, _BranchMeta(0, 0, 0, base_taken, False, slots)
         index = indices[hit]
-        ctr = int(self._t_ctr[index])
+        ctr = self._t_ctr[index]
         taken = ctr >= 4
         weak = ctr == 3 or ctr == 4
         if alt >= 0:
-            alt_taken = bool(self._t_ctr[indices[alt]] >= 4)
+            alt_taken = self._t_ctr[indices[alt]] >= 4
         else:
             alt_taken = base_taken
         meta = _BranchMeta(hit + 1, index, tags[hit], alt_taken, weak, slots)
@@ -180,7 +174,7 @@ class TAGEBranchPredictor:
         provider = meta.provider
         if provider == 0:
             index = self._bimodal_index(pc)
-            ctr = int(self._b_ctr[index])
+            ctr = self._b_ctr[index]
             self._b_ctr[index] = min(3, ctr + 1) if taken else max(0, ctr - 1)
             if meta.alt_taken != taken:
                 self._allocate(slots, 0, taken)
@@ -189,7 +183,7 @@ class TAGEBranchPredictor:
         index = meta.index
         t_useful = self._t_useful
         if self._t_tag[index] == meta.tag:
-            ctr = int(self._t_ctr[index])
+            ctr = self._t_ctr[index]
             provider_taken = ctr >= 4
             provider_correct = provider_taken == taken
             self._t_ctr[index] = min(7, ctr + 1) if taken else max(0, ctr - 1)
@@ -197,9 +191,9 @@ class TAGEBranchPredictor:
                 t_useful[index] = 0
                 self._t_ugen[index] = self._useful_gen
             if provider_correct and meta.alt_taken != provider_taken:
-                t_useful[index] = min(3, int(t_useful[index]) + 1)
+                t_useful[index] = min(3, t_useful[index] + 1)
             elif not provider_correct:
-                t_useful[index] = max(0, int(t_useful[index]) - 1)
+                t_useful[index] = max(0, t_useful[index] - 1)
             if meta.provider_weak and meta.alt_taken != provider_taken:
                 # Track whether trusting the alternate over weak providers
                 # pays off.
@@ -231,7 +225,7 @@ class TAGEBranchPredictor:
         if not candidates:
             # Every slot was normalized to the current generation above.
             for index in indices[provider:]:
-                t_useful[index] = max(0, int(t_useful[index]) - 1)
+                t_useful[index] = max(0, t_useful[index] - 1)
             return
         # Bias allocation toward shorter histories (classic TAGE heuristic):
         # pick the first candidate with probability 1/2, else uniformly.

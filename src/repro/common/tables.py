@@ -1,4 +1,4 @@
-"""Struct-of-arrays predictor table storage behind one backend API.
+"""Struct-of-arrays predictor table storage.
 
 Every SRAM-like structure in the simulator — VTAGE/D-VTAGE components,
 the LVT, TAGE banks, the BTB, BeBoP's block tables — is a *bank*: a
@@ -8,59 +8,28 @@ a Python object means every probe pays attribute lookups and every
 bank is a spray of heap objects; a bank is really a handful of
 parallel columns.
 
-:class:`TableBank` is that columnar contract.  A bank is declared as a
-tuple of :class:`Field` specs and read/written through flat columns:
+:class:`TableBank` is that columnar store.  A bank is declared as a
+tuple of :class:`Field` specs and holds one plain Python list per
+field; ``col(name)`` returns that list.  Its identity is stable for
+the bank's lifetime, so hot paths cache these references once in
+``__init__`` and index them directly.  Vector fields (``width > 1``)
+are stored flat; callers address ``entry * width + lane``.
 
-* ``col(name)`` returns the column as an indexable, mutable sequence
-  whose identity is stable for the bank's lifetime — hot paths cache
-  these references once in ``__init__`` and index them directly.
-  Vector fields (``width > 1``) are stored flat; callers address
-  ``entry * width + lane``.
-* ``read``/``write``/``read_vec``/``write_vec``/``probe`` are the
-  convenience ops for cold paths and tests; ``bulk_reset`` and
-  ``fill`` restore defaults without rebinding columns.
-
-Two interchangeable backends ship:
-
-* ``python`` (default): one plain Python list per column.  Zero
-  dependencies; this is the fast path for scalar element access.
-* ``numpy``: one ``int64``/``uint64`` ndarray per column — the layout
-  batched simulation needs.  Optional (``pip install repro[numpy]``).
-
-Both backends are bit-identical by construction: the golden-stats
-suite runs on each, and a hypothesis property test drives random op
-sequences against both and compares full state.  Value conventions
-that make that possible on fixed-width arrays:
+Value conventions:
 
 * signed fields (the default) hold values in ``[-2**63, 2**63)`` —
   tags use ``-1`` as the empty sentinel;
 * ``unsigned`` fields hold values in ``[0, 2**64)`` — 64-bit data
-  values and strides are stored pre-masked (``to_unsigned``);
-* everything returned by ``read``/``read_vec`` is a plain ``int``, so
-  values never leak numpy scalars into stats, JSON, or cache blobs.
-
-The active backend is process-global (``set_table_backend``), defaults
-to ``$REPRO_TABLE_BACKEND`` or ``python``, and can be scoped with the
-``use_table_backend`` context manager; any component can also pin one
-explicitly via its ``table_backend=`` constructor argument.
+  values and strides are stored pre-masked (``to_unsigned``).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 _I64_MIN = -(1 << 63)
 _I64_MAX = (1 << 63) - 1
 _U64_MAX = (1 << 64) - 1
-
-#: Backend names the config surface accepts, whether or not importable
-#: here — a python-only client may submit a numpy-backend job to a
-#: server that has the extra installed.
-KNOWN_BACKENDS = ("python", "numpy")
-
-_INSTALL_HINT = "install it with: pip install repro[numpy] (or pip install numpy)"
 
 
 class Field(NamedTuple):
@@ -79,7 +48,6 @@ class Field(NamedTuple):
 
 
 def _validate_layout(entries: int, fields: Sequence[Field]) -> tuple[Field, ...]:
-    """Shared entry/field validation for flat and variant-stacked banks."""
     if entries <= 0:
         raise ValueError(f"bank needs a positive entry count, got {entries}")
     fields = tuple(fields)
@@ -103,423 +71,29 @@ def _validate_layout(entries: int, fields: Sequence[Field]) -> tuple[Field, ...]
 
 
 class TableBank:
-    """Abstract struct-of-arrays bank; see module docstring for the API."""
-
-    backend = "abstract"
-
-    #: Flat banks carry no variant axis; :class:`StackedTableBank` overrides.
-    variants: int | None = None
+    """``entries`` entries of ``fields``, one plain list per field."""
 
     def __init__(self, entries: int, fields: Sequence[Field]) -> None:
         self.entries = entries
         self.fields = _validate_layout(entries, fields)
-        self._by_name = {field.name: field for field in self.fields}
-
-    def field(self, name: str) -> Field:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValueError(
-                f"bank has no field {name!r}; fields: "
-                + ", ".join(self._by_name)
-            ) from None
-
-    # -- hot-path access -----------------------------------------------------
-
-    def col(self, name: str):
-        """The flat column for ``name``: indexable, mutable, stable identity.
-
-        Mutations through the returned object are the bank's state; the
-        bank never rebinds a column, so cached references stay valid
-        across ``bulk_reset``/``fill``.
-        """
-        raise NotImplementedError
-
-    # -- convenience ops -----------------------------------------------------
-
-    def read(self, name: str, index: int) -> int:
-        """Scalar field value at ``index`` as a plain ``int``."""
-        field = self.field(name)
-        if field.width != 1:
-            raise ValueError(f"field {name!r} is a vector; use read_vec")
-        return int(self.col(name)[index])
-
-    def write(self, name: str, index: int, value: int) -> None:
-        field = self.field(name)
-        if field.width != 1:
-            raise ValueError(f"field {name!r} is a vector; use write_vec")
-        self.col(name)[index] = value
-
-    def read_vec(self, name: str, index: int) -> list[int]:
-        """All lanes of vector field ``name`` at entry ``index`` (a copy)."""
-        field = self.field(name)
-        base = index * field.width
-        col = self.col(name)
-        return [int(col[base + lane]) for lane in range(field.width)]
-
-    def write_vec(self, name: str, index: int, values: Sequence[int]) -> None:
-        field = self.field(name)
-        if len(values) != field.width:
-            raise ValueError(
-                f"field {name!r} has width {field.width}, got {len(values)} values"
-            )
-        base = index * field.width
-        col = self.col(name)
-        for lane, value in enumerate(values):
-            col[base + lane] = value
-
-    def probe(self, name: str, index: int, expected: int) -> bool:
-        """Tag-match check: does scalar field ``name`` at ``index`` equal
-        ``expected``?"""
-        field = self.field(name)
-        if field.width != 1:
-            raise ValueError(f"field {name!r} is a vector; probe is scalar")
-        return bool(self.col(name)[index] == expected)
-
-    def fill(self, name: str, value: int) -> None:
-        """Set every lane of ``name`` to ``value``, in place."""
-        raise NotImplementedError
-
-    def bulk_reset(self) -> None:
-        """Restore every field to its declared default, in place."""
-        for field in self.fields:
-            self.fill(field.name, field.default)
-
-    # -- introspection -------------------------------------------------------
-
-    def dump(self) -> dict[str, list[int]]:
-        """Full state as plain-int lists (tests / state comparison)."""
-        out: dict[str, list[int]] = {}
-        for field in self.fields:
-            col = self.col(field.name)
-            out[field.name] = [int(col[i]) for i in range(self.entries * field.width)]
-        return out
-
-
-class PythonTableBank(TableBank):
-    """Parallel plain Python lists — the zero-dependency default."""
-
-    backend = "python"
-
-    def __init__(self, entries: int, fields: Sequence[Field]) -> None:
-        super().__init__(entries, fields)
         self._cols = {
             field.name: [field.default] * (entries * field.width)
             for field in self.fields
         }
 
     def col(self, name: str) -> list[int]:
-        try:
-            return self._cols[name]
-        except KeyError:
-            self.field(name)  # raises the informative ValueError
-            raise
+        """The flat column for ``name``: mutable, stable identity.
 
-    def fill(self, name: str, value: int) -> None:
-        col = self.col(name)
-        col[:] = [value] * len(col)
-
-
-_np = None
-
-
-def _require_numpy():
-    global _np
-    if _np is None:
-        try:
-            import numpy
-        except ImportError as exc:  # pragma: no cover - environment dependent
-            raise ValueError(
-                f"table backend 'numpy' requires numpy; {_INSTALL_HINT}"
-            ) from exc
-        _np = numpy
-    return _np
-
-
-def numpy_available() -> bool:
-    try:
-        _require_numpy()
-    except ValueError:
-        return False
-    return True
-
-
-class NumpyTableBank(TableBank):
-    """One ``int64``/``uint64`` ndarray per column.
-
-    Unsigned fields use ``uint64`` (callers store 64-bit data values
-    pre-masked); signed fields use ``int64`` so ``-1`` tag sentinels
-    work.  ``read``/``read_vec`` return plain ints, so numpy scalars
-    never escape into stats or JSON.
-    """
-
-    backend = "numpy"
-
-    def __init__(self, entries: int, fields: Sequence[Field]) -> None:
-        np = _require_numpy()
-        super().__init__(entries, fields)
-        self._cols = {}
-        for field in self.fields:
-            dtype = np.uint64 if field.unsigned else np.int64
-            self._cols[field.name] = np.full(
-                entries * field.width, field.default, dtype=dtype
-            )
-
-    def col(self, name: str):
-        try:
-            return self._cols[name]
-        except KeyError:
-            self.field(name)  # raises the informative ValueError
-            raise
-
-    def fill(self, name: str, value: int) -> None:
-        self.col(name)[:] = value
-
-    def dump(self) -> dict[str, list[int]]:
-        """Full state as plain-int lists.
-
-        ``ndarray.tolist()`` converts to builtin ``int`` per element by
-        construction — regression-tested, since a ``np.uint64`` leaking
-        out of a dump poisons JSON export and cross-backend state
-        comparison.
+        Mutations through the returned list are the bank's state; the
+        bank never rebinds a column, so cached references stay valid.
         """
-        return {
-            field.name: self.col(field.name).tolist() for field in self.fields
-        }
-
-
-class StackedTableBank:
-    """``variants`` independent same-shape banks on a leading variant axis.
-
-    Batched sweeps run N predictor variants over one trace; when the
-    variants share a bank shape their table state lives in one stacked
-    bank so vectorized code can touch all variants per column at once.
-
-    * ``view(v)`` returns variant ``v`` as a real :class:`TableBank`
-      *sharing storage* with the stack — the scalar path runs on views
-      unchanged, which is what makes batched-vs-serial parity checkable.
-    * ``col(name)`` returns the stacked column: a tuple of per-variant
-      flat lists (python backend) or one ``(variants, entries * width)``
-      ndarray (numpy backend) whose row ``v`` aliases ``view(v)``'s
-      column.
-    * ``dump()`` returns one plain-int dict per variant (JSON-safe).
-
-    The python implementation is a loop of ordinary
-    :class:`PythonTableBank` instances and stays authoritative; the
-    numpy one must match it bit for bit.
-    """
-
-    backend = "abstract"
-
-    def __init__(self, variants: int, entries: int, fields: Sequence[Field]) -> None:
-        if variants <= 0:
-            raise ValueError(f"stacked bank needs variants >= 1, got {variants}")
-        self.variants = variants
-        self.entries = entries
-        self.fields = _validate_layout(entries, fields)
-        self._by_name = {field.name: field for field in self.fields}
-
-    def field(self, name: str) -> Field:
         try:
-            return self._by_name[name]
+            return self._cols[name]
         except KeyError:
             raise ValueError(
-                f"bank has no field {name!r}; fields: "
-                + ", ".join(self._by_name)
+                f"bank has no field {name!r}; fields: " + ", ".join(self._cols)
             ) from None
 
-    def view(self, variant: int) -> TableBank:
-        """Variant ``variant`` as a storage-sharing :class:`TableBank`."""
-        raise NotImplementedError
-
-    def views(self) -> tuple[TableBank, ...]:
-        return tuple(self.view(v) for v in range(self.variants))
-
-    def col(self, name: str):
-        """The stacked column for ``name`` (variant-major)."""
-        raise NotImplementedError
-
-    # -- convenience ops (delegate to the per-variant views) -----------------
-
-    def read(self, variant: int, name: str, index: int) -> int:
-        return self.view(variant).read(name, index)
-
-    def write(self, variant: int, name: str, index: int, value: int) -> None:
-        self.view(variant).write(name, index, value)
-
-    def read_vec(self, variant: int, name: str, index: int) -> list[int]:
-        return self.view(variant).read_vec(name, index)
-
-    def write_vec(
-        self, variant: int, name: str, index: int, values: Sequence[int]
-    ) -> None:
-        self.view(variant).write_vec(name, index, values)
-
-    def probe(self, variant: int, name: str, index: int, expected: int) -> bool:
-        return self.view(variant).probe(name, index, expected)
-
-    def fill(self, name: str, value: int) -> None:
-        for v in range(self.variants):
-            self.view(v).fill(name, value)
-
-    def bulk_reset(self) -> None:
-        for field in self.fields:
-            self.fill(field.name, field.default)
-
-    def dump(self) -> list[dict[str, list[int]]]:
-        """Per-variant full state as plain-int lists (JSON-export safe)."""
-        return [self.view(v).dump() for v in range(self.variants)]
-
-
-class StackedPythonTableBank(StackedTableBank):
-    """Loop-of-banks reference implementation: one
-    :class:`PythonTableBank` per variant, stacked columns are tuples of
-    the underlying lists."""
-
-    backend = "python"
-
-    def __init__(self, variants: int, entries: int, fields: Sequence[Field]) -> None:
-        super().__init__(variants, entries, fields)
-        self._banks = tuple(
-            PythonTableBank(entries, self.fields) for _ in range(variants)
-        )
-        self._cols = {
-            field.name: tuple(bank.col(field.name) for bank in self._banks)
-            for field in self.fields
-        }
-
-    def view(self, variant: int) -> PythonTableBank:
-        return self._banks[variant]
-
-    def col(self, name: str) -> tuple[list[int], ...]:
-        try:
-            return self._cols[name]
-        except KeyError:
-            self.field(name)  # raises the informative ValueError
-            raise
-
-
-class _NumpyBankView(NumpyTableBank):
-    """A :class:`NumpyTableBank` whose columns alias one variant row of a
-    :class:`StackedNumpyTableBank` — writes go through to the stack."""
-
-    def __init__(self, entries: int, fields: Sequence[Field], cols) -> None:
-        TableBank.__init__(self, entries, fields)
-        self._cols = cols
-
-
-class StackedNumpyTableBank(StackedTableBank):
-    """One ``(variants, entries * width)`` ndarray per column.
-
-    Row ``v`` of each column is variant ``v``'s flat column; ``view(v)``
-    wraps those rows in a :class:`NumpyTableBank`-compatible view, so
-    scalar code and vector expressions mutate the same storage.
-    """
-
-    backend = "numpy"
-
-    def __init__(self, variants: int, entries: int, fields: Sequence[Field]) -> None:
-        np = _require_numpy()
-        super().__init__(variants, entries, fields)
-        self._cols = {}
-        for field in self.fields:
-            dtype = np.uint64 if field.unsigned else np.int64
-            self._cols[field.name] = np.full(
-                (variants, entries * field.width), field.default, dtype=dtype
-            )
-        self._views = tuple(
-            _NumpyBankView(
-                entries,
-                self.fields,
-                {name: arr[v] for name, arr in self._cols.items()},
-            )
-            for v in range(variants)
-        )
-
-    def view(self, variant: int) -> NumpyTableBank:
-        return self._views[variant]
-
-    def col(self, name: str):
-        try:
-            return self._cols[name]
-        except KeyError:
-            self.field(name)  # raises the informative ValueError
-            raise
-
-
-_BACKENDS: dict[str, type[TableBank]] = {
-    "python": PythonTableBank,
-    "numpy": NumpyTableBank,
-}
-
-_STACKED_BACKENDS: dict[str, type[StackedTableBank]] = {
-    "python": StackedPythonTableBank,
-    "numpy": StackedNumpyTableBank,
-}
-
-_default_backend: str | None = None
-
-
-def _validate_backend(name: str) -> str:
-    if name not in _BACKENDS:
-        raise ValueError(
-            f"unknown table backend {name!r}; known: " + ", ".join(KNOWN_BACKENDS)
-        )
-    if name == "numpy":
-        _require_numpy()  # fail fast, with the install hint
-    return name
-
-
-def available_backends() -> tuple[str, ...]:
-    """Backends usable in *this* process (numpy only if importable)."""
-    names = ["python"]
-    if numpy_available():
-        names.append("numpy")
-    return tuple(names)
-
-
-def get_table_backend() -> str:
-    """The process-global default backend name."""
-    global _default_backend
-    if _default_backend is None:
-        _default_backend = _validate_backend(
-            os.environ.get("REPRO_TABLE_BACKEND", "python")
-        )
-    return _default_backend
-
-
-def set_table_backend(name: str) -> str:
-    """Set the process-global default backend; returns the previous one."""
-    global _default_backend
-    previous = get_table_backend()
-    _default_backend = _validate_backend(name)
-    return previous
-
-
-@contextmanager
-def use_table_backend(name: str) -> Iterator[str]:
-    """Scope the global default backend to a ``with`` block."""
-    previous = set_table_backend(name)
-    try:
-        yield name
-    finally:
-        set_table_backend(previous)
-
-
-def make_bank(
-    entries: int,
-    fields: Sequence[Field],
-    backend: str | None = None,
-    variants: int | None = None,
-) -> TableBank | StackedTableBank:
-    """Construct a bank on ``backend`` (default: the global backend).
-
-    With ``variants=N`` the result is a :class:`StackedTableBank`
-    holding N independent same-shape banks on a leading variant axis
-    (batched sweeps); ``variants=None`` keeps the flat single-variant
-    bank.
-    """
-    name = get_table_backend() if backend is None else _validate_backend(backend)
-    if variants is None:
-        return _BACKENDS[name](entries, fields)
-    return _STACKED_BACKENDS[name](variants, entries, fields)
+    def dump(self) -> dict[str, list[int]]:
+        """Full state as one list copy per field (tests / state comparison)."""
+        return {name: list(col) for name, col in self._cols.items()}

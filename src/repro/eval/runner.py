@@ -90,14 +90,8 @@ def set_trace_cache_limit(limit: int) -> None:
         _TRACE_CACHE.popitem(last=False)
 
 
-def make_instr_predictor(
-    kind: str, table_backend: str | None = None, **overrides: object
-) -> ValuePredictor:
-    """Instruction-based predictor by Fig 5a name.
-
-    ``table_backend`` selects the :mod:`repro.common.tables` storage
-    backend (``None`` = the process-global default).
-    """
+def make_instr_predictor(kind: str, **overrides: object) -> ValuePredictor:
+    """Instruction-based predictor by Fig 5a name."""
     factories = {
         "lvp": LastValuePredictor,
         "2d-stride": TwoDeltaStridePredictor,
@@ -111,7 +105,6 @@ def make_instr_predictor(
         raise ValueError(
             f"unknown predictor kind {kind!r}; known: {', '.join(factories)}"
         ) from None
-    overrides.setdefault("table_backend", table_backend)
     return factory(**overrides)  # type: ignore[arg-type]
 
 
@@ -119,19 +112,13 @@ def make_bebop_engine(
     config: BlockDVTAGEConfig | None = None,
     window: int | None = 32,
     policy: RecoveryPolicy = RecoveryPolicy.DNRDNR,
-    table_backend: str | None = None,
 ) -> BeBoPEngine:
     """A BeBoP engine: block D-VTAGE + speculative window + policy.
 
     ``window`` follows Fig 7b's convention: ``None`` = infinite, ``0`` = no
-    speculative window at all.  ``table_backend`` selects the
-    :mod:`repro.common.tables` storage backend (``None`` = global default).
+    speculative window at all.
     """
-    predictor = BlockDVTAGE(
-        config if config is not None else BlockDVTAGEConfig(),
-        table_backend=table_backend,
-    )
-    return BeBoPEngine(predictor, SpeculativeWindow(window), policy)
+    return BeBoPEngine(BlockDVTAGE(config), SpeculativeWindow(window), policy)
 
 
 def run_baseline(

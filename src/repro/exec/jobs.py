@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass
 
 from repro.bebop import BlockDVTAGEConfig, RecoveryPolicy
-from repro.common.tables import KNOWN_BACKENDS, get_table_backend, use_table_backend
 from repro.pipeline import SimStats
 from repro.eval.runner import (
     DEFAULT_TRACE_UOPS,
@@ -58,14 +57,6 @@ class JobSpec:
       tuple-of-pairs form of a :class:`BlockDVTAGEConfig`, ``window``
       follows Fig 7b's convention (``None`` = infinite, ``0`` = no
       window) and ``policy`` is a :class:`RecoveryPolicy` value string.
-
-    ``table_backend`` names the :mod:`repro.common.tables` storage backend
-    the job runs its predictor tables on.  Any *known* backend is accepted
-    (a python-only client may submit a numpy job to a server that has the
-    extra installed); availability is checked where the job executes.  The
-    backend is deliberately **excluded from the digest**: backends are
-    bit-identical by contract, so a cached result computed on one backend
-    is valid for the other and cross-backend cache hits are correct.
     """
 
     workload: str
@@ -73,7 +64,6 @@ class JobSpec:
     warmup: int = DEFAULT_WARMUP_UOPS
     pipeline: str = "baseline_6_60"
     engine: tuple = ("none",)
-    table_backend: str = "python"
 
     def __post_init__(self) -> None:
         if self.pipeline not in PIPELINES:
@@ -82,11 +72,6 @@ class JobSpec:
             )
         if not self.engine or self.engine[0] not in ("none", "instr", "bebop"):
             raise ValueError(f"malformed engine description: {self.engine!r}")
-        if self.table_backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"unknown table backend {self.table_backend!r}; known: "
-                + ", ".join(KNOWN_BACKENDS)
-            )
 
     # -- encoding ---------------------------------------------------------
 
@@ -99,31 +84,27 @@ class JobSpec:
             "warmup": self.warmup,
             "pipeline": self.pipeline,
             "engine": _jsonable(self.engine),
-            "table_backend": self.table_backend,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
+        """Inverse of :meth:`as_dict`.
+
+        Keys other than the fields are ignored: ``schema``, and the
+        table-storage backend name that specs written by older builds
+        carry (it never entered the digest).
+        """
         return cls(
             workload=data["workload"],
             uops=data["uops"],
             warmup=data["warmup"],
             pipeline=data["pipeline"],
             engine=_tupled(data["engine"]),
-            table_backend=data.get("table_backend", "python"),
         )
 
     def digest(self) -> str:
-        """Stable content digest: equal specs ⇔ equal digests.
-
-        The table backend is *not* part of the digest: both backends are
-        bit-identical (the golden suite enforces it), so the same cell
-        computed on either backend yields the same stats and may serve
-        cache hits for the other.
-        """
-        payload = self.as_dict()
-        del payload["table_backend"]
-        blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        """Stable content digest: equal specs ⇔ equal digests."""
+        blob = json.dumps(self.as_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def label(self) -> str:
@@ -154,18 +135,9 @@ def baseline_job(
     workload: str,
     uops: int = DEFAULT_TRACE_UOPS,
     warmup: int = DEFAULT_WARMUP_UOPS,
-    table_backend: str | None = None,
 ) -> JobSpec:
-    """Baseline_6_60: no value prediction.
-
-    ``table_backend`` (here and in the other builders) pins the storage
-    backend; ``None`` resolves to the process-global default at build time
-    so a ``--table-backend`` CLI flag propagates through unchanged specs.
-    """
-    return JobSpec(
-        workload=workload, uops=uops, warmup=warmup,
-        table_backend=_resolve_backend(table_backend),
-    )
+    """Baseline_6_60: no value prediction."""
+    return JobSpec(workload=workload, uops=uops, warmup=warmup)
 
 
 def instr_vp_job(
@@ -174,7 +146,6 @@ def instr_vp_job(
     uops: int = DEFAULT_TRACE_UOPS,
     warmup: int = DEFAULT_WARMUP_UOPS,
     eole: bool = False,
-    table_backend: str | None = None,
 ) -> JobSpec:
     """Instruction-based predictor on Baseline_VP_6_60 (or EOLE_4_60)."""
     return JobSpec(
@@ -183,7 +154,6 @@ def instr_vp_job(
         warmup=warmup,
         pipeline="eole_4_60" if eole else "baseline_vp_6_60",
         engine=("instr", kind),
-        table_backend=_resolve_backend(table_backend),
     )
 
 
@@ -194,7 +164,6 @@ def bebop_job(
     policy: RecoveryPolicy = RecoveryPolicy.DNRDNR,
     uops: int = DEFAULT_TRACE_UOPS,
     warmup: int = DEFAULT_WARMUP_UOPS,
-    table_backend: str | None = None,
 ) -> JobSpec:
     """Block-based BeBoP engine on EOLE_4_60."""
     if config is None:
@@ -208,12 +177,7 @@ def bebop_job(
         warmup=warmup,
         pipeline="eole_4_60",
         engine=("bebop", items, window, policy.value),
-        table_backend=_resolve_backend(table_backend),
     )
-
-
-def _resolve_backend(table_backend: str | None) -> str:
-    return get_table_backend() if table_backend is None else table_backend
 
 
 # ---------------------------------------------------------------------------
@@ -226,26 +190,23 @@ def run_job(spec: JobSpec) -> SimStats:
     Pure with respect to the spec (traces are deterministic, predictors are
     constructed fresh per call), so results are cacheable by digest and
     identical whether computed serially, in a worker, or read back from the
-    on-disk cache.  The whole cell runs under ``spec.table_backend`` — the
-    scope covers the branch predictor/BTB the pipeline builds internally,
-    not just the value predictor.
+    on-disk cache.
     """
     trace = get_trace(spec.workload, spec.uops)
-    with use_table_backend(spec.table_backend):
-        tag = spec.engine[0]
-        if tag == "none":
-            return run_baseline(trace, spec.warmup)
-        if tag == "instr":
-            predictor = make_instr_predictor(spec.engine[1])
-            if spec.pipeline == "eole_4_60":
-                return run_eole_instr_vp(trace, predictor, spec.warmup)
-            return run_instr_vp(trace, predictor, spec.warmup)
-        # tag == "bebop"
-        _, items, window, policy = spec.engine
-        config = BlockDVTAGEConfig(**dict(items))
-        engine = make_bebop_engine(config, window=window,
-                                   policy=RecoveryPolicy(policy))
-        return run_bebop_eole(trace, engine, spec.warmup)
+    tag = spec.engine[0]
+    if tag == "none":
+        return run_baseline(trace, spec.warmup)
+    if tag == "instr":
+        predictor = make_instr_predictor(spec.engine[1])
+        if spec.pipeline == "eole_4_60":
+            return run_eole_instr_vp(trace, predictor, spec.warmup)
+        return run_instr_vp(trace, predictor, spec.warmup)
+    # tag == "bebop"
+    _, items, window, policy = spec.engine
+    config = BlockDVTAGEConfig(**dict(items))
+    engine = make_bebop_engine(config, window=window,
+                               policy=RecoveryPolicy(policy))
+    return run_bebop_eole(trace, engine, spec.warmup)
 
 
 def run_job_observed(fn, spec: JobSpec) -> tuple[SimStats, dict]:

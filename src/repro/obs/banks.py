@@ -1,7 +1,7 @@
 """Periodic whole-bank telemetry over :class:`~repro.common.tables.TableBank`.
 
-PR 7 moved every predictor table into struct-of-arrays ``TableBank``
-storage, which makes whole-bank questions — how full is the LVT, how
+Every predictor table lives in struct-of-arrays ``TableBank`` storage,
+which makes whole-bank questions — how full is the LVT, how
 much useful-bit mass do the tagged components carry, how long do
 entries survive — a cheap columnar read (``dump()``) instead of a
 per-entry crawl.  :class:`BankTelemetry` turns that into time series:
@@ -77,16 +77,10 @@ class BankTelemetry:
                 f"{components} component(s)"
             )
         self._names.add(name)
-        # A variant-stacked bank (batched sweeps) is sampled as
-        # ``variants`` independent banks, one telemetry row each — not as
-        # one flattened bank, which would smear every variant's occupancy
-        # together.
-        variants = getattr(bank, "variants", None)
         self._banks.append({
             "name": name,
             "bank": bank,
             "components": components,
-            "variants": variants,
             "tag_field": tag_field,
             "tag_invalid": tag_invalid,
             "useful_field": useful_field,
@@ -94,16 +88,8 @@ class BankTelemetry:
             "gen": gen,
         })
         if tag_field is not None:
-            for key in self._age_keys(name, variants):
-                self._ages[key] = [0] * bank.entries
-                self._prev_tags[key] = [tag_invalid] * bank.entries
-
-    @staticmethod
-    def _age_keys(name: str, variants: int | None) -> list[str]:
-        """Age-state keys: one per variant for stacked banks."""
-        if variants is None:
-            return [name]
-        return [f"{name}[{v}]" for v in range(variants)]
+            self._ages[name] = [0] * bank.entries
+            self._prev_tags[name] = [tag_invalid] * bank.entries
 
     def attach(self, sources) -> None:
         """Register every bank description in ``sources`` (the shape
@@ -122,28 +108,8 @@ class BankTelemetry:
 
     def _sample_bank(self, spec: dict) -> dict:
         bank = spec["bank"]
-        if spec["variants"] is None:
-            return self._sample_state(spec, bank.dump(), spec["name"])
-        # Stacked bank: one row per variant (each with its own age
-        # tracking), plus cross-variant aggregates so the existing
-        # curve()/summary() keys keep working.
-        rows = [
-            self._sample_state(spec, bank.view(v).dump(), key)
-            for v, key in enumerate(self._age_keys(spec["name"],
-                                                   spec["variants"]))
-        ]
-        out = {
-            "entries": bank.entries,
-            "variants": rows,
-            "occupancy": sum(r["occupancy"] for r in rows) / len(rows),
-        }
-        if all("useful_mass" in r for r in rows):
-            out["useful_mass"] = sum(r["useful_mass"] for r in rows)
-        return out
-
-    def _sample_state(self, spec: dict, dump: dict, age_key: str) -> dict:
-        """Sample one flat bank state (a whole bank, or one variant)."""
-        bank = spec["bank"]
+        name = spec["name"]
+        dump = bank.dump()
         components = spec["components"]
         per_comp = bank.entries // components
 
@@ -151,15 +117,15 @@ class BankTelemetry:
         tags = dump[tag_field] if tag_field is not None else None
         invalid = spec["tag_invalid"]
 
-        ages = self._ages.get(age_key)
+        ages = self._ages.get(name)
         if tags is not None:
-            prev = self._prev_tags[age_key]
+            prev = self._prev_tags[name]
             for i, tag in enumerate(tags):
                 if tag != invalid and tag == prev[i]:
                     ages[i] += 1
                 else:
                     ages[i] = 0
-            self._prev_tags[age_key] = list(tags)
+            self._prev_tags[name] = tags
 
         useful = None
         if spec["useful_field"] is not None:
@@ -245,8 +211,6 @@ class BankTelemetry:
                 "n_components": spec["components"],
                 "occupancy_curve": self.curve(name),
             }
-            if spec["variants"] is not None:
-                entry["n_variants"] = spec["variants"]
             if last is not None and name in last["banks"]:
                 entry["final"] = last["banks"][name]
             banks[name] = entry

@@ -71,11 +71,6 @@ class VPAdapter(Protocol):
         """(idx_pairs, tag_pairs) the underlying predictor indexes with."""
         ...
 
-    def storage_backend(self) -> str:
-        """Name of the :mod:`repro.common.tables` backend holding the
-        predictor's table state (``python`` or ``numpy``)."""
-        ...
-
     def result_uop(
         self, handle: GroupHandle, pos: int, uop: DynMicroOp, complete_cycle: int
     ) -> None:
@@ -130,9 +125,6 @@ class InstructionVPAdapter:
         self,
     ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
         return self.predictor.fold_geometry()
-
-    def storage_backend(self) -> str:
-        return getattr(self.predictor, "table_backend", "python")
 
     def _apply_until(self, cycle: int) -> None:
         q = self._deferred

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from repro.common.bits import WORD_MASK
 from repro.common.rng import XorShift64
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import (
     HistoryState,
@@ -91,7 +91,6 @@ class DVTAGEPredictor(ValuePredictor):
         useful_reset_period: int = 8192,
         propagate_confidence: bool = False,
         seed: int = 0xD7A6E,
-        table_backend: str | None = None,
     ) -> None:
         self.base_entries = base_entries
         self.tagged_entries = tagged_entries
@@ -119,12 +118,9 @@ class DVTAGEPredictor(ValuePredictor):
         )
         self.fpc = fpc if fpc is not None else FPCPolicy()
         self.propagate_confidence = propagate_confidence
-        self._lvt = make_bank(base_entries, LVT_FIELDS, backend=table_backend)
-        self._vt0 = make_bank(base_entries, VT0_FIELDS, backend=table_backend)
-        self._tagged = make_bank(
-            components * tagged_entries, TAGGED_FIELDS, backend=table_backend
-        )
-        self.table_backend = self._lvt.backend
+        self._lvt = TableBank(base_entries, LVT_FIELDS)
+        self._vt0 = TableBank(base_entries, VT0_FIELDS)
+        self._tagged = TableBank(components * tagged_entries, TAGGED_FIELDS)
         # Hot-path column references (stable identity for the bank's life).
         self._l_tag = self._lvt.col("tag")
         self._l_valid = self._lvt.col("valid")
@@ -190,7 +186,7 @@ class DVTAGEPredictor(ValuePredictor):
             self._v_conf[lvt_index] = 0
             self._spec_dirty.add(lvt_index)
             return None
-        inflight = int(l_inflight[lvt_index]) + 1
+        inflight = l_inflight[lvt_index] + 1
         l_inflight[lvt_index] = inflight
         self._spec_dirty.add(lvt_index)
         if not self._l_valid[lvt_index]:
@@ -214,16 +210,16 @@ class DVTAGEPredictor(ValuePredictor):
                 tag = (t >> tshift) & tmask
         if hit >= 0:
             index = hit
-            stored = int(self._t_stride[index])
-            conf = int(self._t_conf[index])
-            alt_stride = int(
+            stored = self._t_stride[index]
+            conf = self._t_conf[index]
+            alt_stride = (
                 self._t_stride[alt] if alt >= 0 else self._v_stride[lvt_index]
             )
         else:
             index = lvt_index
             provider = tag = 0
-            stored = alt_stride = int(self._v_stride[lvt_index])
-            conf = int(self._v_conf[lvt_index])
+            stored = alt_stride = self._v_stride[lvt_index]
+            conf = self._v_conf[lvt_index]
         # Idealistic instruction-level speculative history: with k older
         # instances in flight this instance is last + (k+1)*stride (instance
         # counting); the realistic chained-value alternative is the BeBoP
@@ -232,7 +228,7 @@ class DVTAGEPredictor(ValuePredictor):
         stored &= self._stride_mask
         if stored >= self._stride_sign:
             stored -= self._stride_mask + 1
-        value = (int(self._l_last[lvt_index]) + stored * inflight) & WORD_MASK
+        value = (self._l_last[lvt_index] + stored * inflight) & WORD_MASK
         return Prediction(
             value,
             conf >= self._max_level,             # FPCPolicy.is_confident
@@ -261,7 +257,7 @@ class DVTAGEPredictor(ValuePredictor):
             # stale update.
             return
         l_inflight = self._l_inflight
-        inflight = int(l_inflight[lvt_index])
+        inflight = l_inflight[lvt_index]
         if inflight > 0:
             inflight -= 1
             l_inflight[lvt_index] = inflight
@@ -278,7 +274,7 @@ class DVTAGEPredictor(ValuePredictor):
         correct = prediction.value == actual
         # to_unsigned(to_signed(actual - last, bits), bits), inline.
         observed_stride = (
-            actual - int(self._l_last[lvt_index])
+            actual - self._l_last[lvt_index]
         ) & self._stride_mask
 
         if provider == 0:
@@ -300,7 +296,7 @@ class DVTAGEPredictor(ValuePredictor):
         if conf_col is not None:
             if correct:
                 # FPCPolicy.advance, inline (see FPCPolicy.thresholds).
-                level = int(conf_col[index])
+                level = conf_col[index]
                 if level < self._max_level:
                     threshold = self._fpc_thresholds[level]
                     if threshold is None or (
@@ -360,7 +356,7 @@ class DVTAGEPredictor(ValuePredictor):
         """Logical usefulness of the tagged entry at flat ``index``: a
         stale generation reads as 0 (white-box test hook)."""
         if self._t_ugen[index] == self._useful_gen:
-            return int(self._t_useful[index])
+            return self._t_useful[index]
         return 0
 
     def squash(self, surviving: dict[tuple[int, int], int] | None = None) -> None:

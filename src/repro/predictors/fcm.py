@@ -20,7 +20,7 @@ history is a vector field of ``order`` lanes stored flat.
 from __future__ import annotations
 
 from repro.common.bits import fold_bits, mask, to_signed, to_unsigned
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import (
     HistoryState,
@@ -60,7 +60,6 @@ class FCMPredictor(ValuePredictor):
         tag_bits: int = 5,
         stride_bits: int = 64,
         fpc: FPCPolicy | None = None,
-        table_backend: str | None = None,
     ) -> None:
         self.order = order
         self.vht_entries = vht_entries
@@ -83,9 +82,8 @@ class FCMPredictor(ValuePredictor):
             Field("history", width=order),
             Field("last", unsigned=True),
         )
-        self._vht = make_bank(vht_entries, vht_fields, backend=table_backend)
-        self._vpt = make_bank(vpt_entries, VPT_FIELDS, backend=table_backend)
-        self.table_backend = self._vht.backend
+        self._vht = TableBank(vht_entries, vht_fields)
+        self._vpt = TableBank(vpt_entries, VPT_FIELDS)
         self._h_tag = self._vht.col("tag")
         self._h_hist = self._vht.col("history")
         self._h_last = self._vht.col("last")
@@ -103,7 +101,7 @@ class FCMPredictor(ValuePredictor):
         hist = self._h_hist
         base = vht_index * self.order
         for lane in range(self.order):
-            acc = to_unsigned((acc << 5) ^ (acc >> 59) ^ int(hist[base + lane]), 64)
+            acc = to_unsigned((acc << 5) ^ (acc >> 59) ^ hist[base + lane], 64)
         return fold_bits(acc, 64, self.vpt_index_bits)
 
     def predict(
@@ -113,17 +111,17 @@ class FCMPredictor(ValuePredictor):
         if self._h_tag[vht_index] != tag:
             return None
         vpt_index = self._vpt_index(pc, vht_index)
-        stored = int(self._p_value[vpt_index])
+        stored = self._p_value[vpt_index]
         if self.differential:
             value = to_unsigned(
-                int(self._h_last[vht_index])
+                self._h_last[vht_index]
                 + to_signed(stored, self.stride_bits),
                 64,
             )
         else:
             value = stored
         return Prediction(
-            value, self.fpc.is_confident(int(self._p_conf[vpt_index]))
+            value, self.fpc.is_confident(self._p_conf[vpt_index])
         )
 
     def train(
@@ -146,13 +144,13 @@ class FCMPredictor(ValuePredictor):
         vpt_index = self._vpt_index(pc, vht_index)
         correct = prediction is not None and prediction.value == actual
         self._p_conf[vpt_index] = (
-            self.fpc.advance(int(self._p_conf[vpt_index]))
+            self.fpc.advance(self._p_conf[vpt_index])
             if correct
             else self.fpc.reset_level()
         )
         if self.differential:
             self._p_value[vpt_index] = to_unsigned(
-                to_signed(actual - int(self._h_last[vht_index]), self.stride_bits),
+                to_signed(actual - self._h_last[vht_index], self.stride_bits),
                 self.stride_bits,
             )
         else:

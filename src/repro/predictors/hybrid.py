@@ -35,20 +35,12 @@ class VTAGE2DStrideHybrid(ValuePredictor):
         vtage: VTAGEPredictor | None = None,
         stride: TwoDeltaStridePredictor | None = None,
         fpc: FPCPolicy | None = None,
-        table_backend: str | None = None,
     ) -> None:
         shared = fpc if fpc is not None else FPCPolicy()
-        self.vtage = (
-            vtage
-            if vtage is not None
-            else VTAGEPredictor(fpc=shared, table_backend=table_backend)
-        )
+        self.vtage = vtage if vtage is not None else VTAGEPredictor(fpc=shared)
         self.stride = (
-            stride
-            if stride is not None
-            else TwoDeltaStridePredictor(fpc=shared, table_backend=table_backend)
+            stride if stride is not None else TwoDeltaStridePredictor(fpc=shared)
         )
-        self.table_backend = self.vtage.table_backend
 
     def fold_geometry(
         self,

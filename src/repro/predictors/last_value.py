@@ -9,7 +9,7 @@ also the base component of VTAGE (untagged there).  Table state lives in a
 from __future__ import annotations
 
 from repro.common.bits import mask
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import (
     HistoryState,
@@ -38,7 +38,6 @@ class LastValuePredictor(ValuePredictor):
         tag_bits: int = 5,
         value_bits: int = 64,
         fpc: FPCPolicy | None = None,
-        table_backend: str | None = None,
     ) -> None:
         self.entries = entries
         self.tag_bits = tag_bits
@@ -50,8 +49,7 @@ class LastValuePredictor(ValuePredictor):
             raise ConfigError(type(self).__name__, violations)
         self.index_bits = entries.bit_length() - 1
         self.fpc = fpc if fpc is not None else FPCPolicy()
-        self._table = make_bank(entries, TABLE_FIELDS, backend=table_backend)
-        self.table_backend = self._table.backend
+        self._table = TableBank(entries, TABLE_FIELDS)
         self._tag = self._table.col("tag")
         self._value = self._table.col("value")
         self._conf = self._table.col("conf")
@@ -69,8 +67,8 @@ class LastValuePredictor(ValuePredictor):
         if self._tag[index] != tag:
             return None
         return Prediction(
-            int(self._value[index]),
-            self.fpc.is_confident(int(self._conf[index])),
+            self._value[index],
+            self.fpc.is_confident(self._conf[index]),
         )
 
     def train(
@@ -89,7 +87,7 @@ class LastValuePredictor(ValuePredictor):
             self._conf[index] = 0
             return
         if self._value[index] == actual:
-            self._conf[index] = self.fpc.advance(int(self._conf[index]))
+            self._conf[index] = self.fpc.advance(self._conf[index])
         else:
             self._conf[index] = self.fpc.reset_level()
             self._value[index] = actual

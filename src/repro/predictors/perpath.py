@@ -17,7 +17,7 @@ state lives in :mod:`repro.common.tables` banks (VHT + SHT).
 from __future__ import annotations
 
 from repro.common.bits import mask, to_signed, to_unsigned
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import (
     HistoryState,
@@ -62,7 +62,6 @@ class PerPathStridePredictor(ValuePredictor):
         stride_bits: int = 64,
         history_length: int = 16,
         fpc: FPCPolicy | None = None,
-        table_backend: str | None = None,
     ) -> None:
         self.vht_entries = vht_entries
         self.sht_entries = sht_entries
@@ -81,9 +80,8 @@ class PerPathStridePredictor(ValuePredictor):
         self.vht_index_bits = vht_entries.bit_length() - 1
         self.sht_index_bits = sht_entries.bit_length() - 1
         self.fpc = fpc if fpc is not None else FPCPolicy()
-        self._vht = make_bank(vht_entries, VHT_FIELDS, backend=table_backend)
-        self._sht = make_bank(sht_entries, SHT_FIELDS, backend=table_backend)
-        self.table_backend = self._vht.backend
+        self._vht = TableBank(vht_entries, VHT_FIELDS)
+        self._sht = TableBank(sht_entries, SHT_FIELDS)
         self._h_tag = self._vht.col("tag")
         self._h_valid = self._vht.col("valid")
         self._h_last = self._vht.col("last")
@@ -121,15 +119,13 @@ class PerPathStridePredictor(ValuePredictor):
         if not self._h_valid[vht_index]:
             return None
         sht_index = self._sht_index(key, hist)
-        stride = to_signed(int(self._s_stride[sht_index]), self.stride_bits)
+        stride = to_signed(self._s_stride[sht_index], self.stride_bits)
         value = to_unsigned(
-            int(self._h_last[vht_index])
-            + stride * int(self._h_inflight[vht_index]),
-            64,
+            self._h_last[vht_index] + stride * self._h_inflight[vht_index], 64
         )
         return Prediction(
             value,
-            self.fpc.is_confident(int(self._s_conf[sht_index])),
+            self.fpc.is_confident(self._s_conf[sht_index]),
             meta=_TrainMeta(sht_index),
         )
 
@@ -154,14 +150,14 @@ class PerPathStridePredictor(ValuePredictor):
                 self._spec_dirty.discard(vht_index)
             return
         observed = to_unsigned(
-            to_signed(actual - int(self._h_last[vht_index]), self.stride_bits),
+            to_signed(actual - self._h_last[vht_index], self.stride_bits),
             self.stride_bits,
         )
         if prediction is not None and isinstance(prediction.meta, _TrainMeta):
             sht_index = prediction.meta.sht_index
             if prediction.value == actual:
                 self._s_conf[sht_index] = self.fpc.advance(
-                    int(self._s_conf[sht_index])
+                    self._s_conf[sht_index]
                 )
             else:
                 self._s_conf[sht_index] = self.fpc.reset_level()

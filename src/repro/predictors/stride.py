@@ -22,7 +22,7 @@ sign-extended (signed columns), last values pre-masked (unsigned column).
 from __future__ import annotations
 
 from repro.common.bits import mask, to_signed, to_unsigned
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import (
     HistoryState,
@@ -55,7 +55,6 @@ class _BaseStride(ValuePredictor):
         tag_bits: int = 5,
         stride_bits: int = 64,
         fpc: FPCPolicy | None = None,
-        table_backend: str | None = None,
     ) -> None:
         self.entries = entries
         self.tag_bits = tag_bits
@@ -67,8 +66,7 @@ class _BaseStride(ValuePredictor):
             raise ConfigError(type(self).__name__, violations)
         self.index_bits = entries.bit_length() - 1
         self.fpc = fpc if fpc is not None else FPCPolicy()
-        self._table = make_bank(entries, TABLE_FIELDS, backend=table_backend)
-        self.table_backend = self._table.backend
+        self._table = TableBank(entries, TABLE_FIELDS)
         self._tag = self._table.col("tag")
         self._valid = self._table.col("valid")
         self._last = self._table.col("last")
@@ -92,7 +90,7 @@ class _BaseStride(ValuePredictor):
 
     def _predicting_stride(self, index: int) -> int:
         col = self._stride2 if self.two_delta else self._stride1
-        return int(col[index])
+        return col[index]
 
     def predict(
         self, pc: int, uop_index: int, hist: HistoryState
@@ -122,9 +120,9 @@ class _BaseStride(ValuePredictor):
         # speculative window models.
         stride = self._predicting_stride(index)
         value = to_unsigned(
-            int(self._last[index]) + stride * int(self._inflight[index]), 64
+            self._last[index] + stride * self._inflight[index], 64
         )
-        return Prediction(value, self.fpc.is_confident(int(self._conf[index])))
+        return Prediction(value, self.fpc.is_confident(self._conf[index]))
 
     def train(
         self,
@@ -147,7 +145,7 @@ class _BaseStride(ValuePredictor):
             if self._inflight[index] == 0:
                 self._spec_dirty.discard(index)
             return
-        observed = self._truncate_stride(actual - int(self._last[index]))
+        observed = self._truncate_stride(actual - self._last[index])
         if self.two_delta:
             if observed == self._stride1[index]:
                 self._stride2[index] = observed
@@ -156,7 +154,7 @@ class _BaseStride(ValuePredictor):
             self._stride1[index] = observed
         correct = prediction is not None and prediction.value == actual
         self._conf[index] = (
-            self.fpc.advance(int(self._conf[index]))
+            self.fpc.advance(self._conf[index])
             if correct
             else self.fpc.reset_level()
         )

@@ -21,7 +21,7 @@ bank (tag/value/conf/useful/useful_gen columns) addressed by
 from __future__ import annotations
 
 from repro.common.rng import XorShift64
-from repro.common.tables import Field, make_bank
+from repro.common.tables import Field, TableBank
 from repro.common.errors import ConfigError, require_positive, require_power_of_two
 from repro.predictors.base import (
     HistoryState,
@@ -103,7 +103,6 @@ class VTAGEPredictor(ValuePredictor):
         fpc: FPCPolicy | None = None,
         useful_reset_period: int = 8192,
         seed: int = 0x7A6E,
-        table_backend: str | None = None,
     ) -> None:
         self.base_entries = base_entries
         self.tagged_entries = tagged_entries
@@ -127,11 +126,8 @@ class VTAGEPredictor(ValuePredictor):
             tagged_entries,
         )
         self.fpc = fpc if fpc is not None else FPCPolicy()
-        self._base = make_bank(base_entries, BASE_FIELDS, backend=table_backend)
-        self._tagged = make_bank(
-            components * tagged_entries, TAGGED_FIELDS, backend=table_backend
-        )
-        self.table_backend = self._base.backend
+        self._base = TableBank(base_entries, BASE_FIELDS)
+        self._tagged = TableBank(components * tagged_entries, TAGGED_FIELDS)
         # Hot-path column references (stable identity for the bank's life).
         self._b_value = self._base.col("value")
         self._b_conf = self._base.col("conf")
@@ -177,13 +173,13 @@ class VTAGEPredictor(ValuePredictor):
         base_index = table_index(key, self.base_index_bits)
         if hits:
             comp, index, tag = hits[-1]
-            value = int(self._t_value[index])
-            conf = int(self._t_conf[index])
+            value = self._t_value[index]
+            conf = self._t_conf[index]
             if len(hits) > 1:
                 _alt_comp, alt_index, _ = hits[-2]
-                alt_value = int(self._t_value[alt_index])
+                alt_value = self._t_value[alt_index]
             else:
-                alt_value = int(self._b_value[base_index])
+                alt_value = self._b_value[base_index]
             return Prediction(
                 value,
                 self.fpc.is_confident(conf),
@@ -191,8 +187,8 @@ class VTAGEPredictor(ValuePredictor):
                 conf=conf,
                 meta=_TrainMeta(comp + 1, index, tag, alt_value),
             )
-        value = int(self._b_value[base_index])
-        conf = int(self._b_conf[base_index])
+        value = self._b_value[base_index]
+        conf = self._b_conf[base_index]
         return Prediction(
             value,
             self.fpc.is_confident(conf),
@@ -223,7 +219,7 @@ class VTAGEPredictor(ValuePredictor):
         if meta.provider == 0:
             index = meta.index
             if correct:
-                self._b_conf[index] = self.fpc.advance(int(self._b_conf[index]))
+                self._b_conf[index] = self.fpc.advance(self._b_conf[index])
             else:
                 self._b_conf[index] = self.fpc.reset_level()
                 self._b_value[index] = actual
@@ -231,7 +227,7 @@ class VTAGEPredictor(ValuePredictor):
             index = meta.index
             if self._t_tag[index] == meta.tag:
                 if correct:
-                    self._t_conf[index] = self.fpc.advance(int(self._t_conf[index]))
+                    self._t_conf[index] = self.fpc.advance(self._t_conf[index])
                     # Useful iff correct and the alternate disagreed with the
                     # entry's current value (which later trains may have moved).
                     self._t_useful[index] = (
@@ -292,7 +288,7 @@ class VTAGEPredictor(ValuePredictor):
         the post-reset state without depending on the representation.
         """
         if self._t_ugen[index] == self._useful_gen:
-            return int(self._t_useful[index])
+            return self._t_useful[index]
         return 0
 
     # -- reporting ----------------------------------------------------------

@@ -501,8 +501,6 @@ class SweepServer:
             self._subscribers.discard(sub)
 
     def _health_doc(self) -> dict:
-        from repro.common.tables import available_backends
-
         return {
             "v": protocol.PROTOCOL_VERSION,
             "ok": True,
@@ -510,9 +508,6 @@ class SweepServer:
             "inflight": len(self._inflight),
             "uptime_seconds": round(time.monotonic() - self._started, 3),
             "jobs": self.scheduler.jobs,
-            # Storage backends *this server* can execute jobs on; clients
-            # may submit any KNOWN_BACKENDS value regardless.
-            "table_backends": list(available_backends()),
         }
 
     def _metrics_doc(self) -> dict:

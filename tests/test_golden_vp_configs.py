@@ -6,8 +6,7 @@ instruction-based predictors (LVP, 2-delta stride, stride, FCM, D-FCM) and
 the D-VTAGE / BeBoP knobs the experiments sweep: partial strides (8, 16
 and 32 bits), saturating confidence counters instead of FPC, and
 confidence propagation at the instruction level.  Each point is the full
-:class:`SimStats` of a gcc and a swim trace, checked on every available
-table backend.
+:class:`SimStats` of a gcc and a swim trace.
 
 Regenerate (only after an intentional model change) with::
 
@@ -27,7 +26,6 @@ from repro.bebop import (
     RecoveryPolicy,
     SpeculativeWindow,
 )
-from repro.common.tables import numpy_available, use_table_backend
 from repro.eval.runner import (
     get_trace,
     make_bebop_engine,
@@ -95,12 +93,6 @@ def vp_config_stats(key: str) -> dict:
     return dataclasses.asdict(CONFIGS[config](get_trace(workload, UOPS)))
 
 
-BACKENDS = [
-    "python",
-    pytest.param("numpy", marks=pytest.mark.skipif(
-        not numpy_available(), reason="numpy backend not installed")),
-]
-
 
 def _golden() -> dict:
     return json.loads(GOLDEN_VP_PATH.read_text())
@@ -112,12 +104,9 @@ def test_golden_file_covers_every_config():
     assert sorted(golden["runs"]) == sorted(RUNS)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("key", RUNS)
-def test_vp_config_stats_bit_identical(key, backend):
-    with use_table_backend(backend):
-        got = vp_config_stats(key)
+def test_vp_config_stats_bit_identical(key):
+    got = vp_config_stats(key)
     assert got == _golden()["runs"][key], (
-        f"{key} [{backend}]: simulation statistics diverged from the golden "
-        "record"
+        f"{key}: simulation statistics diverged from the golden record"
     )

@@ -216,72 +216,47 @@ class TestBankTelemetry:
         assert set(summary["banks"]) == {"lvt", "vt0", "tagged"}
 
     def test_snapshot_bound_decimates(self):
-        from repro.common.tables import Field, make_bank
+        from repro.common.tables import Field, TableBank
         banks = BankTelemetry(interval=1, max_snapshots=4)
-        banks.register("b", make_bank(8, [Field("v")]))
+        banks.register("b", TableBank(8, [Field("v")]))
         for i in range(64):
             banks.sample(i)
         assert len(banks.snapshots) <= 4
         assert banks.samples == 64
         assert banks.snapshots[-1]["uop"] == 63
 
-    def test_stacked_bank_samples_per_variant_rows(self):
-        """A variant-stacked bank (batched sweeps) yields one occupancy
-        row per variant, not one smeared flattened bank."""
-        from repro.common.tables import Field, make_bank
-        fields = [Field("tag", default=-1), Field("useful")]
-        stack = make_bank(8, fields, variants=3, backend="python")
+    def test_tag_occupancy_useful_mass_and_age(self):
+        """Tagged-bank samples: valid-tag occupancy per component, useful
+        mass, and entry age counted in snapshots a tag survived."""
+        from repro.common.tables import Field, TableBank
+        bank = TableBank(8, [Field("tag", default=-1), Field("useful")])
         banks = BankTelemetry(interval=1)
-        banks.register("stacked", stack, tag_field="tag", tag_invalid=-1,
-                       useful_field="useful")
-        # Fill variant 1 fully, variant 2 half; variant 0 stays cold.
-        stack.view(1).fill("tag", 7)
-        for i in range(4):
-            stack.write(2, "tag", i, 5)
-        stack.write(2, "useful", 0, 3)
-        snap = banks.sample(0)
-        rows = snap["banks"]["stacked"]["variants"]
-        assert [r["occupancy"] for r in rows] == [0.0, 1.0, 0.5]
-        assert [r["useful_mass"] for r in rows] == [0, 0, 3]
-        assert snap["banks"]["stacked"]["occupancy"] == pytest.approx(0.5)
-        assert snap["banks"]["stacked"]["useful_mass"] == 3
-        # Ages advance per variant: variant 1's entries survive, variant
-        # 0 stays at age 0 even though the stack as a whole has activity.
+        banks.register("b", bank, components=2, tag_field="tag",
+                       tag_invalid=-1, useful_field="useful")
+        # Fill component 0 fully and half of component 1.
+        tags, useful = bank.col("tag"), bank.col("useful")
+        tags[:6] = [7] * 6
+        useful[0] = 3
+        snap = banks.sample(0)["banks"]["b"]
+        assert [c["occupancy"] for c in snap["components"]] == [1.0, 0.5]
+        assert snap["occupancy"] == pytest.approx(0.75)
+        assert snap["useful_mass"] == 3
+        # Entries whose tag survives age by one per snapshot; a retagged
+        # entry restarts at zero.
         banks.sample(1)
-        snap = banks.sample(2)
-        rows = snap["banks"]["stacked"]["variants"]
-        assert rows[1]["components"][0]["mean_age"] == 2.0
-        assert rows[0]["components"][0]["mean_age"] == 0.0
-        summary = banks.summary()
-        assert summary["banks"]["stacked"]["n_variants"] == 3
-
-    def test_snapshot_bound_decimates_with_stacked_banks(self):
-        """The decimation bound is per-snapshot regardless of how many
-        variant rows each snapshot carries."""
-        from repro.common.tables import Field, make_bank
-        banks = BankTelemetry(interval=1, max_snapshots=4)
-        banks.register(
-            "s", make_bank(8, [Field("tag", default=-1)], variants=5,
-                           backend="python"),
-            tag_field="tag",
-        )
-        for i in range(64):
-            banks.sample(i)
-        assert len(banks.snapshots) <= 4
-        assert banks.samples == 64
-        assert banks.snapshots[-1]["uop"] == 63
-        assert all(
-            len(s["banks"]["s"]["variants"]) == 5 for s in banks.snapshots
-        )
+        tags[4] = 9
+        snap = banks.sample(2)["banks"]["b"]
+        assert snap["components"][0]["mean_age"] == 2.0
+        assert snap["components"][1]["mean_age"] == 1.0
 
     def test_register_validation(self):
-        from repro.common.tables import Field, make_bank
+        from repro.common.tables import Field, TableBank
         banks = BankTelemetry()
-        bank = make_bank(8, [Field("v")])
+        bank = TableBank(8, [Field("v")])
         banks.register("b", bank)
         with pytest.raises(ValueError, match="already registered"):
             banks.register("b", bank)
         with pytest.raises(ValueError, match="split into"):
-            banks.register("c", make_bank(9, [Field("v")]), components=2)
+            banks.register("c", TableBank(9, [Field("v")]), components=2)
         with pytest.raises(ValueError, match="interval"):
             BankTelemetry(interval=0)

@@ -1,43 +1,18 @@
-"""Tests for the struct-of-arrays table storage API (repro.common.tables).
+"""Tests for the struct-of-arrays table storage (repro.common.tables).
 
-Covers three layers:
-
-* bank semantics — field validation, scalar/vector access, fill/reset
-  keeping column identity (hot paths cache ``col()`` references);
-* backend parity — a hypothesis property test drives random op sequences
-  against the python and numpy backends and compares full state, which is
-  the unit-level face of the golden-stats bit-identity contract;
-* the ``table_backend`` knob — JobSpec carries it on the wire but
-  *excludes* it from the digest, so cells computed on either backend
-  serve cache hits for the other.
+Covers field/bank validation, defaults, flat ``entry * width + lane``
+addressing through ``col()``, column identity (hot paths cache ``col()``
+references), 64-bit extremes, and ``dump()`` returning builtin ints.
 
 (The sibling ``tests/test_storage.py`` covers the Table III *bit-budget*
-accounting; this file is about the storage *backend*.)
+accounting; this file is about how table state is held.)
 """
+
+import json
 
 import pytest
 
-from repro.common.tables import (
-    KNOWN_BACKENDS,
-    Field,
-    available_backends,
-    get_table_backend,
-    make_bank,
-    numpy_available,
-    set_table_backend,
-    use_table_backend,
-)
-from repro.exec import ResultCache, baseline_job, bebop_job, instr_vp_job, run_job
-from repro.exec.jobs import JobSpec
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy backend not installed"
-)
-
-BACKENDS = [
-    "python",
-    pytest.param("numpy", marks=needs_numpy),
-]
+from repro.common.tables import Field, TableBank
 
 FIELDS = (
     Field("tag", default=-1),
@@ -54,105 +29,70 @@ FIELDS = (
 class TestValidation:
     def test_positive_entries_required(self):
         with pytest.raises(ValueError, match="positive entry count"):
-            make_bank(0, FIELDS)
+            TableBank(0, FIELDS)
 
     def test_at_least_one_field(self):
         with pytest.raises(ValueError, match="at least one field"):
-            make_bank(4, ())
+            TableBank(4, ())
 
     def test_duplicate_field_names_rejected(self):
         with pytest.raises(ValueError, match="duplicate field"):
-            make_bank(4, (Field("a"), Field("a")))
+            TableBank(4, (Field("a"), Field("a")))
 
     def test_bad_width_rejected(self):
         with pytest.raises(ValueError, match="width"):
-            make_bank(4, (Field("a", width=0),))
+            TableBank(4, (Field("a", width=0),))
 
     def test_default_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            make_bank(4, (Field("a", default=-1, unsigned=True),))
+            TableBank(4, (Field("a", default=-1, unsigned=True),))
         with pytest.raises(ValueError, match="out of range"):
-            make_bank(4, (Field("a", default=1 << 63),))
+            TableBank(4, (Field("a", default=1 << 63),))
 
     def test_unknown_field_name(self):
-        bank = make_bank(4, FIELDS)
+        bank = TableBank(4, FIELDS)
         with pytest.raises(ValueError, match="no field"):
             bank.col("nope")
-        with pytest.raises(ValueError, match="no field"):
-            bank.read("nope", 0)
-
-    def test_scalar_vector_misuse(self):
-        bank = make_bank(4, FIELDS)
-        with pytest.raises(ValueError, match="vector"):
-            bank.read("vec", 0)
-        with pytest.raises(ValueError, match="vector"):
-            bank.write("vec", 0, 1)
-        with pytest.raises(ValueError, match="scalar"):
-            bank.probe("vec", 0, 1)
-        with pytest.raises(ValueError, match="width"):
-            bank.write_vec("vec", 0, (1, 2))
 
 
 # ---------------------------------------------------------------------------
-# Bank semantics, identical across backends.
+# Bank semantics.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBankOps:
-    def test_defaults_and_scalar_rw(self, backend):
-        bank = make_bank(4, FIELDS, backend=backend)
-        assert bank.backend == backend
-        assert bank.read("tag", 0) == -1
-        assert bank.read("value", 3) == 0
-        bank.write("tag", 2, 77)
-        bank.write("value", 2, (1 << 64) - 1)
-        assert bank.read("tag", 2) == 77
-        assert bank.read("value", 2) == (1 << 64) - 1
+    def test_defaults_and_scalar_rw(self):
+        bank = TableBank(4, FIELDS)
+        assert bank.entries == 4 and bank.fields == FIELDS
+        assert bank.col("tag") == [-1] * 4
+        assert bank.col("value") == [0] * 4
+        bank.col("tag")[2] = 77
+        bank.col("value")[2] = (1 << 64) - 1
+        assert bank.col("tag")[2] == 77
+        assert bank.dump()["value"] == [0, 0, (1 << 64) - 1, 0]
 
-    def test_reads_return_plain_ints(self, backend):
-        """The bit-identity convention: numpy scalars never escape."""
-        bank = make_bank(2, FIELDS, backend=backend)
-        bank.write("value", 1, 5)
-        assert type(bank.read("value", 1)) is int
-        assert all(type(v) is int for v in bank.read_vec("vec", 0))
-        assert all(
-            type(v) is int for col in bank.dump().values() for v in col
-        )
-
-    def test_vector_rw_flat_addressing(self, backend):
-        bank = make_bank(4, FIELDS, backend=backend)
-        bank.write_vec("vec", 2, (10, 20, 30))
-        assert bank.read_vec("vec", 2) == [10, 20, 30]
+    def test_vector_rw_flat_addressing(self):
+        bank = TableBank(4, FIELDS)
         col = bank.col("vec")
-        assert int(col[2 * 3 + 1]) == 20   # entry * width + lane
+        assert len(col) == 4 * 3
+        col[2 * 3:2 * 3 + 3] = [10, 20, 30]      # entry * width + lane
+        assert bank.dump()["vec"][6:9] == [10, 20, 30]
         col[2 * 3 + 1] = 99
-        assert bank.read_vec("vec", 2) == [10, 99, 30]
+        assert bank.col("vec")[6:9] == [10, 99, 30]
 
-    def test_probe(self, backend):
-        bank = make_bank(4, FIELDS, backend=backend)
-        assert bank.probe("tag", 1, -1)
-        bank.write("tag", 1, 5)
-        assert bank.probe("tag", 1, 5)
-        assert not bank.probe("tag", 1, -1)
-
-    def test_fill_and_bulk_reset_keep_column_identity(self, backend):
-        """Hot paths cache col() refs in __init__; resets mutate in place."""
-        bank = make_bank(4, FIELDS, backend=backend)
+    def test_column_identity_is_stable(self):
+        """Hot paths cache col() refs in __init__; the bank never rebinds
+        a column, and dump() copies rather than exposing the columns."""
+        bank = TableBank(4, FIELDS)
         tag_col = bank.col("tag")
-        vec_col = bank.col("vec")
-        bank.write("tag", 0, 9)
-        bank.write_vec("vec", 0, (1, 2, 3))
-        bank.fill("tag", 4)
+        tag_col[0] = 9
+        state = bank.dump()
         assert bank.col("tag") is tag_col
-        assert [int(v) for v in tag_col] == [4, 4, 4, 4]
-        bank.bulk_reset()
-        assert bank.col("tag") is tag_col
-        assert bank.col("vec") is vec_col
-        assert bank.read("tag", 0) == -1
-        assert bank.read_vec("vec", 0) == [0, 0, 0]
+        assert state["tag"] is not tag_col
+        state["tag"][1] = 5
+        assert tag_col == [9, -1, -1, -1]
 
-    def test_dump_shape(self, backend):
-        bank = make_bank(2, FIELDS, backend=backend)
+    def test_dump_shape(self):
+        bank = TableBank(2, FIELDS)
         state = bank.dump()
         assert sorted(state) == ["conf", "tag", "value", "vec"]
         assert len(state["vec"]) == 2 * 3
@@ -163,262 +103,58 @@ class TestBankOps:
 # Boundary conditions: last entry, vector lanes, 64-bit extremes.
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", BACKENDS)
 class TestBoundaryOps:
-    def test_last_entry_scalar_and_probe(self, backend):
-        bank = make_bank(4, FIELDS, backend=backend)
+    def test_last_entry_scalar(self):
+        bank = TableBank(4, FIELDS)
         last = bank.entries - 1
-        assert bank.probe("tag", last, -1)
-        bank.write("tag", last, 31)
-        assert bank.read("tag", last) == 31
-        assert bank.probe("tag", last, 31)
-        assert not bank.probe("tag", last, -1)
+        bank.col("tag")[last] = 31
+        assert bank.dump()["tag"] == [-1, -1, -1, 31]
 
-    def test_last_entry_vector_lanes(self, backend):
+    def test_last_entry_vector_lanes(self):
         """The final lane of the final entry is the last flat slot —
         an off-by-one in ``entry * width + lane`` addressing lands out of
         bounds or in a neighbour."""
-        bank = make_bank(4, FIELDS, backend=backend)
+        bank = TableBank(4, FIELDS)
         last = bank.entries - 1
-        bank.write_vec("vec", last, (7, 8, 9))
-        assert bank.read_vec("vec", last) == [7, 8, 9]
         col = bank.col("vec")
-        assert int(col[last * 3 + 2]) == 9
+        col[last * 3:last * 3 + 3] = [7, 8, 9]
+        assert col[-1] == col[last * 3 + 2] == 9
         # The neighbouring entry is untouched.
-        assert bank.read_vec("vec", last - 1) == [0, 0, 0]
+        assert col[(last - 1) * 3:last * 3] == [0, 0, 0]
         assert len(bank.dump()["vec"]) == bank.entries * 3
 
-    def test_unsigned_64bit_extremes_round_trip(self, backend):
-        """Pre-masked unsigned values survive both backends bit-exactly
-        at the top of the range (uint64 vs python-int storage)."""
-        bank = make_bank(2, FIELDS, backend=backend)
+    def test_unsigned_64bit_extremes_round_trip(self):
+        bank = TableBank(2, FIELDS)
         top = (1 << 64) - 1
         high = 1 << 63
-        bank.write("value", 1, top)
-        bank.write_vec("vec", 1, (top, high, 0))
-        assert bank.read("value", 1) == top
-        assert bank.read_vec("vec", 1) == [top, high, 0]
-        assert bank.probe("value", 1, top)
+        bank.col("value")[1] = top
+        bank.col("vec")[3:6] = [top, high, 0]
+        state = bank.dump()
+        assert state["value"][1] == top
+        assert state["vec"][3:6] == [top, high, 0]
 
-    def test_signed_extremes_round_trip(self, backend):
-        bank = make_bank(2, FIELDS, backend=backend)
+    def test_signed_extremes_round_trip(self):
+        bank = TableBank(2, FIELDS)
         lo, hi = -(1 << 63), (1 << 63) - 1
-        bank.write("conf", 0, lo)
-        bank.write("conf", 1, hi)
-        assert bank.read("conf", 0) == lo
-        assert bank.read("conf", 1) == hi
-
-    def test_stacked_views_isolate_variants_at_boundaries(self, backend):
-        """Writes to one variant's last entry never alias a neighbour
-        variant (the rows of the stacked column are independent)."""
-        stack = make_bank(4, FIELDS, backend=backend, variants=3)
-        last = stack.entries - 1
-        top = (1 << 64) - 1
-        stack.write_vec(2, "vec", last, (1, 2, 3))
-        stack.write(0, "value", last, top)
-        assert stack.read_vec(2, "vec", last) == [1, 2, 3]
-        assert stack.read_vec(0, "vec", last) == [0, 0, 0]
-        assert stack.read(0, "value", last) == top
-        assert stack.read(1, "value", last) == 0
-        assert stack.probe(2, "tag", last, -1)
-        view = stack.view(2)
-        view.write("tag", last, 9)
-        assert stack.read(2, "tag", last) == 9
-        assert stack.read(1, "tag", last) == -1
+        conf = bank.col("conf")
+        conf[0], conf[1] = lo, hi
+        assert bank.dump()["conf"] == [lo, hi]
 
 
-# ---------------------------------------------------------------------------
-# dump() returns builtin ints in every width configuration (JSON safety).
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_dump_returns_builtin_ints_in_every_width_config(backend):
-    """Regression: a numpy scalar inside a dump poisons JSON export
-    (cache blobs, golden stats) and cross-backend comparison."""
-    import json
-
+def test_dump_returns_builtin_ints_in_every_width_config():
+    """Dumps feed JSON export (telemetry, state comparison): every value
+    is a builtin int and the whole dump serialises."""
     fields = (
         Field("tag", default=-1),
         Field("u1", unsigned=True),
         Field("w4", width=4),
         Field("uw3", width=3, unsigned=True),
     )
-    bank = make_bank(3, fields, backend=backend)
-    bank.write("u1", 2, (1 << 64) - 1)
-    bank.write_vec("uw3", 2, (1 << 63, 5, 0))
-    bank.write_vec("w4", 0, (-1, -(1 << 63), (1 << 63) - 1, 0))
+    bank = TableBank(3, fields)
+    bank.col("u1")[2] = (1 << 64) - 1
+    bank.col("uw3")[6:9] = [1 << 63, 5, 0]
+    bank.col("w4")[0:4] = [-1, -(1 << 63), (1 << 63) - 1, 0]
     dumped = bank.dump()
     for name, col in dumped.items():
         assert all(type(v) is int for v in col), name
-    json.dumps(dumped)   # raises TypeError on any numpy scalar
-
-    stack = make_bank(3, fields, backend=backend, variants=2)
-    stack.view(1).write("u1", 2, (1 << 64) - 1)
-    stack.write_vec(0, "uw3", 1, ((1 << 64) - 1, 0, 1))
-    per_variant = stack.dump()
-    assert len(per_variant) == 2
-    assert all(
-        type(v) is int
-        for state in per_variant
-        for col in state.values()
-        for v in col
-    )
-    json.dumps(per_variant)
-
-
-# ---------------------------------------------------------------------------
-# Backend registry and scoping.
-# ---------------------------------------------------------------------------
-
-class TestBackendRegistry:
-    def test_known_and_available(self):
-        assert KNOWN_BACKENDS == ("python", "numpy")
-        avail = available_backends()
-        assert "python" in avail
-        assert set(avail) <= set(KNOWN_BACKENDS)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown table backend"):
-            make_bank(4, FIELDS, backend="fortran")
-        with pytest.raises(ValueError, match="unknown table backend"):
-            set_table_backend("fortran")
-
-    def test_use_table_backend_scopes_and_restores(self):
-        before = get_table_backend()
-        with use_table_backend("python") as name:
-            assert name == "python"
-            assert get_table_backend() == "python"
-            assert make_bank(2, FIELDS).backend == "python"
-        assert get_table_backend() == before
-
-    @needs_numpy
-    def test_numpy_backend_selectable(self):
-        with use_table_backend("numpy"):
-            assert make_bank(2, FIELDS).backend == "numpy"
-        bank = make_bank(2, FIELDS, backend="numpy")
-        assert bank.backend == "numpy"
-
-
-# ---------------------------------------------------------------------------
-# Property: python and numpy banks are state-equivalent under any op mix.
-# ---------------------------------------------------------------------------
-
-try:
-    from hypothesis import given, settings
-    from hypothesis import strategies as st
-
-    _HAVE_HYPOTHESIS = True
-except ImportError:  # pragma: no cover - CI installs hypothesis
-    _HAVE_HYPOTHESIS = False
-
-ENTRIES = 4
-
-if _HAVE_HYPOTHESIS:
-    _SIGNED = st.integers(min_value=-(1 << 63), max_value=(1 << 63) - 1)
-    _UNSIGNED = st.integers(min_value=0, max_value=(1 << 64) - 1)
-    _BY_FIELD = {
-        "tag": _SIGNED,
-        "conf": _SIGNED,
-        "value": _UNSIGNED,
-        "vec": _UNSIGNED,
-    }
-
-    @st.composite
-    def _op(draw):
-        kind = draw(st.sampled_from(("write", "write", "write_vec", "fill",
-                                     "bulk_reset")))
-        if kind == "write":
-            name = draw(st.sampled_from(("tag", "value", "conf")))
-            index = draw(st.integers(0, ENTRIES - 1))
-            return ("write", name, index, draw(_BY_FIELD[name]))
-        if kind == "write_vec":
-            index = draw(st.integers(0, ENTRIES - 1))
-            values = draw(st.tuples(_UNSIGNED, _UNSIGNED, _UNSIGNED))
-            return ("write_vec", "vec", index, values)
-        if kind == "fill":
-            name = draw(st.sampled_from(("tag", "value", "conf", "vec")))
-            return ("fill", name, draw(_BY_FIELD[name]))
-        return ("bulk_reset",)
-
-    @needs_numpy
-    @given(ops=st.lists(_op(), max_size=40))
-    @settings(deadline=None, max_examples=150)
-    def test_backends_state_equivalent_under_random_ops(ops):
-        banks = [
-            make_bank(ENTRIES, FIELDS, backend=name)
-            for name in ("python", "numpy")
-        ]
-        for bank in banks:
-            for op in ops:
-                if op[0] == "write":
-                    bank.write(op[1], op[2], op[3])
-                elif op[0] == "write_vec":
-                    bank.write_vec(op[1], op[2], op[3])
-                elif op[0] == "fill":
-                    bank.fill(op[1], op[2])
-                else:
-                    bank.bulk_reset()
-        py, np_ = banks
-        assert py.dump() == np_.dump()
-        for name in ("tag", "value", "conf"):
-            for i in range(ENTRIES):
-                a, b = py.read(name, i), np_.read(name, i)
-                assert a == b and type(a) is int and type(b) is int
-        for i in range(ENTRIES):
-            assert py.read_vec("vec", i) == np_.read_vec("vec", i)
-
-
-# ---------------------------------------------------------------------------
-# The table_backend knob on the exec/serve surface.
-# ---------------------------------------------------------------------------
-
-class TestBackendKnob:
-    def test_spec_accepts_known_backends_only(self):
-        assert JobSpec(workload="swim", table_backend="numpy").table_backend == "numpy"
-        with pytest.raises(ValueError, match="unknown table backend"):
-            JobSpec(workload="swim", table_backend="fortran")
-
-    def test_digest_excludes_backend(self):
-        """Backends are bit-identical, so the digest deliberately ignores
-        the knob: a numpy-computed cell is a valid cache hit for python."""
-        py = bebop_job("gcc", table_backend="python")
-        np_ = bebop_job("gcc", table_backend="numpy")
-        assert py != np_
-        assert py.digest() == np_.digest()
-
-    def test_backend_rides_the_wire(self):
-        spec = instr_vp_job("swim", "d-vtage", table_backend="numpy")
-        data = spec.as_dict()
-        assert data["table_backend"] == "numpy"
-        assert JobSpec.from_dict(data) == spec
-
-    def test_from_dict_legacy_specs_default_to_python(self):
-        data = baseline_job("swim").as_dict()
-        del data["table_backend"]
-        assert JobSpec.from_dict(data).table_backend == "python"
-
-    def test_builders_resolve_global_default(self):
-        with use_table_backend("python"):
-            assert baseline_job("swim").table_backend == "python"
-        assert instr_vp_job("swim", "lvp",
-                            table_backend="numpy").table_backend == "numpy"
-
-    def test_cross_backend_cache_hit(self, tmp_path):
-        """A cell computed on one backend satisfies the other's lookup —
-        safe precisely because both backends are bit-identical."""
-        py = baseline_job("swim", 2000, 500, table_backend="python")
-        np_ = baseline_job("swim", 2000, 500, table_backend="numpy")
-        cache = ResultCache(root=tmp_path)
-        stats = run_job(py)
-        cache.put(py, stats)
-        assert cache.get(np_) == stats
-        assert cache.hits == 1
-
-    @needs_numpy
-    def test_run_job_same_stats_on_both_backends(self):
-        specs = [
-            instr_vp_job("swim", "d-vtage", 3000, 1000, table_backend=b)
-            for b in ("python", "numpy")
-        ]
-        a, b = run_job(specs[0]), run_job(specs[1])
-        assert a == b
+    assert json.loads(json.dumps(dumped)) == dumped
