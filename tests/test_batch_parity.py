@@ -186,8 +186,12 @@ def test_batch_eligibility_gates():
         obs.disable()
 
 
+# The id suffix names the table storage, python lists; it keeps these
+# cases' ids stable from when a numpy storage ran beside it.
 @pytest.mark.parametrize(
-    "key", [k for k in sorted(_GOLDEN["runs"]) if k.endswith("eole-bebop")]
+    "key",
+    [k for k in sorted(_GOLDEN["runs"]) if k.endswith("eole-bebop")],
+    ids=lambda key: f"{key}-python",
 )
 def test_golden_eole_bebop_through_batched_path(key):
     """The golden records reproduce through the batched path.

@@ -56,7 +56,11 @@ def _run(key: str):
     raise ValueError(f"unknown golden config {config!r}")
 
 
-@pytest.mark.parametrize("key", sorted(_GOLDEN["runs"]))
+# The id suffix names the table storage, python lists; it keeps these
+# cases' ids stable from when a numpy storage ran beside it.
+@pytest.mark.parametrize(
+    "key", sorted(_GOLDEN["runs"]), ids=lambda key: f"{key}-python"
+)
 def test_stats_bit_identical_to_golden(key):
     got = dataclasses.asdict(_run(key))
     want = _GOLDEN["runs"][key]

@@ -104,7 +104,9 @@ def test_golden_file_covers_every_config():
     assert sorted(golden["runs"]) == sorted(RUNS)
 
 
-@pytest.mark.parametrize("key", RUNS)
+# The id suffix names the table storage, python lists; it keeps these
+# cases' ids stable from when a numpy storage ran beside it.
+@pytest.mark.parametrize("key", RUNS, ids=lambda key: f"{key}-python")
 def test_vp_config_stats_bit_identical(key):
     got = vp_config_stats(key)
     assert got == _golden()["runs"][key], (
