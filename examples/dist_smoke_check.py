@@ -5,9 +5,9 @@ One self-contained drill over a tiny sweep (CI's ``dist-smoke`` job, a
 few seconds end to end):
 
 1. compute the sweep serially — the reference report;
-2. run the same sweep on the distributed backend: an embedded
-   coordinator with a chaos plan (worker crashes + cache-blob
-   corruption, fixed seed) and two ``python -m repro.dist worker``
+2. run the same sweep on the distributed backend: an embedded sweep
+   server whose lease queue carries a chaos plan (worker crashes +
+   cache-blob corruption, fixed seed) and two ``python -m repro.dist worker``
    subprocesses, one of which is additionally SIGKILLed mid-job from
    outside — the hard-node-loss case chaos cannot model from within;
 3. assert the distributed report is byte-identical to the serial one,
@@ -33,8 +33,10 @@ import json
 
 import repro.obs as obs
 from repro.chaos import FaultPlan, parse_chaos_spec
-from repro.dist import CoordinatorThread, DistBackend, DistClient, WorkerPool
+from repro.dist import DistBackend, DistClient, WorkerPool
 from repro.exec import JobSpec, ResultCache, Scheduler, stats_to_dict
+from repro.serve import ServerThread
+from repro.serve.leases import LeaseQueue
 
 WORKLOADS = ("swim", "gobmk", "mcf", "bzip2", "wupwise", "gcc")
 SPECS = [JobSpec(workload=w, uops=4_000, warmup=1_000) for w in WORKLOADS]
@@ -47,7 +49,7 @@ LEASE_SECONDS = 1.5
 
 def kill_when_leased(url: str, pool: WorkerPool, idx: int = 0,
                      worker: str = "w0", timeout: float = 60.0) -> None:
-    """SIGKILL pool worker ``idx`` the moment the coordinator shows it
+    """SIGKILL pool worker ``idx`` the moment the server shows it
     holding a lease — node loss lands mid-job no matter how long the
     worker subprocess takes to start."""
     client = DistClient(url)
@@ -63,7 +65,7 @@ def kill_when_leased(url: str, pool: WorkerPool, idx: int = 0,
                 return
             time.sleep(0.02)
     except Exception:
-        pass                      # coordinator shut down under us — done
+        pass                      # server shut down under us — done
     finally:
         client.close()
 
@@ -86,25 +88,26 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="dist-smoke-") as tmp:
         chaos = FaultPlan(parse_chaos_spec(CHAOS_SPEC))
         cache = ResultCache(root=Path(tmp) / "cache")
-        with CoordinatorThread(lease_seconds=LEASE_SECONDS,
-                               retries=chaos.config.max_faults_per_job + 2,
-                               chaos=chaos) as coord:
-            with WorkerPool(coord.url, 2, cache_root=str(cache.root),
+        leases = LeaseQueue(lease_seconds=LEASE_SECONDS,
+                            retries=chaos.config.max_faults_per_job + 2,
+                            chaos=chaos)
+        with ServerThread(cache=cache, leases=leases) as srv:
+            with WorkerPool(srv.url, 2, cache_root=str(cache.root),
                             journal_dir=Path(tmp) / "journals",
                             slowdown=SLOWDOWN) as pool:
                 # Hard node loss on top of the chaos plan: SIGKILL worker 0
                 # as soon as it holds a lease, i.e. mid-job.
                 killer = threading.Thread(
-                    target=kill_when_leased, args=(coord.url, pool),
+                    target=kill_when_leased, args=(srv.url, pool),
                     daemon=True,
                 )
                 killer.start()
                 sched = Scheduler(cache=cache,
-                                  backend=DistBackend(coord.url))
+                                  backend=DistBackend(srv.url))
                 dist = sched.run(SPECS, label="smoke-dist")
                 killer.join(timeout=20)
-                status = DistClient(coord.url).dist_status()
-            counters = coord.queue.counters
+                status = DistClient(srv.url).dist_status()
+            counters = leases.counters
 
         report = render(dist)
         if report != reference:
@@ -150,7 +153,7 @@ def main() -> int:
                                 f"{spec.workload}: {stored!r}")
 
         print(f"[smoke] serial == distributed over {len(SPECS)} cells")
-        print(f"[smoke] coordinator counters: {counters}")
+        print(f"[smoke] lease queue counters: {counters}")
         print(f"[smoke] chaos: {chaos.summary()}")
         print(f"[smoke] pool respawns: {pool.respawns}")
 

@@ -47,15 +47,15 @@ Results are verified (payload checksum + digest) and bit-identical to a
 local run, so reports come out byte-identical too.
 
 With ``--dist-workers N`` sweeps execute on a *distributed* work-stealing
-backend instead of the local pool: an embedded lease-based coordinator
-(:mod:`repro.dist`) hands cells to N ``python -m repro.dist worker``
-subprocesses that pull jobs, heartbeat while computing, and write results
-into the shared cache; a killed or hung worker's lease expires and its
-job is retried elsewhere, so the report stays byte-identical to a serial
-run.  ``--coordinator-url URL`` joins an already-running coordinator
-(``python -m repro.dist coordinator``) whose workers may live on other
-hosts.  ``--chaos`` combines with ``--dist-workers`` — verdicts are drawn
-by the coordinator, so worker crashes and corrupt cache blobs rehearse
+backend instead of the local pool: an embedded sweep server hands cells
+from its lease queue to N ``python -m repro.dist worker`` subprocesses
+that pull jobs, heartbeat while computing, and write results into the
+shared cache; a killed or hung worker's lease expires and its job is
+retried elsewhere, so the report stays byte-identical to a serial run.
+``--coordinator-url URL`` submits to an already-running sweep server
+(``python -m repro.serve``) whose workers may live on other hosts.
+``--chaos`` combines with ``--dist-workers`` — verdicts are drawn by the
+server's lease queue, so worker crashes and corrupt cache blobs rehearse
 the full distributed recovery path.
 
 With ``--batch-variants`` the BeBoP sweep grids (Fig 6a/6b/7a/7b) run
@@ -171,21 +171,22 @@ def main() -> int:
                              "--resume/--cache-dir/--no-cache")
     parser.add_argument("--dist-workers", type=int, default=0, metavar="N",
                         help="run sweeps on a distributed work-stealing "
-                             "backend: embed a lease-based coordinator and "
-                             "spawn N 'python -m repro.dist worker' "
-                             "subprocesses that pull jobs and write the "
-                             "shared cache (requires the cache; --chaos "
-                             "faults are injected by the coordinator)")
+                             "backend: embed a sweep server as the lease "
+                             "coordinator and spawn N 'python -m "
+                             "repro.dist worker' subprocesses that pull "
+                             "jobs and write the shared cache (requires "
+                             "the cache; --chaos faults are drawn by the "
+                             "server's lease queue)")
     parser.add_argument("--coordinator-url", default=None, metavar="URL",
-                        help="execute sweeps through an already-running "
-                             "coordinator (python -m repro.dist "
-                             "coordinator) whose workers may be remote; "
+                        help="execute sweeps through the lease queue of "
+                             "an already-running sweep server (python -m "
+                             "repro.serve) whose workers may be remote; "
                              "incompatible with --chaos (give the "
-                             "coordinator its own --chaos)")
+                             "server its own --chaos)")
     parser.add_argument("--lease-seconds", type=float, default=30.0,
                         metavar="S",
                         help="job lease duration for the embedded "
-                             "coordinator (--dist-workers); a lease whose "
+                             "server (--dist-workers); a lease whose "
                              "worker stops heartbeating for this long is "
                              "re-queued (default 30)")
     args = parser.parse_args()
@@ -208,7 +209,7 @@ def main() -> int:
     chaos = None
     journal = None
     cache = None
-    dist_coordinator = None
+    dist_server = None
     dist_pool = None
     dist_url = None
     progress = repro.exec.ProgressMeter()
@@ -216,15 +217,15 @@ def main() -> int:
     if args.dist_workers < 0:
         parser.error(f"--dist-workers must be >= 0, got {args.dist_workers}")
     if args.dist_workers and args.coordinator_url:
-        parser.error("--dist-workers embeds its own coordinator; use one "
+        parser.error("--dist-workers embeds its own server; use one "
                      "of --dist-workers / --coordinator-url")
     if use_dist and args.server_url:
         parser.error("--server-url and the distributed backend are "
                      "different remote execution paths; pick one")
     if args.coordinator_url and args.chaos:
-        parser.error("--chaos with an external coordinator must be given "
-                     "to that coordinator (python -m repro.dist "
-                     "coordinator --chaos ...), which draws the verdicts")
+        parser.error("--chaos with an external server must be given to "
+                     "that server (python -m repro.serve --chaos ...), "
+                     "which draws the verdicts")
     if use_dist and args.no_cache:
         parser.error("the distributed backend needs the shared result "
                      "cache; drop --no-cache")
@@ -289,7 +290,7 @@ def main() -> int:
 
         if not args.no_cache:
             # On the distributed path blob corruption is injected by the
-            # *workers* (the coordinator ships the verdicts), so the
+            # *workers* (the server ships the verdicts), so the
             # driver's own cache must not double-inject.
             cache = repro.exec.ResultCache(
                 root=args.cache_dir, chaos=None if use_dist else chaos
@@ -297,9 +298,7 @@ def main() -> int:
 
         backend = None
         if use_dist:
-            from repro.dist import (
-                CoordinatorThread, DistBackend, DistClient, WorkerPool,
-            )
+            from repro.dist import DistBackend, DistClient, WorkerPool
             if args.coordinator_url:
                 dist_url = args.coordinator_url
                 try:
@@ -307,16 +306,16 @@ def main() -> int:
                 except ValueError as exc:
                     parser.error(str(exc))
                 except Exception as exc:
-                    parser.error(f"no coordinator at {dist_url}: {exc}")
+                    parser.error(f"no sweep server at {dist_url}: {exc}")
                 print(f"[dist] using coordinator at {dist_url}")
             else:
-                lease_retries = (max(3, chaos.config.max_faults_per_job + 1)
-                                 if chaos else 3)
-                dist_coordinator = CoordinatorThread(
-                    lease_seconds=args.lease_seconds, retries=lease_retries,
-                    chaos=chaos,
-                ).start()
-                dist_url = dist_coordinator.url
+                from repro.serve import ServerThread
+                from repro.serve.leases import LeaseQueue, lease_retries
+                dist_server = ServerThread(cache=cache, leases=LeaseQueue(
+                    lease_seconds=args.lease_seconds,
+                    retries=lease_retries(chaos), chaos=chaos,
+                )).start()
+                dist_url = dist_server.url
                 journal_dir = (_worker_journal_dir(args.resume)
                                if args.resume else None)
                 dist_pool = WorkerPool(
@@ -454,8 +453,8 @@ def main() -> int:
             print(f"[dist] coordinator status unavailable: {exc}")
         if dist_pool is not None:
             dist_pool.stop()
-        if dist_coordinator is not None:
-            dist_coordinator.stop()
+        if dist_server is not None:
+            dist_server.stop()
         if status is not None:
             counters = status.get("counters", {})
             jobs = status.get("jobs", {})

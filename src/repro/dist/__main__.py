@@ -1,29 +1,57 @@
-"""Command line entry points for the distributed sweep layer.
+"""Command line entry point of the distributed sweep layer: one worker.
 
-Two subcommands::
+::
 
-    # A standalone coordinator (the driver usually embeds one instead):
-    python -m repro.dist coordinator --port 8200 --lease-seconds 30
+    # The coordinator is a sweep server (the driver usually embeds one):
+    python -m repro.serve --port 8200
 
-    # One pull-model worker against a coordinator:
+    # One pull-model worker against it:
     python -m repro.dist worker --coordinator-url http://host:8200 \
         --cache-dir /shared/cache --journal /shared/journals/w0.jsonl
 
-Workers exit on the coordinator's drain signal, after ``--max-idle``
-seconds without work, or on SIGTERM; their exit code is 0 when every job
-they took either completed or was handed back through the retry
-machinery.  ``examples/run_experiments.py --dist-workers N`` wires all of
-this together (embedded coordinator + local worker pool) in one flag.
+Workers exit on the server's drain signal, after ``--max-idle`` seconds
+without work, or on SIGTERM; their exit code is 0 when every job they
+took either completed or was handed back through the retry machinery.
+``examples/run_experiments.py --dist-workers N`` wires all of this
+together (embedded server + local worker pool) in one flag.
 """
 
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.dist",
+        description="distributed sweep workers (the coordinator is "
+                    "python -m repro.serve)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    cmd = sub.add_parser("worker", help="run one pull-model worker")
+    cmd.add_argument("--coordinator-url", required=True,
+                     help="base URL of the coordinating sweep server")
+    cmd.add_argument("--worker-id", default=None,
+                     help="stable worker identity (default: host-pid)")
+    cmd.add_argument("--cache-dir", default=None,
+                     help="shared result-cache root")
+    cmd.add_argument("--journal", default=None,
+                     help="per-worker run journal path")
+    cmd.add_argument("--poll-interval", type=float, default=0.05,
+                     help="seconds between idle lease polls")
+    cmd.add_argument("--slowdown", type=float, default=0.0,
+                     help="extra seconds slept per job (testing knob)")
+    cmd.add_argument("--max-idle", type=float, default=None,
+                     help="exit after this many idle seconds")
+
+    args = parser.parse_args(argv)
+    if args.worker_id is None:
+        import os
+        import socket
+        args.worker_id = f"{socket.gethostname()[:40]}-{os.getpid()}"
+
     from repro.chaos.journal import RunJournal
     from repro.dist.worker import DistWorker
     from repro.exec.cache import ResultCache
@@ -48,79 +76,6 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     print(f"[dist] worker {args.worker_id}: {completed} job(s) completed, "
           f"{worker.failed} failure(s) reported", file=sys.stderr)
     return 0
-
-
-def _cmd_coordinator(args: argparse.Namespace) -> int:
-    from repro.chaos import FaultPlan, parse_chaos_spec
-    from repro.dist.coordinator import DistCoordinator
-
-    chaos = (FaultPlan(parse_chaos_spec(args.chaos))
-             if args.chaos else None)
-    coordinator = DistCoordinator(
-        host=args.host, port=args.port,
-        lease_seconds=args.lease_seconds, retries=args.retries,
-        backoff_base=args.backoff_base, backoff_cap=args.backoff_cap,
-        chaos=chaos,
-    )
-
-    async def _serve() -> None:
-        await coordinator.start()
-        print(f"[dist] coordinator listening on {coordinator.url}",
-              file=sys.stderr)
-        try:
-            await asyncio.Event().wait()
-        finally:
-            await coordinator.stop()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.dist",
-        description="distributed sweep coordinator and workers",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    worker = sub.add_parser("worker", help="run one pull-model worker")
-    worker.add_argument("--coordinator-url", required=True,
-                        help="base URL of the coordinator")
-    worker.add_argument("--worker-id", default=None,
-                        help="stable worker identity (default: host-pid)")
-    worker.add_argument("--cache-dir", default=None,
-                        help="shared result-cache root")
-    worker.add_argument("--journal", default=None,
-                        help="per-worker run journal path")
-    worker.add_argument("--poll-interval", type=float, default=0.05,
-                        help="seconds between idle lease polls")
-    worker.add_argument("--slowdown", type=float, default=0.0,
-                        help="extra seconds slept per job (testing knob)")
-    worker.add_argument("--max-idle", type=float, default=None,
-                        help="exit after this many idle seconds")
-    worker.set_defaults(func=_cmd_worker)
-
-    coord = sub.add_parser("coordinator", help="run a standalone coordinator")
-    coord.add_argument("--host", default="127.0.0.1")
-    coord.add_argument("--port", type=int, default=8200)
-    coord.add_argument("--lease-seconds", type=float, default=30.0)
-    coord.add_argument("--retries", type=int, default=3,
-                       help="re-queues per job before terminal failure")
-    coord.add_argument("--backoff-base", type=float, default=0.5)
-    coord.add_argument("--backoff-cap", type=float, default=30.0)
-    coord.add_argument("--chaos", default=None, metavar="SPEC",
-                       help="fault plan, e.g. 'crash=0.2,corrupt=0.3,seed=7'")
-    coord.set_defaults(func=_cmd_coordinator)
-
-    args = parser.parse_args(argv)
-    if args.command == "worker" and args.worker_id is None:
-        import os
-        import socket
-        args.worker_id = f"{socket.gethostname()[:40]}-{os.getpid()}"
-    return args.func(args)
 
 
 if __name__ == "__main__":

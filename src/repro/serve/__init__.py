@@ -10,12 +10,16 @@ of recomputing it per process:
   digest validation, and the checksum rule both sides verify;
 * :mod:`repro.serve.server` — :class:`SweepServer` (submit / sweep /
   result / SSE progress / health / metrics routes, cache-hit fast path,
-  in-flight dedup, scheduler batching) and :class:`ServerThread`;
+  in-flight dedup, scheduler batching, and the ``/v1/dist/*`` lease
+  routes of distributed sweeps) and :class:`ServerThread`;
+* :mod:`repro.serve.leases` — :class:`~repro.serve.leases.LeaseQueue`,
+  the lease state machine behind the dist routes;
 * :mod:`repro.serve.client` — :class:`ServeClient`, the verifying
   blocking client, and :class:`RemoteScheduler`, which plugs a server
   into :func:`repro.exec.install_scheduler` so every experiment sweep
   executes remotely;
-* ``python -m repro.serve`` — the server CLI.
+* ``python -m repro.serve`` — the server CLI, also the standalone
+  coordinator ``python -m repro.dist worker`` processes pull from.
 
 Results over HTTP are bit-identical to direct :meth:`ResultCache.get`:
 the response payload carries the exact cache-blob checksum and the

@@ -11,6 +11,9 @@ The cache root follows the usual precedence: ``--cache-dir``, then
 ``~/.cache/repro-bebop`` — point the server and its CLI clients at one
 ``REPRO_CACHE_DIR`` to share a root without flags.
 
+It is also the standalone coordinator of distributed sweeps (30 s
+leases, default retry budget; ``--chaos`` also feeds its lease queue).
+
 Try it::
 
     python -m repro.serve --port 8100 --jobs 4 &
@@ -26,6 +29,7 @@ import sys
 
 import repro.obs as obs
 from repro.exec.cache import ResultCache
+from repro.serve.leases import LeaseQueue, lease_retries
 from repro.serve.server import SweepServer
 
 
@@ -77,6 +81,7 @@ def main(argv=None) -> int:
         cache=cache, jobs=args.jobs, retries=args.retries,
         timeout=args.job_timeout, chaos=chaos,
         host=args.host, port=args.port,
+        leases=LeaseQueue(retries=lease_retries(chaos), chaos=chaos),
     )
 
     async def _serve() -> None:

@@ -17,12 +17,17 @@ One :class:`SweepServer` turns the content-addressed result cache plus the
 * **failure is accounted, not hidden** — a worker crash mid-request rides
   the scheduler's retry machinery; only a job that exhausts its retry
   budget surfaces as a 5xx (``serve/errors/5xx``), and a corrupt cache
-  blob is quarantined and recomputed exactly as in direct execution.
+  blob is quarantined and recomputed exactly as in direct execution;
+* **it is also the distributed sweep coordinator** — the ``/v1/dist/*``
+  routes hand cells to pull-model :mod:`repro.dist` workers from one
+  :class:`~repro.serve.leases.LeaseQueue`, whose leases a background
+  reaper expires when their heartbeats stop.
 
 The HTTP layer is a deliberately small hand-rolled HTTP/1.1 server on
 ``asyncio.start_server`` (stdlib only — no web framework in the
 container): request line + headers + content-length body, keep-alive
-connections, JSON responses.  Simulation itself runs in a dedicated
+connections, JSON responses; input it will not read past is answered
+once and the connection closed.  Simulation itself runs in a dedicated
 *runner thread* so the event loop stays free to accept thousands of
 connections while the process pool grinds; results cross back via
 ``loop.call_soon_threadsafe``.
@@ -39,6 +44,11 @@ GET       ``/v1/progress``     SSE stream of sweep progress events
 GET       ``/v1/healthz``      liveness + build identity
 GET       ``/v1/metrics``      server counters + obs registry snapshot
                                (``?format=prometheus`` for text exposition)
+POST      ``/v1/dist/submit``  the driver enqueues cells for workers
+POST      ``/v1/dist/lease``   a worker takes a cell (``drain``: stopping)
+POST      ``/v1/dist/heartbeat``, ``complete``, ``fail``: a worker's lease
+POST      ``/v1/dist/collect``, ``cancel``: the driver's outcomes
+GET       ``/v1/dist/status``  queue, leases and per-worker counters
 ========  ===================  ==========================================
 """
 
@@ -57,13 +67,29 @@ from repro.exec.jobs import JobSpec, stats_from_dict
 from repro.exec.progress import ProgressMeter
 from repro.exec.scheduler import Scheduler
 from repro.serve import protocol
+from repro.serve.leases import LeaseQueue
 
 #: HTTP reason phrases for the statuses this server emits.
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error", 502: "Bad Gateway",
 }
+
+#: Most header lines one request may carry; more are answered 431.
+MAX_HEADER_LINES = 100
+
+#: Seconds a keep-alive connection may idle, far above any pause in real
+#: traffic (``ServeClient`` reconnects to a closed one for free).
+IDLE_TIMEOUT_SECONDS = 60.0
+
+#: Seconds a request's head and body may take once its first byte is in.
+READ_TIMEOUT_SECONDS = 30.0
+
+#: Most seconds :meth:`SweepServer.stop` waits for polling workers to
+#: hear the drain signal.
+DRAIN_GRACE_SECONDS = 1.0
 
 #: Seconds between SSE keep-alive comments when no progress flows.
 SSE_HEARTBEAT_SECONDS = 10.0
@@ -108,7 +134,8 @@ class ServeProgress(ProgressMeter):
 
 
 class SweepServer:
-    """The sweep-result service over one cache root and one local pool."""
+    """The sweep-result service over one cache root and one local pool,
+    and the lease coordinator of distributed sweeps (``leases``)."""
 
     def __init__(
         self,
@@ -120,8 +147,10 @@ class SweepServer:
         host: str = "127.0.0.1",
         port: int = 0,
         job_fn=None,
+        leases: LeaseQueue | None = None,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache(chaos=chaos)
+        self.leases = leases if leases is not None else LeaseQueue()
         self.progress = ServeProgress(self._broadcast)
         kwargs = {} if job_fn is None else {"job_fn": job_fn}
         self.scheduler = Scheduler(
@@ -146,7 +175,20 @@ class SweepServer:
         self._runner: threading.Thread | None = None
         self._subscribers: set[asyncio.Queue] = set()
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
-        self._closing = False
+        # Connections whose last lease poll was not answered ``drain``.
+        self._pollers: set[asyncio.Task] = set()
+        self._reaper: asyncio.Task | None = None
+        self._closing = False     # also the drain signal for lease polls
+        self._dist_routes = {
+            protocol.ROUTE_DIST_SUBMIT: ("POST", self._dist_submit),
+            protocol.ROUTE_DIST_LEASE: ("POST", self._dist_lease),
+            protocol.ROUTE_DIST_HEARTBEAT: ("POST", self._dist_heartbeat),
+            protocol.ROUTE_DIST_COMPLETE: ("POST", self._dist_complete),
+            protocol.ROUTE_DIST_FAIL: ("POST", self._dist_fail),
+            protocol.ROUTE_DIST_COLLECT: ("POST", self._dist_collect),
+            protocol.ROUTE_DIST_CANCEL: ("POST", self._dist_cancel),
+            protocol.ROUTE_DIST_STATUS: ("GET", self._dist_status),
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -168,23 +210,31 @@ class SweepServer:
             self._handle_conn, self.host, self.port, backlog=2048
         )
         self.port = self._server.sockets[0].getsockname()[1]
+        self._reaper = self._loop.create_task(self._reap_forever())
 
     @property
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
     async def stop(self) -> None:
-        """Stop accepting, drain the runner, close live connections.
+        """Drain workers, stop accepting, drain the runner, close
+        live connections.
 
-        Open connections are closed at the transport, which feeds EOF to
-        their handlers — they exit their read loop normally instead of
-        being cancelled (cancellation of streams handlers is noisy on
-        3.11 and loses in-flight responses).
+        Lease polls answer ``drain`` from here on.  Open connections are
+        closed at the transport, which feeds EOF to their handlers — they
+        exit their read loop normally instead of being cancelled
+        (cancellation of streams handlers is noisy on 3.11 and loses
+        in-flight responses).
         """
         self._closing = True
+        deadline = time.monotonic() + DRAIN_GRACE_SECONDS
+        while self._pollers and time.monotonic() < deadline:
+            await asyncio.sleep(0.01)
+        if self._reaper is not None:
+            self._reaper.cancel()
+            await asyncio.gather(self._reaper, return_exceptions=True)
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
         self._queue.put(None)
         for sub in list(self._subscribers):
             sub.put_nowait(None)
@@ -200,6 +250,15 @@ class SweepServer:
         if self._connections:
             await asyncio.gather(*list(self._connections),
                                  return_exceptions=True)
+        if self._server is not None:
+            await self._server.wait_closed()
+
+    async def _reap_forever(self) -> None:
+        """Expire silent leases even when no dist request arrives."""
+        period = max(0.05, self.leases.lease_seconds / 4.0)
+        while True:
+            await asyncio.sleep(period)
+            self.leases.reap()
 
     # -- the runner thread: misses become scheduler batches ----------------
 
@@ -313,25 +372,32 @@ class SweepServer:
         self._connections[task] = writer
         try:
             while not self._closing:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except protocol.ProtocolError as exc:
+                    request = exc           # answered below, then closed
                 if request is None:
                     break
-                method, path, headers, body = request
-                keep = headers.get("connection", "").lower() != "close"
                 t0 = time.perf_counter()
                 self.requests += 1
                 obs.counter("serve/requests").inc()
+                if isinstance(request, protocol.ProtocolError):
+                    await self._send_error(writer, request.status,
+                                           str(request))
+                    break
+                method, path, headers, body = request
+                keep = headers.get("connection", "").lower() != "close"
                 streamed = await self._dispatch(method, path, body, writer)
                 obs.histogram("serve/request_ms").observe(
                     (time.perf_counter() - t0) * 1000.0
                 )
                 if streamed or not keep:
                     break
-        except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError):
+        except (ConnectionError, TimeoutError, asyncio.IncompleteReadError):
             pass
         finally:
             self._connections.pop(task, None)
+            self._pollers.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -339,26 +405,48 @@ class SweepServer:
                 pass
 
     async def _read_request(self, reader: asyncio.StreamReader):
-        """One HTTP/1.1 request: (method, path, headers, body), or None."""
-        line = await reader.readline()
-        if not line:
-            return None
-        try:
-            method, path, _version = line.decode("ascii").split()
-        except ValueError:
-            return None
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            key, _, value = raw.decode("latin-1").partition(":")
-            if len(headers) < 100:
+        """One HTTP/1.1 request: (method, path, headers, body), or None
+        when the input ends.
+
+        A head not to read past (malformed request line, too many or too
+        long lines, bad or oversized ``Content-Length``) raises
+        :class:`ProtocolError`; an oversized body is never read.  One
+        timer bounds the idle wait for the first byte, then the rest.
+        """
+        async with asyncio.timeout(IDLE_TIMEOUT_SECONDS) as timer:
+            first = await reader.read(1)
+            if not first:
+                return None
+            timer.reschedule(asyncio.get_running_loop().time()
+                             + READ_TIMEOUT_SECONDS)
+            line = await _head_line(reader)
+            if line is None:
+                return None
+            try:
+                method, path, _ = (first + line).decode("ascii").split()
+            except ValueError:
+                raise protocol.ProtocolError("bad request line") from None
+            headers: dict[str, str] = {}
+            for _ in range(MAX_HEADER_LINES + 1):
+                line = await _head_line(reader)
+                if line is None:
+                    return None
+                if line in (b"\r\n", b"\n"):
+                    break
+                key, _, value = line.decode("latin-1").partition(":")
                 headers[key.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length > protocol.MAX_BODY_BYTES:
-            return method, path, headers, b"\x00" * (protocol.MAX_BODY_BYTES + 1)
-        body = await reader.readexactly(length) if length else b""
+            else:
+                raise protocol.ProtocolError(
+                    f"more than {MAX_HEADER_LINES} header lines", status=431
+                )
+            text = headers.get("content-length") or "0"
+            if not (text.isascii() and text.isdigit()):
+                raise protocol.ProtocolError(f"bad Content-Length {text!r}")
+            digits = text.lstrip("0") or "0"   # int() caps str length
+            if (len(digits) > len(str(protocol.MAX_BODY_BYTES))
+                    or int(digits) > protocol.MAX_BODY_BYTES):
+                raise protocol.ProtocolError("request body too large", 413)
+            body = await reader.readexactly(int(digits))
         return method, path, headers, body
 
     async def _dispatch(self, method: str, path: str, body: bytes,
@@ -384,7 +472,7 @@ class SweepServer:
                 fmt = parse_qs(query).get(
                     "format", [protocol.METRICS_FORMAT_JSON])[-1]
                 if fmt == protocol.METRICS_FORMAT_PROMETHEUS:
-                    await self._send_text(writer, 200,
+                    await self._send_json(writer, 200,
                                           self._metrics_prometheus(),
                                           protocol.PROMETHEUS_CONTENT_TYPE)
                 elif fmt == protocol.METRICS_FORMAT_JSON:
@@ -399,22 +487,22 @@ class SweepServer:
                 self._need(method, "GET")
                 await self._do_progress(writer)
                 return True
+            elif path in self._dist_routes:
+                expected, handler = self._dist_routes[path]
+                self._need(method, expected)
+                self.leases.reap()  # lazy expiry: a dist request is a tick
+                await self._send_json(writer, 200, handler(body))
             else:
                 raise protocol.ProtocolError(f"no such route: {path}",
                                              status=404)
         except protocol.ProtocolError as exc:
-            self._count_error(exc.status)
-            await self._send_json(writer, exc.status,
-                                  protocol.encode_error(exc.status, str(exc)))
+            await self._send_error(writer, exc.status, str(exc))
         except Exception as exc:
             # A job that exhausted its retry budget (or any internal
             # failure) is a 5xx with the cause in the body — never a
             # wrong or truncated payload.
-            self._count_error(500)
-            await self._send_json(
-                writer, 500,
-                protocol.encode_error(500, f"{type(exc).__name__}: {exc}"),
-            )
+            await self._send_error(writer, 500,
+                                   f"{type(exc).__name__}: {exc}")
         return False
 
     def _need(self, method: str, expected: str) -> None:
@@ -423,13 +511,17 @@ class SweepServer:
                 f"method {method} not allowed (use {expected})", status=405
             )
 
-    def _count_error(self, status: int) -> None:
+    async def _send_error(self, writer: asyncio.StreamWriter, status: int,
+                          message: str) -> None:
+        """Count one error response and write it."""
         if status >= 500:
             self.errors_5xx += 1
             obs.counter("serve/errors/5xx").inc()
         else:
             self.errors_4xx += 1
             obs.counter("serve/errors/4xx").inc()
+        await self._send_json(writer, status,
+                              protocol.encode_error(status, message))
 
     # -- route bodies -------------------------------------------------------
 
@@ -562,9 +654,60 @@ class SweepServer:
             exclude=frozenset(own)
         )
 
-    async def _send_text(self, writer: asyncio.StreamWriter, status: int,
-                         text: str, content_type: str = "text/plain") -> None:
-        body = text.encode("utf-8")
+    # -- the lease routes (each returns its 200 document) -------------------
+
+    def _dist_submit(self, body: bytes) -> dict:
+        specs = protocol.decode_sweep(protocol.parse_json(body))
+        return {"v": protocol.PROTOCOL_VERSION,
+                "accepted": self.leases.submit(specs)}
+
+    def _dist_lease(self, body: bytes) -> dict:
+        worker = protocol.decode_worker_doc(protocol.parse_json(body),
+                                            "lease")
+        task = asyncio.current_task()
+        if self._closing:
+            self._pollers.discard(task)
+            return protocol.encode_lease_idle(drain=True)
+        self._pollers.add(task)
+        grant = self.leases.lease(worker)
+        return grant if grant is not None else protocol.encode_lease_idle()
+
+    def _dist_heartbeat(self, body: bytes) -> dict:
+        worker, digest = protocol.decode_heartbeat(protocol.parse_json(body))
+        return {"v": protocol.PROTOCOL_VERSION,
+                "held": self.leases.heartbeat(worker, digest)}
+
+    def _dist_complete(self, body: bytes) -> dict:
+        worker, spec, _stats, result_doc, metrics = protocol.decode_complete(
+            protocol.parse_json(body)
+        )
+        outcome = self.leases.complete(worker, spec.digest(), result_doc)
+        if metrics and obs.enabled():
+            obs.registry().merge(metrics)
+        return {"v": protocol.PROTOCOL_VERSION, "outcome": outcome}
+
+    def _dist_fail(self, body: bytes) -> dict:
+        worker, digest, error = protocol.decode_fail(protocol.parse_json(body))
+        self.leases.fail(worker, digest, error)
+        return {"v": protocol.PROTOCOL_VERSION, "outcome": "ok"}
+
+    def _dist_collect(self, body: bytes) -> dict:
+        return protocol.encode_collect_response(*self.leases.collect())
+
+    def _dist_cancel(self, body: bytes) -> dict:
+        return {"v": protocol.PROTOCOL_VERSION,
+                "cancelled": self.leases.cancel()}
+
+    def _dist_status(self, body: bytes) -> dict:
+        return self.leases.status()
+
+    async def _send_json(self, writer: asyncio.StreamWriter, status: int,
+                         payload: dict | str,
+                         content_type: str = "application/json") -> None:
+        """Write one response: a dict payload as JSON, a str as is."""
+        if not isinstance(payload, str):
+            payload = json.dumps(payload)
+        body = payload.encode("utf-8")
         head = (
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: {content_type}\r\n"
@@ -573,20 +716,19 @@ class SweepServer:
         writer.write(head + body)
         await writer.drain()
 
-    async def _send_json(self, writer: asyncio.StreamWriter, status: int,
-                         payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        head = (
-            f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(body)}\r\n\r\n"
-        ).encode("ascii")
-        writer.write(head + body)
-        await writer.drain()
-
 
 def _sse(event: dict) -> bytes:
     return b"data: " + json.dumps(event).encode("utf-8") + b"\r\n\r\n"
+
+
+async def _head_line(reader: asyncio.StreamReader) -> bytes | None:
+    """One line of a request head; ``None`` when the input ends inside it."""
+    try:
+        line = await reader.readline()
+    except ValueError:       # longer than the stream's 64 KiB line limit
+        raise protocol.ProtocolError("request head line too long",
+                                     status=431) from None
+    return line if line.endswith(b"\n") else None
 
 
 # ---------------------------------------------------------------------------

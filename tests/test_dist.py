@@ -2,13 +2,17 @@
 
 The :class:`LeaseQueue` unit tests drive a fake clock, so lease expiry,
 backoff gating and retry exhaustion are asserted without sleeping.  The
-integration tests run a real coordinator (``CoordinatorThread``) with
-in-process worker threads on a cheap fake ``job_fn``; the heavyweight
-drills — SIGKILLing a real worker subprocess mid-job, degrading to the
-local pool when every worker is gone — use tiny real simulations and pin
-the headline property end to end: results bit-identical to a serial run.
+integration tests run a real sweep server (``ServerThread``) as the
+coordinator, with in-process worker threads on a cheap fake ``job_fn``;
+the heavyweight drills — SIGKILLing a real worker subprocess mid-job,
+degrading to the local pool when every worker is gone — use tiny real
+simulations and pin the headline property end to end: results
+bit-identical to a serial run.
 """
 
+import os
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -19,18 +23,18 @@ import repro.exec
 import repro.obs as obs
 from repro.chaos import ChaosConfig, FaultPlan
 from repro.common.rng import deterministic_backoff
-from repro.dist import (
-    CoordinatorThread,
-    DistBackend,
-    DistClient,
-    DistWorker,
-    LeaseQueue,
-    WorkerPool,
-)
-from repro.dist.coordinator import DONE, FAILED, LEASED, QUEUED
-from repro.exec import JobSpec, ResultCache, Scheduler, baseline_job
+from repro.dist import DistBackend, DistClient, DistWorker, WorkerPool
+from repro.exec import JobSpec, ResultCache, Scheduler, baseline_job, run_job
 from repro.pipeline import SimStats
-from repro.serve import ProtocolError, protocol
+from repro.serve import ProtocolError, ServerThread, protocol
+from repro.serve.leases import (
+    DONE,
+    FAILED,
+    LEASED,
+    QUEUED,
+    LeaseQueue,
+    lease_retries,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -346,7 +350,7 @@ class TestLeaseQueue:
 
 
 # ---------------------------------------------------------------------------
-# Coordinator + in-process workers (fake jobs: pure plumbing).
+# Sweep server as coordinator + in-process workers (fake jobs: plumbing).
 # ---------------------------------------------------------------------------
 
 def _run_workers(url: str, n: int, cache: ResultCache, **kwargs):
@@ -376,42 +380,45 @@ class TestDistIntegration:
         specs = _specs(8)
         expected = [_fake_job(s) for s in specs]
         cache = ResultCache(root=tmp_path / "cache")
-        with CoordinatorThread(lease_seconds=5.0) as coord:
-            workers, threads = _run_workers(coord.url, 2, cache)
+        queue = LeaseQueue(lease_seconds=5.0)
+        with ServerThread(cache=cache, leases=queue) as srv:
+            workers, threads = _run_workers(srv.url, 2, cache)
             sched = Scheduler(cache=cache,
-                              backend=DistBackend(coord.url,
+                              backend=DistBackend(srv.url,
                                                   poll_interval=0.01))
             assert sched.run(specs) == expected
-            status = DistClient(coord.url).dist_status()
+            status = DistClient(srv.url).dist_status()
             _stop_workers(workers, threads)
         assert status["jobs"] == {QUEUED: 0, LEASED: 0,
                                   DONE: len(specs), FAILED: 0}
         assert status["leases"] == []
-        assert coord.queue.counters["completions"] == len(specs)
+        assert queue.counters["completions"] == len(specs)
 
     def test_duplicate_specs_computed_once(self, tmp_path):
         spec = _specs(1)[0]
         specs = [spec, spec, spec]
         cache = ResultCache(root=tmp_path / "cache")
-        with CoordinatorThread(lease_seconds=5.0) as coord:
-            workers, threads = _run_workers(coord.url, 1, cache)
+        queue = LeaseQueue(lease_seconds=5.0)
+        with ServerThread(cache=cache, leases=queue) as srv:
+            workers, threads = _run_workers(srv.url, 1, cache)
             sched = Scheduler(cache=cache,
-                              backend=DistBackend(coord.url,
+                              backend=DistBackend(srv.url,
                                                   poll_interval=0.01))
             assert sched.run(specs) == [_fake_job(spec)] * 3
             _stop_workers(workers, threads)
-        assert coord.queue.counters["jobs"] == 1
-        assert coord.queue.counters["completions"] == 1
+        assert queue.counters["jobs"] == 1
+        assert queue.counters["completions"] == 1
 
     def test_workers_write_journals_mergeable_on_resume(self, tmp_path):
         from repro.chaos import RunJournal, merge_journals
         specs = _specs(4)
         cache = ResultCache(root=tmp_path / "cache")
         journals = [RunJournal(tmp_path / f"w{i}.jsonl") for i in range(2)]
-        with CoordinatorThread(lease_seconds=5.0) as coord:
+        queue = LeaseQueue(lease_seconds=5.0)
+        with ServerThread(cache=cache, leases=queue) as srv:
             workers, threads = [], []
             for i, journal in enumerate(journals):
-                worker = DistWorker(coord.url, f"w{i}", cache=cache,
+                worker = DistWorker(srv.url, f"w{i}", cache=cache,
                                     journal=journal, job_fn=_fake_job,
                                     in_process=True, poll_interval=0.01)
                 thread = threading.Thread(target=worker.run, daemon=True)
@@ -419,7 +426,7 @@ class TestDistIntegration:
                 workers.append(worker)
                 threads.append(thread)
             sched = Scheduler(cache=cache,
-                              backend=DistBackend(coord.url,
+                              backend=DistBackend(srv.url,
                                                   poll_interval=0.01))
             results = sched.run(specs)
             _stop_workers(workers, threads)
@@ -439,21 +446,22 @@ class TestDistIntegration:
         specs = [baseline_job("swim", 1_000, 0)]
         expected = Scheduler().run(specs)
         cache = ResultCache(root=tmp_path / "cache")
-        with CoordinatorThread(lease_seconds=5.0, retries=1,
-                               backoff_base=0.01, backoff_cap=0.02) as coord:
+        queue = LeaseQueue(lease_seconds=5.0, retries=1, backoff_base=0.01,
+                           backoff_cap=0.02)
+        with ServerThread(cache=cache, leases=queue) as srv:
             workers, threads = [], []
-            worker = DistWorker(coord.url, "w0", cache=cache,
+            worker = DistWorker(srv.url, "w0", cache=cache,
                                 job_fn=_always_raises, in_process=True,
                                 poll_interval=0.01)
             thread = threading.Thread(target=worker.run, daemon=True)
             thread.start()
             sched = Scheduler(cache=cache,
-                              backend=DistBackend(coord.url,
+                              backend=DistBackend(srv.url,
                                                   poll_interval=0.01))
             assert sched.run(specs) == expected
             worker.stop()
             thread.join(timeout=20)
-        assert coord.queue.counters["failures"] == 1
+        assert queue.counters["failures"] == 1
         # the locally recomputed result was stored for everyone
         assert cache.get(specs[0]) == expected[0]
 
@@ -461,26 +469,28 @@ class TestDistIntegration:
         specs = _specs(3)
         expected = Scheduler().run(specs)
         cache = ResultCache(root=tmp_path / "cache")
-        with CoordinatorThread(lease_seconds=5.0) as coord:
+        queue = LeaseQueue(lease_seconds=5.0)
+        with ServerThread(cache=cache, leases=queue) as srv:
             sched = Scheduler(cache=cache,
-                              backend=DistBackend(coord.url,
+                              backend=DistBackend(srv.url,
                                                   poll_interval=0.02,
                                                   degrade_after=0.3))
             assert sched.run(specs) == expected
-        assert coord.queue.counters["cancelled"] == len(specs)
+        assert queue.counters["cancelled"] == len(specs)
         assert all(cache.get(s) == e for s, e in zip(specs, expected))
 
     def test_corrupt_verdict_quarantined_and_repaired(self, tmp_path):
-        """A coordinator-shipped corruption verdict damages the worker's
+        """A server-shipped corruption verdict damages the worker's
         stored blob; the worker proves repair: quarantine + clean re-put."""
         specs = _specs(3)
         expected = [_fake_job(s) for s in specs]
         chaos = FaultPlan(ChaosConfig(cache_corrupt_rate=1.0, seed=5))
         cache = ResultCache(root=tmp_path / "cache")
-        with CoordinatorThread(lease_seconds=5.0, chaos=chaos) as coord:
-            workers, threads = _run_workers(coord.url, 1, cache)
+        queue = LeaseQueue(lease_seconds=5.0, chaos=chaos)
+        with ServerThread(cache=cache, leases=queue) as srv:
+            workers, threads = _run_workers(srv.url, 1, cache)
             sched = Scheduler(cache=cache,
-                              backend=DistBackend(coord.url,
+                              backend=DistBackend(srv.url,
                                                   poll_interval=0.01))
             assert sched.run(specs) == expected
             _stop_workers(workers, threads)
@@ -498,18 +508,60 @@ class TestDistIntegration:
         chaos = FaultPlan(ChaosConfig(crash_rate=0.7, seed=3,
                                       max_faults_per_job=2))
         cache = ResultCache(root=tmp_path / "cache")
-        with CoordinatorThread(lease_seconds=5.0, retries=4,
-                               backoff_base=0.01, backoff_cap=0.05,
-                               chaos=chaos) as coord:
-            workers, threads = _run_workers(coord.url, 2, cache)
+        queue = LeaseQueue(lease_seconds=5.0, retries=4, backoff_base=0.01,
+                           backoff_cap=0.05, chaos=chaos)
+        with ServerThread(cache=cache, leases=queue) as srv:
+            workers, threads = _run_workers(srv.url, 2, cache)
             sched = Scheduler(cache=cache,
-                              backend=DistBackend(coord.url,
+                              backend=DistBackend(srv.url,
                                                   poll_interval=0.01))
             assert sched.run(specs) == expected
             _stop_workers(workers, threads)
         assert chaos.injected.get("crash", 0) > 0
         assert chaos.recovered > 0
-        assert coord.queue.status()["jobs"][DONE] == len(specs)
+        assert queue.status()["jobs"][DONE] == len(specs)
+
+
+    def test_stopping_the_server_drains_a_polling_worker(self, tmp_path):
+        """A worker polling while the server stops is told ``drain`` and
+        leaves its loop normally."""
+        cache = ResultCache(root=tmp_path / "cache")
+        srv = ServerThread(cache=cache,
+                           leases=LeaseQueue(lease_seconds=5.0)).start()
+        worker = DistWorker(srv.url, "w0", cache=cache, job_fn=_fake_job,
+                            in_process=True, poll_interval=0.01)
+        drains: list[bool] = []
+        lease = worker.client.dist_lease
+
+        def recording_lease(worker_id):
+            order, drain = lease(worker_id)
+            drains.append(drain)
+            return order, drain
+
+        worker.client.dist_lease = recording_lease
+        completed: list[int] = []
+        thread = threading.Thread(
+            target=lambda: completed.append(worker.run()), daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 20
+        while not drains and time.monotonic() < deadline:
+            time.sleep(0.01)
+        srv.stop()
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert drains and drains[-1] is True
+        assert drains.count(True) == 1
+        assert completed == [0]
+
+
+class TestLeaseRetries:
+    def test_default_budget(self):
+        assert lease_retries() == 3
+        assert lease_retries(None) == 3
+
+    def test_chaos_budget_covers_every_injected_fault(self):
+        assert lease_retries(FaultPlan(ChaosConfig(max_faults_per_job=1))) == 3
+        assert lease_retries(FaultPlan(ChaosConfig(max_faults_per_job=5))) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +570,7 @@ class TestDistIntegration:
 
 def _kill_when_leased(url: str, pool: WorkerPool, idx: int, worker: str,
                       outcome: list, timeout: float = 60.0) -> None:
-    """SIGKILL pool worker ``idx`` the moment the coordinator shows
+    """SIGKILL pool worker ``idx`` the moment the server shows
     ``worker`` holding a lease — deterministic mid-job node loss
     regardless of how long subprocess startup takes."""
     client = DistClient(url)
@@ -533,7 +585,7 @@ def _kill_when_leased(url: str, pool: WorkerPool, idx: int, worker: str,
             time.sleep(0.02)
         outcome.append(False)
     except Exception:
-        outcome.append(False)     # coordinator shut down under us
+        outcome.append(False)     # server shut down under us
     finally:
         client.close()
 
@@ -549,27 +601,28 @@ class TestWorkerLossDrills:
         serial = Scheduler().run(specs)
         cache = ResultCache(root=tmp_path / "cache")
         killed: list = []
-        with CoordinatorThread(lease_seconds=1.0, retries=4,
-                               backoff_base=0.05, backoff_cap=0.2) as coord:
-            with WorkerPool(coord.url, 2, cache_root=str(cache.root),
+        queue = LeaseQueue(lease_seconds=1.0, retries=4, backoff_base=0.05,
+                           backoff_cap=0.2)
+        with ServerThread(cache=cache, leases=queue) as srv:
+            with WorkerPool(srv.url, 2, cache_root=str(cache.root),
                             respawn=False, slowdown=0.4,
                             poll_interval=0.01) as pool:
                 killer = threading.Thread(
                     target=_kill_when_leased,
-                    args=(coord.url, pool, 0, "w0", killed), daemon=True,
+                    args=(srv.url, pool, 0, "w0", killed), daemon=True,
                 )
                 killer.start()
                 sched = Scheduler(cache=cache,
-                                  backend=DistBackend(coord.url,
+                                  backend=DistBackend(srv.url,
                                                       poll_interval=0.02))
                 dist = sched.run(specs)
                 killer.join(timeout=20)
-                status = DistClient(coord.url).dist_status()
+                status = DistClient(srv.url).dist_status()
         assert killed == [True]
         assert dist == serial
         assert status["jobs"][DONE] == len(specs)
         assert status["leases"] == []          # zero leaked lease records
-        counters = coord.queue.counters
+        counters = queue.counters
         assert counters.get("lease_expired", 0) >= 1
         assert counters.get("requeues", 0) >= 1
 
@@ -579,19 +632,20 @@ class TestWorkerLossDrills:
         serial = Scheduler().run(specs)
         cache = ResultCache(root=tmp_path / "cache")
         killed: list = []
-        with CoordinatorThread(lease_seconds=1.0, retries=8,
-                               backoff_base=0.05, backoff_cap=0.2) as coord:
-            with WorkerPool(coord.url, 1, cache_root=str(cache.root),
+        queue = LeaseQueue(lease_seconds=1.0, retries=8, backoff_base=0.05,
+                           backoff_cap=0.2)
+        with ServerThread(cache=cache, leases=queue) as srv:
+            with WorkerPool(srv.url, 1, cache_root=str(cache.root),
                             respawn=False, slowdown=2.0,
                             poll_interval=0.01) as pool:
                 killer = threading.Thread(
                     target=_kill_when_leased,
-                    args=(coord.url, pool, 0, "w0", killed), daemon=True,
+                    args=(srv.url, pool, 0, "w0", killed), daemon=True,
                 )
                 killer.start()
                 sched = Scheduler(
                     cache=cache,
-                    backend=DistBackend(coord.url, poll_interval=0.05,
+                    backend=DistBackend(srv.url, poll_interval=0.05,
                                         degrade_after=1.0),
                 )
                 dist = sched.run(specs)
@@ -599,3 +653,51 @@ class TestWorkerLossDrills:
         assert killed == [True]
         assert dist == serial
         assert all(cache.get(s) == r for s, r in zip(specs, serial))
+
+
+def _start_serve_process(cache_dir: Path):
+    """``python -m repro.serve --port 0``; returns (process, url)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve", "--port", "0",
+         "--cache-dir", str(cache_dir)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    for line in proc.stdout:
+        if "listening on " in line:
+            return proc, line.split("listening on ", 1)[1].split()[0]
+    proc.wait(timeout=10)
+    raise RuntimeError("python -m repro.serve did not start")
+
+
+class TestStandaloneServer:
+    def test_serve_process_coordinates_a_worker_pool_sweep(self, tmp_path):
+        """``python -m repro.serve`` is the standalone coordinator: a
+        two-worker pool and a DistBackend sweep against it equal serial
+        ``run_job`` and leave no lease held."""
+        specs = [baseline_job(w, uops=2_000, warmup=500)
+                 for w in ("swim", "gobmk", "mcf")]
+        serial = [run_job(s) for s in specs]
+        cache = ResultCache(root=tmp_path / "cache")
+        proc, url = _start_serve_process(cache.root)
+        try:
+            with WorkerPool(url, 2, cache_root=str(cache.root),
+                            poll_interval=0.01):
+                sched = Scheduler(cache=cache,
+                                  backend=DistBackend(url,
+                                                      poll_interval=0.02))
+                dist = sched.run(specs)
+                with DistClient(url) as client:
+                    status = client.dist_status()
+        finally:
+            proc.terminate()
+            proc.communicate(timeout=30)
+        assert dist == serial
+        assert status["jobs"] == {QUEUED: 0, LEASED: 0,
+                                  DONE: len(specs), FAILED: 0}
+        assert status["leases"] == []
+        assert status["counters"]["completions"] == len(specs)

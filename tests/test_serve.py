@@ -14,6 +14,7 @@ import dataclasses
 import http.client
 import http.server
 import json
+import logging
 import re
 import socket
 import threading
@@ -21,9 +22,12 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import repro.exec
 import repro.obs as obs
+from repro.dist import DistClient
 from repro.eval import experiments
 from repro.eval.runner import RunSpec
 from repro.exec import (
@@ -42,6 +46,7 @@ from repro.serve import (
     ServerThread,
 )
 from repro.serve import protocol
+from repro.serve import server as server_module
 
 TINY = RunSpec(uops=4_000, warmup=1_000, workloads=("swim", "gobmk"))
 
@@ -348,6 +353,274 @@ class TestServer:
             client.submit(spec)
             client._conn.close()              # stale socket, client keeps it
             assert client.submit_with_source(spec)[1] == "cache"
+
+
+# ---------------------------------------------------------------------------
+# The request reader on hostile input, and the merged route table.
+# ---------------------------------------------------------------------------
+
+#: Statuses a request may be answered with (500 would mean the server
+#: mishandled its input, not that the input was bad).
+_ALLOWED_STATUSES = {200, 400, 404, 405, 413, 431, 502}
+
+_ROUTES = sorted(getattr(protocol, name) for name in dir(protocol)
+                 if name.startswith("ROUTE_"))
+_SERVE_ROUTES = [r for r in _ROUTES if not r.startswith("/v1/dist/")]
+_DIST_ROUTES = [r for r in _ROUTES if r.startswith("/v1/dist/")]
+
+
+def _exchange(port: int, payload: bytes, half_close: bool = True,
+              timeout: float = 10.0) -> tuple[bytes, bool]:
+    """Send raw bytes; read until the server closes or a stream head is in.
+
+    Returns ``(received, closed)``.  ``half_close`` ends the request side
+    after sending, so a truncated request is truncated at EOF.  A reset
+    after the server answered counts as a close: the server may close
+    with the rest of a refused request unread.
+    """
+    data = b""
+    with socket.create_connection(("127.0.0.1", port),
+                                  timeout=timeout) as sock:
+        try:
+            sock.sendall(payload)
+            if half_close:
+                sock.shutdown(socket.SHUT_WR)
+        except (BrokenPipeError, ConnectionResetError):
+            pass
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except ConnectionResetError:
+                return data, True
+            except socket.timeout:
+                return data, False
+            if not chunk:
+                return data, True
+            data += chunk
+            head = data.split(b"\r\n\r\n", 1)[0].lower()
+            if b"text/event-stream" in head and b"\r\n\r\n" in data:
+                return data, False          # an SSE stream stays open
+
+
+def _responses(raw: bytes) -> list[int]:
+    """The statuses of the well-formed responses ``raw`` consists of."""
+    statuses = []
+    while raw:
+        head, sep, rest = raw.partition(b"\r\n\r\n")
+        assert sep, f"truncated response head: {raw[:200]!r}"
+        status_line, *lines = head.decode("ascii").split("\r\n")
+        match = re.fullmatch(r"HTTP/1\.1 (\d{3}) [A-Za-z ]+", status_line)
+        assert match, f"bad status line: {status_line!r}"
+        headers = dict(line.lower().split(": ", 1) for line in lines)
+        statuses.append(int(match.group(1)))
+        if headers.get("content-type") == "text/event-stream":
+            break
+        length = int(headers["content-length"])
+        assert len(rest) >= length, "truncated response body"
+        body, raw = rest[:length], rest[length:]
+        if headers["content-type"] == "application/json":
+            doc = json.loads(body)
+            assert isinstance(doc, dict)
+            if statuses[-1] != 200:
+                assert doc["status"] == statuses[-1] and doc["error"]
+    return statuses
+
+
+class _Records(logging.Handler):
+    """Collects the error records asyncio logs (unhandled exceptions)."""
+
+    def __init__(self) -> None:
+        super().__init__(logging.ERROR)
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.records.append(record)
+
+
+@contextlib.contextmanager
+def _asyncio_errors():
+    handler = _Records()
+    logger = logging.getLogger("asyncio")
+    logger.addHandler(handler)
+    try:
+        yield handler.records
+    finally:
+        logger.removeHandler(handler)
+
+
+@pytest.fixture(scope="module")
+def fuzz_server(tmp_path_factory):
+    srv = ServerThread(cache=ResultCache(root=tmp_path_factory.mktemp("fz")),
+                       jobs=1, job_fn=_fake_job).start()
+    try:
+        with _asyncio_errors() as records:
+            yield srv, records
+    finally:
+        srv.stop()
+
+
+_TOKEN = st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126),
+                 min_size=1, max_size=12)
+_JSON_BODY = st.fixed_dictionaries(
+    {"v": st.sampled_from([1, 1, 2, "1"])},
+    optional={
+        "worker": st.one_of(_TOKEN, st.integers()),
+        "digest": st.one_of(_TOKEN, st.just("a" * 64)),
+        "error": _TOKEN,
+        "spec": st.dictionaries(_TOKEN, st.integers(), max_size=3),
+        "specs": st.lists(st.dictionaries(_TOKEN, st.integers(),
+                                          max_size=2), max_size=2),
+        "result": st.dictionaries(_TOKEN, _TOKEN, max_size=2),
+    },
+).map(lambda doc: json.dumps(doc).encode())
+
+
+@st.composite
+def _requests(draw):
+    """Raw request bytes, and whether they were cut short."""
+    method = draw(st.sampled_from(["GET", "POST", "PUT", "HEAD", "DELETE"])
+                  | _TOKEN)
+    path = draw(st.sampled_from(_ROUTES)
+                | st.sampled_from(_ROUTES).map(lambda r: r + "x")
+                | st.sampled_from(_ROUTES).map(
+                    lambda r: r + "?format=prometheus")
+                | st.builds(lambda r, t: r + t, st.sampled_from(_ROUTES),
+                            _TOKEN)
+                | _TOKEN.map(lambda t: "/" + t))
+    body = draw(st.binary(max_size=64) | _JSON_BODY)
+    length_kind = draw(st.sampled_from(
+        ["missing", "exact", "negative", "text", "huge"]))
+    head = [f"{method} {path} HTTP/1.1", "Host: fuzz"]
+    if length_kind == "missing":
+        body = b""
+    elif length_kind == "exact":
+        head.append(f"Content-Length: {len(body)}")
+    elif length_kind == "negative":
+        head.append(f"Content-Length: -{draw(st.integers(1, 10**6))}")
+    elif length_kind == "text":
+        head.append("Content-Length: " + draw(
+            st.sampled_from(["abc", "1.5", "0x10", "1e3", "+5", "\xb2"])
+            | _TOKEN.filter(lambda t: not t.isdigit())))
+    else:
+        head.append("Content-Length: " + str(draw(st.sampled_from([
+            protocol.MAX_BODY_BYTES + 1, 10**12, 10**200]))))
+    head += [f"X-Fill-{i}: {i}" for i in range(draw(st.integers(0, 300)))]
+    raw = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+    cut = draw(st.none() | st.integers(0, len(raw) - 1))
+    return (raw, False) if cut is None else (raw[:cut], True)
+
+
+class TestHostileRequests:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(request=_requests())
+    @example(request=(b"POST /v1/submit HTTP/1.1\r\nContent-Length: -5"
+                      b"\r\n\r\n", False))
+    @example(request=(b"POST /v1/dist/lease HTTP/1.1\r\n"
+                      b"Content-Length: abc\r\n\r\n", False))
+    @example(request=(b"GET /v1/dist/status HTTP/1.1\r\n"
+                      + b"X-Fill: 1\r\n" * 5000 + b"\r\n", False))
+    @example(request=(b"POST /v1/sweep HTTP/1.1\r\nContent-Length: "
+                      + str(protocol.MAX_BODY_BYTES + 1).encode()
+                      + b"\r\n\r\n", False))
+    @example(request=(b"GET /v1/dist/status HTTP/1.1\r\n\r\n", False))
+    @example(request=(b"GET /v1/progress HTTP/1.1\r\n\r\n", False))
+    @example(request=(b"GET /v1/healt", True))
+    def test_every_request_gets_one_response_or_a_clean_close(
+            self, fuzz_server, request):
+        srv, records = fuzz_server
+        raw, truncated = request
+        data, closed = _exchange(srv.server.port, raw)
+        statuses = _responses(data)
+        if truncated:
+            assert len(statuses) <= 1, statuses
+        else:
+            assert len(statuses) == 1, (raw[:200], data[:300])
+        assert set(statuses) <= _ALLOWED_STATUSES, statuses
+        assert closed or statuses == [200]          # SSE stays open
+        assert records == [], [r.getMessage() for r in records]
+
+    @pytest.mark.parametrize("length", ["-5", "abc"])
+    def test_bad_content_length_is_400_then_close(self, server, caplog,
+                                                  length):
+        data, closed = _exchange(
+            server.server.port,
+            f"POST /v1/submit HTTP/1.1\r\nContent-Length: {length}"
+            f"\r\n\r\n".encode(), half_close=False)
+        assert _responses(data) == [400]
+        assert closed
+        assert "Content-Length" in json.loads(data.split(b"\r\n\r\n")[1])[
+            "error"]
+        assert not [r for r in caplog.records if r.name == "asyncio"]
+        assert server.server.errors_4xx == 1
+
+    def test_header_flood_is_431_then_close(self, server):
+        flood = b"X-Fill: 1\r\n" * 5000
+        data, closed = _exchange(
+            server.server.port,
+            b"GET /v1/healthz HTTP/1.1\r\n" + flood + b"\r\n",
+            half_close=False)
+        assert _responses(data) == [431]
+        assert closed
+
+    def test_oversized_body_is_413_before_it_is_read(self, server):
+        """The 413 arrives, and the connection closes, while the client
+        has sent only the head: the body is neither awaited nor read."""
+        data, closed = _exchange(
+            server.server.port,
+            b"POST /v1/sweep HTTP/1.1\r\nContent-Length: "
+            + str(protocol.MAX_BODY_BYTES + 1).encode() + b"\r\n\r\n",
+            half_close=False)
+        assert _responses(data) == [413]
+        assert closed
+
+    def test_stalled_and_idle_connections_are_timed_out(self, server,
+                                                        monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_SECONDS", 0.2)
+        monkeypatch.setattr(server_module, "IDLE_TIMEOUT_SECONDS", 0.4)
+        port = server.server.port
+        t0 = time.monotonic()
+        data, closed = _exchange(port, b"GET /v1/heal", half_close=False)
+        assert (data, closed) == (b"", True)    # stalled mid request line
+        data, closed = _exchange(port, b"", half_close=False)
+        assert (data, closed) == (b"", True)    # never sent a byte
+        assert time.monotonic() - t0 < 5.0
+        # A keep-alive client whose idle connection was closed reconnects.
+        spec = baseline_job("swim", 2000, 500)
+        with ServeClient(server.url, retries=0) as client:
+            client.submit(spec)
+            time.sleep(0.6)
+            assert client.submit_with_source(spec)[1] == "cache"
+            assert client.retried == 0
+
+    def test_dist_and_serve_routes_do_not_mask_each_other(self, server):
+        """Both route sets answer on one server, each with its own
+        documents, and share the request and error accounting."""
+        digest = "0" * 64
+        with DistClient(server.url) as dist:
+            status = dist.dist_status()
+        assert set(status) >= {"jobs", "leases", "counters"}
+        assert status["jobs"] == {"queued": 0, "leased": 0, "done": 0,
+                                  "failed": 0}
+        with ServeClient(server.url, retries=0) as client:
+            assert client.health()["ok"] is True
+        conn = http.client.HTTPConnection("127.0.0.1", server.server.port,
+                                          timeout=10)
+        try:
+            for method, path, expected in (
+                    ("GET", protocol.ROUTE_RESULT + digest, 404),
+                    ("GET", protocol.ROUTE_DIST_LEASE, 405),
+                    ("POST", protocol.ROUTE_DIST_STATUS, 405),
+                    ("GET", "/v1/dist/nope", 404),
+                    ("GET", protocol.ROUTE_RESULT + "v1/dist/status", 400)):
+                conn.request(method, path)
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == expected, (method, path)
+        finally:
+            conn.close()
+        assert server.server.requests == 7
+        assert server.server.errors_4xx == 5
 
 
 # ---------------------------------------------------------------------------
