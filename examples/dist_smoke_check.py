@@ -5,11 +5,13 @@ One self-contained drill over a tiny sweep (CI's ``dist-smoke`` job, a
 few seconds end to end):
 
 1. compute the sweep serially — the reference report;
-2. run the same sweep on the distributed backend: an embedded sweep
-   server whose lease queue carries a chaos plan (worker crashes +
-   cache-blob corruption, fixed seed) and two ``python -m repro.dist worker``
-   subprocesses, one of which is additionally SIGKILLed mid-job from
-   outside — the hard-node-loss case chaos cannot model from within;
+2. send the same sweep to an embedded sweep server through
+   ``ServeBackend``: its lease queue carries a chaos plan (worker
+   crashes + cache-blob corruption, fixed seed), and its misses go to two
+   ``python -m repro.dist worker`` subprocesses (the pool has heard from
+   both before the sweep starts), one of which is additionally SIGKILLed
+   mid-job from outside — the hard-node-loss case chaos cannot model
+   from within;
 3. assert the distributed report is byte-identical to the serial one,
    that every injected fault is accounted (``exec/fault/*`` counters,
    recovered jobs), that at least one lease expired and was stolen by
@@ -33,9 +35,9 @@ import json
 
 import repro.obs as obs
 from repro.chaos import FaultPlan, parse_chaos_spec
-from repro.dist import DistBackend, DistClient, WorkerPool
+from repro.dist import DistClient, WorkerPool
 from repro.exec import JobSpec, ResultCache, Scheduler, stats_to_dict
-from repro.serve import ServerThread
+from repro.serve import ServeBackend, ServerThread
 from repro.serve.leases import LeaseQueue
 
 WORKLOADS = ("swim", "gobmk", "mcf", "bzip2", "wupwise", "gcc")
@@ -102,11 +104,13 @@ def main() -> int:
                     daemon=True,
                 )
                 killer.start()
-                sched = Scheduler(cache=cache,
-                                  backend=DistBackend(srv.url))
+                backend = ServeBackend(srv.url)
+                sched = Scheduler(cache=cache, backend=backend)
                 dist = sched.run(SPECS, label="smoke-dist")
+                backend.close()
                 killer.join(timeout=20)
-                status = DistClient(srv.url).dist_status()
+                with DistClient(srv.url) as client:
+                    status = client.dist_status()
             counters = leases.counters
 
         report = render(dist)

@@ -42,21 +42,20 @@ covers ``max_faults`` (it does).
 
 With ``--server-url URL`` no cell is computed locally at all: every sweep
 is submitted to a running sweep server (``python -m repro.serve``), which
-answers cached digests instantly and schedules the rest on its own pool.
-Results are verified (payload checksum + digest) and bit-identical to a
-local run, so reports come out byte-identical too.
+answers cached digests instantly and computes the rest — on its own pool,
+or, while ``python -m repro.dist worker`` processes poll it (on any host
+sharing its cache root), on those workers.  Results are verified (payload
+checksum + digest) and bit-identical to a local run, so reports come out
+byte-identical too.
 
-With ``--dist-workers N`` sweeps execute on a *distributed* work-stealing
-backend instead of the local pool: an embedded sweep server hands cells
-from its lease queue to N ``python -m repro.dist worker`` subprocesses
-that pull jobs, heartbeat while computing, and write results into the
-shared cache; a killed or hung worker's lease expires and its job is
-retried elsewhere, so the report stays byte-identical to a serial run.
-``--coordinator-url URL`` submits to an already-running sweep server
-(``python -m repro.serve``) whose workers may live on other hosts.
-``--chaos`` combines with ``--dist-workers`` — verdicts are drawn by the
-server's lease queue, so worker crashes and corrupt cache blobs rehearse
-the full distributed recovery path.
+With ``--dist-workers N`` the same path runs on this host: an embedded
+sweep server leases its misses to N ``python -m repro.dist worker``
+subprocesses that pull jobs, heartbeat while computing, and write results
+into the shared cache; a killed or hung worker's lease expires and its
+job is retried elsewhere, so the report stays byte-identical to a serial
+run.  ``--chaos`` combines with ``--dist-workers`` — verdicts are drawn by
+the server's lease queue, so worker crashes and corrupt cache blobs
+rehearse the full distributed recovery path.
 
 With ``--batch-variants`` the BeBoP sweep grids (Fig 6a/6b/7a/7b) run
 each workload's variant set as one batched trace pass instead of one
@@ -167,22 +166,18 @@ def main() -> int:
     parser.add_argument("--server-url", default=None, metavar="URL",
                         help="execute every sweep against a running sweep "
                              "server (python -m repro.serve) instead of "
-                             "locally; incompatible with --jobs/--chaos/"
-                             "--resume/--cache-dir/--no-cache")
+                             "locally; the server computes misses on its "
+                             "pool, or on its 'python -m repro.dist "
+                             "worker' processes while any poll it; "
+                             "incompatible with --jobs/--chaos/--resume/"
+                             "--cache-dir/--no-cache")
     parser.add_argument("--dist-workers", type=int, default=0, metavar="N",
-                        help="run sweeps on a distributed work-stealing "
-                             "backend: embed a sweep server as the lease "
-                             "coordinator and spawn N 'python -m "
+                        help="run sweeps on distributed workers: embed a "
+                             "sweep server and spawn N 'python -m "
                              "repro.dist worker' subprocesses that pull "
-                             "jobs and write the shared cache (requires "
-                             "the cache; --chaos faults are drawn by the "
-                             "server's lease queue)")
-    parser.add_argument("--coordinator-url", default=None, metavar="URL",
-                        help="execute sweeps through the lease queue of "
-                             "an already-running sweep server (python -m "
-                             "repro.serve) whose workers may be remote; "
-                             "incompatible with --chaos (give the "
-                             "server its own --chaos)")
+                             "its misses and write the shared cache "
+                             "(requires the cache; --chaos faults are "
+                             "drawn by the server's lease queue)")
     parser.add_argument("--lease-seconds", type=float, default=30.0,
                         metavar="S",
                         help="job lease duration for the embedded "
@@ -205,30 +200,22 @@ def main() -> int:
     if args.obs:
         obs.enable()
 
-    client = None
     chaos = None
     journal = None
     cache = None
+    backend = None
     dist_server = None
     dist_pool = None
-    dist_url = None
     progress = repro.exec.ProgressMeter()
-    use_dist = bool(args.dist_workers or args.coordinator_url)
+    use_dist = bool(args.dist_workers)
     if args.dist_workers < 0:
         parser.error(f"--dist-workers must be >= 0, got {args.dist_workers}")
-    if args.dist_workers and args.coordinator_url:
-        parser.error("--dist-workers embeds its own server; use one "
-                     "of --dist-workers / --coordinator-url")
     if use_dist and args.server_url:
-        parser.error("--server-url and the distributed backend are "
-                     "different remote execution paths; pick one")
-    if args.coordinator_url and args.chaos:
-        parser.error("--chaos with an external server must be given to "
-                     "that server (python -m repro.serve --chaos ...), "
-                     "which draws the verdicts")
+        parser.error("--dist-workers embeds its own server; use one "
+                     "of --dist-workers / --server-url")
     if use_dist and args.no_cache:
-        parser.error("the distributed backend needs the shared result "
-                     "cache; drop --no-cache")
+        parser.error("--dist-workers needs the shared result cache "
+                     "(its workers write it); drop --no-cache")
     if use_dist and args.batch_variants:
         parser.error("--batch-variants needs local execution (workers own "
                      "the per-job boundary); drop it for distributed runs")
@@ -243,10 +230,10 @@ def main() -> int:
                 parser.error(f"{flag} configures local execution and "
                              f"cannot be combined with --server-url "
                              f"(those knobs belong to the server)")
-        from repro.serve import RemoteScheduler, ServeClient
+        from repro.serve import ServeBackend
         try:
-            client = ServeClient(args.server_url)
-            health = client.health()
+            backend = ServeBackend(args.server_url)
+            health = backend.client.health()
         except ValueError as exc:
             parser.error(str(exc))
         except Exception as exc:
@@ -254,8 +241,7 @@ def main() -> int:
         print(f"[serve] using server at {args.server_url} "
               f"(code version {health['code_version']}, "
               f"{health['jobs']} server worker(s))")
-        repro.exec.install_scheduler(
-            RemoteScheduler(client, progress=progress))
+        repro.exec.configure(progress=progress, backend=backend)
     else:
         if args.chaos:
             from repro.chaos import FaultPlan, parse_chaos_spec
@@ -296,35 +282,30 @@ def main() -> int:
                 root=args.cache_dir, chaos=None if use_dist else chaos
             )
 
-        backend = None
         if use_dist:
-            from repro.dist import DistBackend, DistClient, WorkerPool
-            if args.coordinator_url:
-                dist_url = args.coordinator_url
-                try:
-                    DistClient(dist_url).dist_status()
-                except ValueError as exc:
-                    parser.error(str(exc))
-                except Exception as exc:
-                    parser.error(f"no sweep server at {dist_url}: {exc}")
-                print(f"[dist] using coordinator at {dist_url}")
-            else:
-                from repro.serve import ServerThread
-                from repro.serve.leases import LeaseQueue, lease_retries
-                dist_server = ServerThread(cache=cache, leases=LeaseQueue(
-                    lease_seconds=args.lease_seconds,
-                    retries=lease_retries(chaos), chaos=chaos,
-                )).start()
-                dist_url = dist_server.url
-                journal_dir = (_worker_journal_dir(args.resume)
-                               if args.resume else None)
-                dist_pool = WorkerPool(
-                    dist_url, args.dist_workers, cache_root=str(cache.root),
-                    journal_dir=journal_dir,
-                ).start()
-                print(f"[dist] embedded coordinator at {dist_url}, "
-                      f"{args.dist_workers} worker process(es)")
-            backend = DistBackend(dist_url)
+            from repro.dist import WorkerPool
+            from repro.serve import ServeBackend, ServerThread
+            from repro.serve.leases import LeaseQueue, lease_retries
+            # The server's own pool computes what the workers cannot
+            # finish, with this run's --jobs and --job-timeout; its cache
+            # shares the root but keeps its own counters.
+            dist_server = ServerThread(
+                cache=repro.exec.ResultCache(root=cache.root),
+                jobs=args.jobs, timeout=args.job_timeout,
+                leases=LeaseQueue(lease_seconds=args.lease_seconds,
+                                  retries=lease_retries(chaos), chaos=chaos),
+            ).start()
+            journal_dir = (_worker_journal_dir(args.resume)
+                           if args.resume else None)
+            # Returns once every worker has polled, so the first sweep's
+            # misses are leased rather than computed on the server's pool.
+            dist_pool = WorkerPool(
+                dist_server.url, args.dist_workers,
+                cache_root=str(cache.root), journal_dir=journal_dir,
+            ).start()
+            print(f"[dist] embedded sweep server at {dist_server.url}, "
+                  f"{args.dist_workers} worker process(es)")
+            backend = ServeBackend(dist_server.url)
 
         retries = max(1, chaos.config.max_faults_per_job) if chaos else 1
         repro.exec.configure(jobs=args.jobs, cache=cache,
@@ -423,19 +404,20 @@ def main() -> int:
             f.write(report + "\n")
         print(f"\nreport written to {args.out}")
 
-    if client is not None:
+    if args.server_url:
         print(f"\n[serve] client: {progress.summary()}")
         try:
-            served = client.metrics().get("serve", {})
+            served = backend.client.metrics().get("serve", {})
             print(f"[serve] server: {served.get('requests', 0)} request(s), "
                   f"{served.get('hits', 0)} hit(s), "
                   f"{served.get('misses', 0)} scheduled, "
                   f"{served.get('dedup', 0)} deduplicated")
         except Exception as exc:                   # summary only — best effort
             print(f"[serve] server metrics unavailable: {exc}")
-        client.close()
     else:
         print(f"\n[exec] {args.jobs} worker(s): {progress.summary()}")
+    if backend is not None:
+        backend.close()
     if cache is not None:
         print(f"[exec] {cache.summary()}")
     if journal is not None:
@@ -448,13 +430,12 @@ def main() -> int:
         status = None
         try:
             from repro.dist import DistClient
-            status = DistClient(dist_url).dist_status()
+            with DistClient(dist_server.url) as dist_client:
+                status = dist_client.dist_status()
         except Exception as exc:               # summary only — best effort
-            print(f"[dist] coordinator status unavailable: {exc}")
-        if dist_pool is not None:
-            dist_pool.stop()
-        if dist_server is not None:
-            dist_server.stop()
+            print(f"[dist] server status unavailable: {exc}")
+        dist_pool.stop()
+        dist_server.stop()
         if status is not None:
             counters = status.get("counters", {})
             jobs = status.get("jobs", {})
@@ -462,7 +443,7 @@ def main() -> int:
                     f"{counters.get('steals', 0)} steal(s)",
                     f"{counters.get('lease_expired', 0)} expired lease(s)",
                     f"{counters.get('requeues', 0)} requeue(s)"]
-            if dist_pool is not None and dist_pool.respawns:
+            if dist_pool.respawns:
                 bits.append(f"{dist_pool.respawns} worker respawn(s)")
             print(f"[dist] {', '.join(bits)}")
             leaked = jobs.get("leased", 0)

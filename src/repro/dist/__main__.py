@@ -2,12 +2,15 @@
 
 ::
 
-    # The coordinator is a sweep server (the driver usually embeds one):
-    python -m repro.serve --port 8200
+    # The sweep server whose misses the worker computes (same cache root):
+    python -m repro.serve --port 8200 --cache-dir /shared/cache
 
     # One pull-model worker against it:
     python -m repro.dist worker --coordinator-url http://host:8200 \
         --cache-dir /shared/cache --journal /shared/journals/w0.jsonl
+
+    # A driver sending its sweeps there; the misses go to the worker:
+    python examples/run_experiments.py --quick --server-url host:8200
 
 Workers exit on the server's drain signal, after ``--max-idle`` seconds
 without work, or on SIGTERM; their exit code is 0 when every job they

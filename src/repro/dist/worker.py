@@ -1,17 +1,19 @@
-"""Pull-model distributed workers and their subprocess supervisor.
+"""Pull-model distributed workers, their client and subprocess supervisor.
 
-A :class:`DistWorker` is one consumer loop against a coordinator: lease a
-job, heartbeat the lease from a side thread while computing, write the
-result into the shared content-addressed cache and the worker's own
-:class:`~repro.chaos.RunJournal`, then report completion — or report
-failure and let the coordinator's retry machinery decide.  The loop is
-deliberately run-anywhere: in a thread for tests (``in_process=True``
-downgrades shipped crash/hang verdicts to transient exceptions, exactly
-like the scheduler's serial path), or as a ``python -m repro.dist worker``
-subprocess managed by :class:`WorkerPool`.
+A :class:`DistWorker` is one consumer loop against a sweep server: lease
+one of its misses, heartbeat the lease from a side thread while
+computing, write the result into the shared content-addressed cache and
+the worker's own :class:`~repro.chaos.RunJournal`, then report
+completion — or report failure and let the server's retry machinery
+decide; it speaks the ``/v1/dist/*`` routes through :class:`DistClient`.
+The loop is deliberately run-anywhere: in a thread for tests
+(``in_process=True`` downgrades shipped crash/hang verdicts to transient
+exceptions, exactly like the scheduler's serial path), or as a
+``python -m repro.dist worker`` subprocess managed by
+:class:`WorkerPool`.
 
 The chaos contract on the distributed path mirrors the local one, with
-the *decision* made coordinator-side and shipped inside the lease:
+the *decision* made server-side and shipped inside the lease:
 
 * a ``crash`` verdict kills the worker process hard (``os._exit``) — no
   completion, no heartbeat, lease expires, job is re-queued elsewhere;
@@ -37,21 +39,56 @@ import repro.obs as obs
 from repro.chaos.journal import RunJournal
 from repro.chaos.plan import InjectedFault, apply_fault, corrupt_file
 from repro.exec.cache import ResultCache
-from repro.exec.jobs import run_job, run_job_observed
+from repro.exec.jobs import JobSpec, run_job, run_job_observed
 from repro.serve import protocol
+from repro.serve.client import ServeClient
 
 #: Consecutive coordinator round-trip failures a worker tolerates before
 #: giving up (the client's own retry/backoff runs *inside* each of these).
 MAX_COORDINATOR_FAILURES = 5
 
+#: Most seconds :meth:`WorkerPool.start` waits for its workers' first
+#: lease polls.
+START_SECONDS = 60.0
+
+
+class DistClient(ServeClient):
+    """A :class:`ServeClient` that also speaks the ``/v1/dist/*`` routes."""
+
+    def dist_status(self) -> dict:
+        return self._request("GET", protocol.ROUTE_DIST_STATUS)
+
+    def dist_lease(self, worker: str):
+        """Ask for work: ``(WorkOrder or None, drain flag)``."""
+        doc = self._request("POST", protocol.ROUTE_DIST_LEASE,
+                            protocol.encode_worker_doc(worker))
+        return protocol.decode_lease(doc)
+
+    def dist_heartbeat(self, worker: str, digest: str) -> bool:
+        doc = self._request("POST", protocol.ROUTE_DIST_HEARTBEAT,
+                            protocol.encode_heartbeat(worker, digest))
+        return bool(doc.get("held"))
+
+    def dist_complete(self, worker: str, spec: JobSpec, stats,
+                      metrics: dict | None = None) -> str:
+        doc = self._request(
+            "POST", protocol.ROUTE_DIST_COMPLETE,
+            protocol.encode_complete(worker, spec, stats, metrics),
+        )
+        return str(doc.get("outcome", "ok"))
+
+    def dist_fail(self, worker: str, digest: str, error: str) -> None:
+        self._request("POST", protocol.ROUTE_DIST_FAIL,
+                      protocol.encode_fail(worker, digest, error))
+
 
 class DistWorker:
-    """One lease → compute → complete loop against a coordinator.
+    """One lease → compute → complete loop against a sweep server.
 
     Parameters
     ----------
     url:
-        The coordinator's base URL.
+        The server's base URL.
     worker_id:
         Stable identity used for lease bookkeeping and per-worker metrics.
     cache:
@@ -87,8 +124,6 @@ class DistWorker:
         slowdown: float = 0.0,
         max_idle: float | None = None,
     ) -> None:
-        from repro.dist.backend import DistClient
-
         self.url = url
         self.worker_id = protocol.validate_worker(worker_id)
         self.cache = cache
@@ -231,9 +266,11 @@ class WorkerPool:
     A monitor thread respawns workers that exit unexpectedly (each
     respawn gets a fresh worker id, so the dead incarnation's leases are
     attributed — and expired — under the old name), bounded by
-    ``max_respawns`` across the pool.  :meth:`kill` SIGKILLs one worker,
-    which is how the chaos drills and the CI smoke simulate hard node
-    loss.
+    ``max_respawns`` across the pool.  :meth:`start` returns once the
+    server has heard a lease poll from each worker, so a sweep started
+    next has its misses leased, not computed on the server's own pool.
+    :meth:`kill` SIGKILLs one worker, which is how the chaos drills and
+    the CI smoke simulate hard node loss.
     """
 
     def __init__(
@@ -297,7 +334,21 @@ class WorkerPool:
             target=self._monitor_main, name="dist-worker-monitor", daemon=True
         )
         self._monitor.start()
+        self._await_first_polls()
         return self
+
+    def _await_first_polls(self) -> None:
+        deadline = time.monotonic() + START_SECONDS
+        live = 0
+        with DistClient(self.url) as client:
+            while time.monotonic() < deadline:
+                live = client.dist_status().get("live_workers", 0)
+                if live >= self.workers:
+                    return
+                time.sleep(0.02)
+        print(f"[dist] {live} of {self.workers} worker(s) polled within "
+              f"{START_SECONDS:.0f}s; until they do, misses run on the "
+              f"server's pool", file=sys.stderr)
 
     def _monitor_main(self) -> None:
         while not self._stopping.wait(0.2):
@@ -311,10 +362,6 @@ class WorkerPool:
                 obs.counter("dist/worker_respawns").inc()
                 self._incarnation[idx] += 1
                 self._procs[idx] = self._spawn(idx)
-
-    def live_count(self) -> int:
-        return sum(1 for p in self._procs
-                   if p is not None and p.poll() is None)
 
     def kill(self, idx: int = 0) -> int | None:
         """SIGKILL one worker (hard node loss); returns its pid."""

@@ -83,7 +83,8 @@ def configure(
     :mod:`repro.batch`) in one trace pass each, bit-identically.
     ``backend`` (a :class:`SchedulerBackend`) swaps where pending cells
     execute — ``None`` keeps the historical local serial/pool path; a
-    :class:`repro.dist.DistBackend` runs them on distributed workers.
+    :class:`repro.serve.ServeBackend` sends them to a sweep server, which
+    computes them on its pool or leases them to its workers.
     """
     global _default_scheduler
     _default_scheduler = Scheduler(
@@ -97,20 +98,6 @@ def configure(
 def current_scheduler() -> Scheduler:
     """The scheduler :func:`run_specs` currently dispatches to."""
     return _default_scheduler
-
-
-def install_scheduler(scheduler):
-    """Install an already-built scheduler-like object as the default.
-
-    Anything with the :class:`Scheduler` duck type works — in particular a
-    :class:`repro.serve.RemoteScheduler`, which executes sweeps against a
-    sweep server over HTTP instead of a local process pool.  It must offer
-    ``run(specs, label=...)`` plus the ``jobs`` / ``cache`` / ``journal``
-    attributes the experiment metadata reads.
-    """
-    global _default_scheduler
-    _default_scheduler = scheduler
-    return scheduler
 
 
 def reset() -> None:
@@ -141,7 +128,6 @@ __all__ = [
     "configure",
     "current_scheduler",
     "default_cache_root",
-    "install_scheduler",
     "instr_vp_job",
     "payload_checksum",
     "reset",

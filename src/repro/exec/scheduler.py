@@ -90,8 +90,9 @@ class SchedulerBackend:
     journal-on-completion rule — and delegates raw execution of the
     still-pending indices to a backend.  :class:`LocalPoolBackend` is the
     historical in-process/ProcessPoolExecutor behaviour, bit for bit;
-    :class:`repro.dist.DistBackend` farms the same indices out to pull-model
-    worker processes behind a lease-based coordinator.
+    :class:`repro.serve.ServeBackend` sends the same indices to a sweep
+    server, which computes each on its own pool or leases it to a
+    :mod:`repro.dist` worker.  These two are the only backends.
 
     Contract for :meth:`execute`: fill ``results[i]`` for every ``i`` in
     ``pending`` (or raise), calling ``sched._complete(i, specs, results)``
@@ -174,8 +175,8 @@ class Scheduler:
     backend:
         The :class:`SchedulerBackend` pending cells execute on.  ``None``
         (the default) means :class:`LocalPoolBackend` — the behaviour this
-        class always had.  A :class:`repro.dist.DistBackend` executes the
-        same cells on remote pull-model workers instead.
+        class always had.  A :class:`repro.serve.ServeBackend` executes
+        the same cells on a sweep server (its pool or its workers).
     """
 
     def __init__(
@@ -274,8 +275,8 @@ class Scheduler:
         Chaos injection, per-job observability accounting and substituted
         ``job_fn``s all assume one execution per cell, so any of them
         forces the per-job paths; a backend that does not declare
-        ``supports_batch`` (e.g. the distributed one, whose workers own
-        the per-job execution boundary) does the same.
+        ``supports_batch`` (the serve one, whose server owns the per-job
+        execution boundary) does the same.
         """
         return (
             self.batch

@@ -11,15 +11,17 @@ of recomputing it per process:
 * :mod:`repro.serve.server` — :class:`SweepServer` (submit / sweep /
   result / SSE progress / health / metrics routes, cache-hit fast path,
   in-flight dedup, scheduler batching, and the ``/v1/dist/*`` lease
-  routes of distributed sweeps) and :class:`ServerThread`;
+  routes: while a :mod:`repro.dist` worker polls them, misses are leased
+  to it instead of computed on the server's pool) and
+  :class:`ServerThread`;
 * :mod:`repro.serve.leases` — :class:`~repro.serve.leases.LeaseQueue`,
   the lease state machine behind the dist routes;
 * :mod:`repro.serve.client` — :class:`ServeClient`, the verifying
-  blocking client, and :class:`RemoteScheduler`, which plugs a server
-  into :func:`repro.exec.install_scheduler` so every experiment sweep
-  executes remotely;
-* ``python -m repro.serve`` — the server CLI, also the standalone
-  coordinator ``python -m repro.dist worker`` processes pull from.
+  blocking client, and :class:`ServeBackend`, the
+  :class:`repro.exec.SchedulerBackend` that sends every experiment sweep
+  to a server (``repro.exec.configure(backend=ServeBackend(url))``);
+* ``python -m repro.serve`` — the server CLI, which
+  ``python -m repro.dist worker`` processes pull leased misses from.
 
 Results over HTTP are bit-identical to direct :meth:`ResultCache.get`:
 the response payload carries the exact cache-blob checksum and the
@@ -30,7 +32,7 @@ latency histograms through :mod:`repro.obs`.
 
 from __future__ import annotations
 
-from repro.serve.client import RemoteScheduler, ServeClient, ServerError
+from repro.serve.client import ServeBackend, ServeClient, ServerError
 from repro.serve.protocol import (
     MAX_SWEEP_SPECS,
     PROTOCOL_VERSION,
@@ -44,7 +46,7 @@ __all__ = [
     "MAX_SWEEP_SPECS",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RemoteScheduler",
+    "ServeBackend",
     "ServeClient",
     "ServeProgress",
     "ServerError",

@@ -11,8 +11,10 @@ The cache root follows the usual precedence: ``--cache-dir``, then
 ``~/.cache/repro-bebop`` — point the server and its CLI clients at one
 ``REPRO_CACHE_DIR`` to share a root without flags.
 
-It is also the standalone coordinator of distributed sweeps (30 s
-leases, default retry budget; ``--chaos`` also feeds its lease queue).
+While ``python -m repro.dist worker`` processes poll it, misses are
+leased to them instead (30 s leases, default retry budget; ``--chaos``
+also feeds its lease queue).  SIGTERM and Ctrl-C both stop it cleanly:
+polling workers hear ``drain`` and the request summary is printed.
 
 Try it::
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 
 import repro.obs as obs
@@ -86,10 +89,13 @@ def main(argv=None) -> int:
 
     async def _serve() -> None:
         await server.start()
+        terminated = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(signal.SIGTERM,
+                                                      terminated.set)
         print(f"[serve] listening on {server.url} "
               f"(cache {cache.dir}, {args.jobs} worker(s))", flush=True)
         try:
-            await asyncio.Event().wait()      # until interrupted
+            await terminated.wait()           # or until Ctrl-C
         finally:
             await server.stop()
 

@@ -8,13 +8,15 @@ must hash to its digest, and the digest must be the one requested —
 response is therefore bit-identical to what ``ResultCache.get`` would
 have returned on the server's own disk.
 
-:class:`RemoteScheduler` adapts a client to the
-:class:`repro.exec.Scheduler` duck type, so the whole experiment layer
-can execute against a server with one line::
+:class:`ServeBackend` is the :class:`repro.exec.SchedulerBackend` that
+sends a scheduler's pending cells to a server, so the whole experiment
+layer executes against it with one line::
 
-    repro.exec.install_scheduler(RemoteScheduler(ServeClient(url)))
+    repro.exec.configure(backend=ServeBackend(url))
 
-(that is what ``examples/run_experiments.py --server-url`` does).
+(that is what ``examples/run_experiments.py --server-url`` and
+``--dist-workers`` do).  Whether the server computes a cell on its own
+pool or leases it to a :mod:`repro.dist` worker is the server's choice.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Iterator, Sequence
 import repro.obs as obs
 from repro.common.rng import deterministic_backoff
 from repro.exec.jobs import JobSpec
-from repro.exec.progress import ProgressMeter
+from repro.exec.scheduler import SchedulerBackend
 from repro.pipeline import SimStats
 from repro.serve import protocol
 
@@ -53,9 +55,9 @@ class ServeClient:
 
     Not thread-safe (one in-flight request per instance, like the
     underlying ``http.client`` connection); spin up one client per
-    thread.  ``timeout`` bounds each socket operation — sweeps that
-    compute cold cells server-side can legitimately take a while, so the
-    default is generous.
+    thread.  ``timeout`` bounds each socket operation (``None``: no
+    bound) — sweeps that compute cold cells server-side can legitimately
+    take a while, so the default is generous.
 
     Transient failures — connect/socket errors and the
     :data:`TRANSIENT_STATUSES` responses — are retried up to ``retries``
@@ -67,7 +69,7 @@ class ServeClient:
     part of speaking HTTP/1.1, not error handling.
     """
 
-    def __init__(self, base_url: str, timeout: float = 600.0,
+    def __init__(self, base_url: str, timeout: float | None = 600.0,
                  retries: int = 3, backoff: float = 0.25,
                  backoff_cap: float = 5.0) -> None:
         # "localhost:8123" would parse as scheme "localhost"; a schemeless
@@ -273,38 +275,30 @@ class ServeClient:
             conn.close()
 
 
-class RemoteScheduler:
-    """A :class:`repro.exec.Scheduler` look-alike that runs over HTTP.
+class ServeBackend(SchedulerBackend):
+    """Execute a scheduler's pending cells on a sweep server.
 
-    ``run(specs)`` chunks the batch to the protocol's sweep limit and
-    submits each chunk; the optional progress meter ticks per result,
-    with server-side cache and dedup hits counted as "cached" (the
-    client did no computing for them).  ``jobs`` is 0 — this process
-    owns no workers; the pool lives behind the server.
+    The cells go over ``/v1/sweep`` in chunks of at most
+    :data:`~repro.serve.protocol.MAX_SWEEP_SPECS`, and each verified
+    result fills its slot in request order.  ``writes_cache`` is set: the
+    server (or the worker it leased a cell to) stores what it computes.
+    The client has no socket timeout, since a chunk's answer takes as
+    long as its slowest cell; the server bounds each job itself.
     """
 
-    #: Local worker processes (none — computation is remote).
-    jobs = 0
-    #: The experiment-metadata hooks a local scheduler would carry.
-    cache = None
-    journal = None
+    name = "serve"
+    writes_cache = True
 
-    def __init__(self, client: ServeClient,
-                 progress: ProgressMeter | None = None) -> None:
-        self.client = client
-        self.progress = progress
+    def __init__(self, url: str) -> None:
+        self.client = ServeClient(url, timeout=None)
 
-    def run(self, specs: Sequence[JobSpec], label: str = "") -> list[SimStats]:
-        specs = list(specs)
-        if self.progress:
-            self.progress.start(len(specs), label)
-        out: list[SimStats] = []
-        for lo in range(0, len(specs), protocol.MAX_SWEEP_SPECS):
-            chunk = specs[lo: lo + protocol.MAX_SWEEP_SPECS]
-            for stats, source in self.client.sweep_with_sources(chunk):
-                out.append(stats)
-                if self.progress:
-                    self.progress.tick(cached=source != "computed")
-        if self.progress:
-            self.progress.finish()
-        return out
+    def execute(self, sched, specs, pending, results) -> None:
+        for lo in range(0, len(pending), protocol.MAX_SWEEP_SPECS):
+            chunk = pending[lo: lo + protocol.MAX_SWEEP_SPECS]
+            outcomes = self.client.sweep([specs[i] for i in chunk])
+            for i, stats in zip(chunk, outcomes):
+                results[i] = stats
+                sched._complete(i, specs, results)
+
+    def close(self) -> None:
+        self.client.close()

@@ -1,4 +1,4 @@
-"""The lease queue behind the ``/v1/dist/*`` routes of the sweep server.
+"""The lease queue that hands sweep-server misses to ``/v1/dist/*`` workers.
 
 :class:`LeaseQueue` is the whole distributed-correctness story in one
 pure, single-threaded state machine: jobs move ``queued → leased → done``
@@ -9,8 +9,9 @@ and worker liveness are unit-testable by advancing a fake clock instead of
 sleeping.
 
 :class:`repro.serve.server.SweepServer` owns one queue and touches it only
-from its event loop; workers and the driver reach it over HTTP, never by
-sharing memory.
+from its event loop: it submits its cache misses while a worker is live,
+and drains terminal failures with :meth:`LeaseQueue.collect`.  Workers
+reach it over HTTP, never by sharing memory.
 
 Chaos verdicts are drawn **here**, at lease-grant time, from the queue's
 own :class:`repro.chaos.FaultPlan`: the fault a job absorbs is a pure
@@ -101,14 +102,15 @@ class LeaseQueue:
         self._jobs: dict[str, _Job] = {}
         self._order: list[str] = []            # submission order
         self._workers: dict[str, float] = {}   # worker id -> last seen
-        self._fresh_results: list[dict] = []   # result docs not yet collected
-        self._fresh_failures: list[dict] = []
+        self._fresh_failures: list[tuple[JobSpec, str]] = []
         self.counters: dict[str, int] = {}
         self.worker_counters: dict[str, dict[str, int]] = {}
 
     # -- accounting --------------------------------------------------------
 
-    def _count(self, name: str, worker: str | None = None) -> None:
+    def count(self, name: str, worker: str | None = None) -> None:
+        """Add one to ``counters[name]`` and the ``dist/<name>`` metric
+        (and to ``worker``'s own counters when given)."""
         self.counters[name] = self.counters.get(name, 0) + 1
         obs.counter(f"dist/{name}").inc()
         if worker is not None:
@@ -124,43 +126,49 @@ class LeaseQueue:
         return sum(1 for seen in self._workers.values()
                    if now - seen <= self.worker_ttl)
 
-    # -- driver side -------------------------------------------------------
+    # -- the server's side -------------------------------------------------
 
     def submit(self, specs: Sequence[JobSpec]) -> int:
-        """Enqueue cells; digests already known are skipped.  Returns the
-        number actually accepted."""
+        """Enqueue cells; returns the number accepted.
+
+        A digest still queued or leased is skipped.  A finished, failed
+        or cancelled one is queued again with a fresh retry budget: its
+        blob may have been quarantined since, and its new miss must
+        resolve.
+        """
         accepted = 0
         for spec in specs:
             digest = spec.digest()
-            if digest in self._jobs:
+            job = self._jobs.get(digest)
+            if job is None:
+                self._jobs[digest] = _Job(spec)
+                self._order.append(digest)
+            elif job.state in (QUEUED, LEASED):
                 continue
-            self._jobs[digest] = _Job(spec)
-            self._order.append(digest)
+            else:
+                job.state, job.attempts, job.not_before = QUEUED, 0, 0.0
+                job.worker = job.last_worker = job.error = None
             accepted += 1
-            self._count("jobs")
+            self.count("jobs")
         return accepted
 
-    def collect(self) -> tuple[list[dict], list[dict], int, int]:
-        """Drain fresh outcomes: ``(result docs, failure docs, outstanding,
-        live workers)``.  Each outcome is delivered exactly once."""
-        results, self._fresh_results = self._fresh_results, []
+    def collect(self) -> list[tuple[JobSpec, str]]:
+        """Drain the jobs that failed terminally since the last call, as
+        ``(spec, error)`` pairs; each is delivered exactly once."""
         failures, self._fresh_failures = self._fresh_failures, []
-        outstanding = sum(1 for job in self._jobs.values()
-                          if job.state in (QUEUED, LEASED))
-        return results, failures, outstanding, self.live_workers()
+        return failures
 
-    def cancel(self) -> list[str]:
-        """Terminally drop every unfinished job (driver gave up on the
-        distributed path).  Returns the cancelled digests; cancelled jobs
-        are *not* reported through :meth:`collect` — the canceller already
-        knows."""
+    def cancel(self) -> list[JobSpec]:
+        """Terminally drop every unfinished job (its cells are computed
+        elsewhere).  Returns their specs; cancelled jobs are *not*
+        reported through :meth:`collect` — the canceller already knows."""
         cancelled = []
         for job in self._jobs.values():
             if job.state in (QUEUED, LEASED):
                 job.state = FAILED
                 job.error = "cancelled"
-                cancelled.append(job.digest)
-                self._count("cancelled")
+                cancelled.append(job.spec)
+                self.count("cancelled")
         return cancelled
 
     # -- worker side -------------------------------------------------------
@@ -182,8 +190,8 @@ class LeaseQueue:
             job.worker = worker
             job.lease_expires = now + self.lease_seconds
             if job.last_worker is not None and job.last_worker != worker:
-                self._count("steals", worker)
-            self._count("leases", worker)
+                self.count("steals", worker)
+            self.count("leases", worker)
             fault = corrupt = None
             if self.chaos is not None:
                 fault = self.chaos.job_fault(digest)
@@ -204,19 +212,18 @@ class LeaseQueue:
         job.lease_expires = self.clock() + self.lease_seconds
         return True
 
-    def complete(self, worker: str, digest: str, result_doc: dict) -> str:
+    def complete(self, worker: str, digest: str) -> str:
         """Record a verified completion; returns ``"ok"`` or ``"stale"``."""
         self.touch_worker(worker)
         job = self._jobs.get(digest)
         if job is None or job.state in (DONE, FAILED):
-            self._count("stale_completions", worker)
+            self.count("stale_completions", worker)
             return "stale"
         # Accept even when the lease moved on: the result is deterministic,
         # and first-completion-wins is exactly the idempotence we want.
         job.state = DONE
         job.worker = None
-        self._fresh_results.append(result_doc)
-        self._count("completions", worker)
+        self.count("completions", worker)
         if self.chaos is not None:
             self.chaos.note_outcome(digest)
         return "ok"
@@ -226,7 +233,7 @@ class LeaseQueue:
         self.touch_worker(worker)
         job = self._jobs.get(digest)
         if job is None or job.state in (DONE, FAILED):
-            self._count("stale_completions", worker)
+            self.count("stale_completions", worker)
             return
         self._requeue(job, error)
 
@@ -238,7 +245,7 @@ class LeaseQueue:
         expired = 0
         for job in self._jobs.values():
             if job.state == LEASED and job.lease_expires < now:
-                self._count("lease_expired", job.worker)
+                self.count("lease_expired", job.worker)
                 self._requeue(job, f"lease expired on {job.worker}")
                 expired += 1
         for worker, seen in list(self._workers.items()):
@@ -252,16 +259,14 @@ class LeaseQueue:
         if job.attempts > self.retries:
             job.state = FAILED
             job.error = error
-            self._fresh_failures.append(
-                {"digest": job.digest, "error": error}
-            )
-            self._count("failures")
+            self._fresh_failures.append((job.spec, error))
+            self.count("failures")
             return
         job.state = QUEUED
         job.not_before = self.clock() + deterministic_backoff(
             job.digest, job.attempts, self.backoff_base, self.backoff_cap
         )
-        self._count("requeues")
+        self.count("requeues")
 
     # -- reporting ---------------------------------------------------------
 

@@ -48,16 +48,13 @@ ROUTE_PROGRESS = "/v1/progress"      # GET  server-sent events stream
 ROUTE_HEALTH = "/v1/healthz"         # GET  liveness + identity
 ROUTE_METRICS = "/v1/metrics"        # GET  obs registry + server counters
 
-# Distributed-sweep coordinator routes (:mod:`repro.dist`).  Workers PULL
-# work (lease), prove liveness (heartbeat) and push outcomes (complete /
-# fail); the driver pushes jobs (submit) and PULLs outcomes (collect).
-ROUTE_DIST_SUBMIT = "/v1/dist/submit"        # POST {v, specs} -> {accepted}
+# Lease routes of :mod:`repro.dist` workers.  Workers PULL the server's
+# misses (lease), prove liveness (heartbeat) and push outcomes (complete /
+# fail).
 ROUTE_DIST_LEASE = "/v1/dist/lease"          # POST {v, worker} -> {job|null}
 ROUTE_DIST_HEARTBEAT = "/v1/dist/heartbeat"  # POST {v, worker, digest}
 ROUTE_DIST_COMPLETE = "/v1/dist/complete"    # POST {v, worker, result, ...}
 ROUTE_DIST_FAIL = "/v1/dist/fail"            # POST {v, worker, digest, error}
-ROUTE_DIST_COLLECT = "/v1/dist/collect"      # POST {v} -> {results, failed}
-ROUTE_DIST_CANCEL = "/v1/dist/cancel"        # POST {v} -> {cancelled}
 ROUTE_DIST_STATUS = "/v1/dist/status"        # GET  queue + worker status
 
 #: ``?format=`` values the metrics route accepts.  JSON is (and stays)
@@ -231,11 +228,10 @@ def decode_sweep_results(doc: dict, expect: list[str]
 
 # -- distributed sweeps (repro.dist) ----------------------------------------
 #
-# Everything a lease-based coordinator and its pull-model workers exchange.
-# Result documents reuse encode_result / decode_result above — a worker's
+# Everything the sweep server and its pull-model workers exchange.  Result
+# documents reuse encode_result / decode_result above — a worker's
 # completion carries the same checksummed payload a cache blob does, so the
-# coordinator (and, transitively, the driver collecting results) verifies
-# worker output exactly as it would verify its own disk.
+# server verifies worker output exactly as it would verify its own disk.
 
 _WORKER_RE = re.compile(r"^[\w.:-]{1,120}$")
 
@@ -252,7 +248,7 @@ class WorkOrder:
     """One leased job, as decoded by a worker.
 
     ``fault`` and ``corrupt`` are chaos verdicts drawn by the
-    *coordinator* (so injection stays deterministic no matter which worker
+    *server* (so injection stays deterministic no matter which worker
     steals the job) and shipped as plain data; the worker fires them with
     :func:`repro.chaos.apply_fault` / :func:`repro.chaos.corrupt_file`.
     """
@@ -339,12 +335,12 @@ def encode_complete(worker: str, spec: JobSpec, stats: SimStats,
     }
 
 
-def decode_complete(doc: dict) -> tuple[str, JobSpec, SimStats, dict, dict]:
-    """→ ``(worker, spec, stats, verified result document, metrics)``.
+def decode_complete(doc: dict) -> tuple[str, JobSpec, SimStats, dict]:
+    """→ ``(worker, spec, stats, metrics)``.
 
     The embedded result document goes through the full
-    :func:`decode_result` verification chain, so a coordinator never
-    stores (and later re-serves) a completion a client would reject.
+    :func:`decode_result` verification chain, so the server never serves
+    a completion a client would reject.
     """
     worker = decode_worker_doc(doc, "complete")
     result = doc.get("result")
@@ -354,7 +350,7 @@ def decode_complete(doc: dict) -> tuple[str, JobSpec, SimStats, dict, dict]:
     metrics = doc.get("metrics")
     if not isinstance(metrics, dict):
         raise ProtocolError("complete: 'metrics' must be an object")
-    return worker, spec, stats, result, metrics
+    return worker, spec, stats, metrics
 
 
 def encode_fail(worker: str, digest: str, error: str) -> dict:
@@ -377,48 +373,6 @@ def encode_heartbeat(worker: str, digest: str) -> dict:
 def decode_heartbeat(doc: dict) -> tuple[str, str]:
     worker = decode_worker_doc(doc, "heartbeat")
     return worker, validate_digest(doc.get("digest"))
-
-
-def encode_collect_response(results: list[dict], failed: list[dict],
-                            outstanding: int, live_workers: int) -> dict:
-    return {
-        "v": PROTOCOL_VERSION,
-        "results": results,
-        "failed": failed,
-        "outstanding": outstanding,
-        "live_workers": live_workers,
-    }
-
-
-def decode_collect_response(doc: dict
-                            ) -> tuple[list[tuple[JobSpec, SimStats]],
-                                       list[tuple[str, str]], int, int]:
-    """→ ``(verified (spec, stats) pairs, (digest, error) failures,
-    outstanding, live_workers)``."""
-    _check_version(doc, "collect")
-    raw_results = doc.get("results")
-    raw_failed = doc.get("failed")
-    if not isinstance(raw_results, list) or not isinstance(raw_failed, list):
-        raise ProtocolError("collect: 'results'/'failed' must be lists",
-                            status=502)
-    results = []
-    for item in raw_results:
-        spec, stats, _source = decode_result(item)
-        results.append((spec, stats))
-    failed = []
-    for item in raw_failed:
-        if not isinstance(item, dict):
-            raise ProtocolError("collect: malformed failure entry",
-                                status=502)
-        digest = validate_digest(item.get("digest"))
-        failed.append((digest, str(item.get("error", "unknown"))))
-    try:
-        outstanding = int(doc.get("outstanding", 0))
-        live_workers = int(doc.get("live_workers", 0))
-    except (TypeError, ValueError) as exc:
-        raise ProtocolError(f"collect: malformed counts ({exc})",
-                            status=502) from exc
-    return results, failed, outstanding, live_workers
 
 
 # -- errors -----------------------------------------------------------------

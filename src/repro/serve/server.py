@@ -6,10 +6,17 @@ One :class:`SweepServer` turns the content-addressed result cache plus the
 * **cache hits are served from the event loop** — a submit whose digest is
   already on disk answers with one sharded-file read and never touches the
   pool;
-* **misses are scheduled, once** — concurrent submissions of the same
+* **misses are computed, once** — concurrent submissions of the same
   digest deduplicate onto a single in-flight computation
   (``serve/dedup``), and distinct digests queued while the pool is busy
   are batched into one scheduler run;
+* **a miss computes where the workers are** — while a :mod:`repro.dist`
+  worker polls the ``/v1/dist/*`` routes (``LeaseQueue.live_workers``),
+  misses go to the :class:`~repro.serve.leases.LeaseQueue` and are
+  leased to it; otherwise they run on the server's own pool.  A leased
+  cell the workers cannot finish (retry budget spent, or every worker
+  gone for the queue's worker TTL) is moved back to the pool, with a
+  ``[dist]`` warning and a ``dist/fallback_jobs`` count;
 * **progress streams as server-sent events** — the scheduler's
   :class:`~repro.exec.ProgressMeter` is subclassed to broadcast its
   ``start``/``tick``/``finish`` transitions to every ``/v1/progress``
@@ -18,10 +25,8 @@ One :class:`SweepServer` turns the content-addressed result cache plus the
   the scheduler's retry machinery; only a job that exhausts its retry
   budget surfaces as a 5xx (``serve/errors/5xx``), and a corrupt cache
   blob is quarantined and recomputed exactly as in direct execution;
-* **it is also the distributed sweep coordinator** — the ``/v1/dist/*``
-  routes hand cells to pull-model :mod:`repro.dist` workers from one
-  :class:`~repro.serve.leases.LeaseQueue`, whose leases a background
-  reaper expires when their heartbeats stop.
+  a lease whose heartbeats stop is expired by a background reaper and
+  the cell re-leased.
 
 The HTTP layer is a deliberately small hand-rolled HTTP/1.1 server on
 ``asyncio.start_server`` (stdlib only — no web framework in the
@@ -44,10 +49,8 @@ GET       ``/v1/progress``     SSE stream of sweep progress events
 GET       ``/v1/healthz``      liveness + build identity
 GET       ``/v1/metrics``      server counters + obs registry snapshot
                                (``?format=prometheus`` for text exposition)
-POST      ``/v1/dist/submit``  the driver enqueues cells for workers
 POST      ``/v1/dist/lease``   a worker takes a cell (``drain``: stopping)
 POST      ``/v1/dist/heartbeat``, ``complete``, ``fail``: a worker's lease
-POST      ``/v1/dist/collect``, ``cancel``: the driver's outcomes
 GET       ``/v1/dist/status``  queue, leases and per-worker counters
 ========  ===================  ==========================================
 """
@@ -57,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import json
 import queue
+import sys
 import threading
 import time
 from urllib.parse import parse_qs
@@ -134,8 +138,8 @@ class ServeProgress(ProgressMeter):
 
 
 class SweepServer:
-    """The sweep-result service over one cache root and one local pool,
-    and the lease coordinator of distributed sweeps (``leases``)."""
+    """The sweep-result service over one cache root, one local pool and
+    the lease queue (``leases``) its misses go to while workers poll."""
 
     def __init__(
         self,
@@ -180,13 +184,10 @@ class SweepServer:
         self._reaper: asyncio.Task | None = None
         self._closing = False     # also the drain signal for lease polls
         self._dist_routes = {
-            protocol.ROUTE_DIST_SUBMIT: ("POST", self._dist_submit),
             protocol.ROUTE_DIST_LEASE: ("POST", self._dist_lease),
             protocol.ROUTE_DIST_HEARTBEAT: ("POST", self._dist_heartbeat),
             protocol.ROUTE_DIST_COMPLETE: ("POST", self._dist_complete),
             protocol.ROUTE_DIST_FAIL: ("POST", self._dist_fail),
-            protocol.ROUTE_DIST_COLLECT: ("POST", self._dist_collect),
-            protocol.ROUTE_DIST_CANCEL: ("POST", self._dist_cancel),
             protocol.ROUTE_DIST_STATUS: ("GET", self._dist_status),
         }
 
@@ -220,7 +221,8 @@ class SweepServer:
         """Drain workers, stop accepting, drain the runner, close
         live connections.
 
-        Lease polls answer ``drain`` from here on.  Open connections are
+        Lease polls answer ``drain`` from here on, and cells still queued
+        or leased are computed on the pool.  Open connections are
         closed at the transport, which feeds EOF to their handlers — they
         exit their read loop normally instead of being cancelled
         (cancellation of streams handlers is noisy on 3.11 and loses
@@ -233,6 +235,9 @@ class SweepServer:
         if self._reaper is not None:
             self._reaper.cancel()
             await asyncio.gather(self._reaper, return_exceptions=True)
+        # No worker takes a lease from here on: the pool finishes the rest.
+        for spec in self.leases.cancel():
+            self._to_pool(spec)
         if self._server is not None:
             self._server.close()
         self._queue.put(None)
@@ -259,6 +264,33 @@ class SweepServer:
         while True:
             await asyncio.sleep(period)
             self.leases.reap()
+            self._settle_leases()
+
+    def _settle_leases(self) -> None:
+        """Move leased cells the workers will not finish to the pool.
+
+        A job that spent its lease retry budget is recomputed here; when
+        no worker has been seen for the queue's worker TTL, every job
+        still queued or leased is cancelled and recomputed here too.
+        """
+        for spec, error in self.leases.collect():
+            print(f"[dist] job {spec.digest()[:12]}… failed remotely "
+                  f"({error}); recomputing locally", file=sys.stderr)
+            self._to_pool(spec)
+        if self.leases.live_workers() == 0:
+            specs = self.leases.cancel()
+            if specs:
+                print(f"[dist] no live workers for "
+                      f"{self.leases.worker_ttl:.1f}s with {len(specs)} "
+                      f"job(s) outstanding — degrading to the server's "
+                      f"pool", file=sys.stderr)
+                self.leases.count("degraded")
+            for spec in specs:
+                self._to_pool(spec)
+
+    def _to_pool(self, spec: JobSpec) -> None:
+        self.leases.count("fallback_jobs")
+        self._queue.put((spec.digest(), spec))
 
     # -- the runner thread: misses become scheduler batches ----------------
 
@@ -323,9 +355,10 @@ class SweepServer:
 
         ``inflight`` is the dedup path — a concurrent request already
         scheduled this digest, so this request just awaits the same
-        future.  The future is shielded: one impatient client
-        disconnecting must not cancel a computation other clients (and
-        the cache) are waiting on.
+        future, whether the pool or a leased worker resolves it.  The
+        future is shielded: one impatient client disconnecting must not
+        cancel a computation other clients (and the cache) are waiting
+        on.
         """
         digest = spec.digest()
         fut = self._inflight.get(digest)
@@ -342,7 +375,10 @@ class SweepServer:
         obs.counter("serve/misses").inc()
         fut = self._loop.create_future()
         self._inflight[digest] = fut
-        self._queue.put((digest, spec))
+        if self.leases.live_workers() > 0:
+            self.leases.submit([spec])
+        else:
+            self._queue.put((digest, spec))
         return await asyncio.shield(fut), "computed"
 
     # -- SSE broadcast ------------------------------------------------------
@@ -491,7 +527,9 @@ class SweepServer:
                 expected, handler = self._dist_routes[path]
                 self._need(method, expected)
                 self.leases.reap()  # lazy expiry: a dist request is a tick
-                await self._send_json(writer, 200, handler(body))
+                doc = handler(body)
+                self._settle_leases()
+                await self._send_json(writer, 200, doc)
             else:
                 raise protocol.ProtocolError(f"no such route: {path}",
                                              status=404)
@@ -656,11 +694,6 @@ class SweepServer:
 
     # -- the lease routes (each returns its 200 document) -------------------
 
-    def _dist_submit(self, body: bytes) -> dict:
-        specs = protocol.decode_sweep(protocol.parse_json(body))
-        return {"v": protocol.PROTOCOL_VERSION,
-                "accepted": self.leases.submit(specs)}
-
     def _dist_lease(self, body: bytes) -> dict:
         worker = protocol.decode_worker_doc(protocol.parse_json(body),
                                             "lease")
@@ -678,10 +711,12 @@ class SweepServer:
                 "held": self.leases.heartbeat(worker, digest)}
 
     def _dist_complete(self, body: bytes) -> dict:
-        worker, spec, _stats, result_doc, metrics = protocol.decode_complete(
+        worker, spec, stats, metrics = protocol.decode_complete(
             protocol.parse_json(body)
         )
-        outcome = self.leases.complete(worker, spec.digest(), result_doc)
+        outcome = self.leases.complete(worker, spec.digest())
+        if outcome == "ok":
+            self._finish(spec.digest(), stats, None)
         if metrics and obs.enabled():
             obs.registry().merge(metrics)
         return {"v": protocol.PROTOCOL_VERSION, "outcome": outcome}
@@ -690,13 +725,6 @@ class SweepServer:
         worker, digest, error = protocol.decode_fail(protocol.parse_json(body))
         self.leases.fail(worker, digest, error)
         return {"v": protocol.PROTOCOL_VERSION, "outcome": "ok"}
-
-    def _dist_collect(self, body: bytes) -> dict:
-        return protocol.encode_collect_response(*self.leases.collect())
-
-    def _dist_cancel(self, body: bytes) -> dict:
-        return {"v": protocol.PROTOCOL_VERSION,
-                "cancelled": self.leases.cancel()}
 
     def _dist_status(self, body: bytes) -> dict:
         return self.leases.status()

@@ -2,15 +2,18 @@
 
 The :class:`LeaseQueue` unit tests drive a fake clock, so lease expiry,
 backoff gating and retry exhaustion are asserted without sleeping.  The
-integration tests run a real sweep server (``ServerThread``) as the
-coordinator, with in-process worker threads on a cheap fake ``job_fn``;
-the heavyweight drills — SIGKILLing a real worker subprocess mid-job,
-degrading to the local pool when every worker is gone — use tiny real
-simulations and pin the headline property end to end: results
-bit-identical to a serial run.
+integration tests run a real sweep server (``ServerThread``) whose misses
+go to in-process worker threads on a cheap fake ``job_fn``, reached
+through :class:`ServeBackend` and ``/v1/submit``; the heavyweight drills
+— SIGKILLing a real worker subprocess mid-job, moving the work to the
+server's pool when every worker is gone — use tiny real simulations and
+pin the headline property end to end: results bit-identical to a serial
+run.
 """
 
+import contextlib
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -23,10 +26,16 @@ import repro.exec
 import repro.obs as obs
 from repro.chaos import ChaosConfig, FaultPlan
 from repro.common.rng import deterministic_backoff
-from repro.dist import DistBackend, DistClient, DistWorker, WorkerPool
+from repro.dist import DistClient, DistWorker, WorkerPool
 from repro.exec import JobSpec, ResultCache, Scheduler, baseline_job, run_job
 from repro.pipeline import SimStats
-from repro.serve import ProtocolError, ServerThread, protocol
+from repro.serve import (
+    ProtocolError,
+    ServeBackend,
+    ServeClient,
+    ServerThread,
+    protocol,
+)
 from repro.serve.leases import (
     DONE,
     FAILED,
@@ -150,12 +159,10 @@ class TestDistProtocol:
         stats = _fake_job(self.SPEC)
         doc = protocol.encode_complete("w0", self.SPEC, stats,
                                        {"exec/job/count": 1})
-        worker, spec, decoded, result_doc, metrics = \
-            protocol.decode_complete(doc)
-        assert (worker, spec, decoded) == ("w0", self.SPEC, stats)
-        assert metrics == {"exec/job/count": 1}
+        assert protocol.decode_complete(doc) == (
+            "w0", self.SPEC, stats, {"exec/job/count": 1})
         # the embedded result document re-verifies standalone
-        respec, restats, _ = protocol.decode_result(result_doc)
+        respec, restats, _ = protocol.decode_result(doc["result"])
         assert (respec, restats) == (self.SPEC, stats)
 
     def test_complete_tampered_stats_rejected(self):
@@ -173,18 +180,6 @@ class TestDistProtocol:
             protocol.encode_heartbeat("w1", digest)
         ) == ("w1", digest)
 
-    def test_collect_roundtrip(self):
-        stats = _fake_job(self.SPEC)
-        doc = protocol.encode_collect_response(
-            [protocol.encode_result(self.SPEC, stats, "computed")],
-            [{"digest": self.SPEC.digest(), "error": "gone"}], 3, 2,
-        )
-        results, failed, outstanding, live = \
-            protocol.decode_collect_response(doc)
-        assert results == [(self.SPEC, stats)]
-        assert failed == [(self.SPEC.digest(), "gone")]
-        assert (outstanding, live) == (3, 2)
-
 
 # ---------------------------------------------------------------------------
 # The lease queue, on a fake clock.
@@ -197,6 +192,28 @@ class TestLeaseQueue:
         assert queue.submit(specs) == 3
         assert queue.submit(specs) == 0
         assert queue.counters["jobs"] == 3
+
+    def test_submit_requeues_done_failed_and_cancelled_digests(self):
+        """A new miss on a finished digest (its blob quarantined since)
+        must be leased again, with a fresh retry budget."""
+        queue, clock = _queue(retries=0)
+        done, failed, cancelled = _specs(3)
+        queue.submit([done, failed, cancelled])
+        queue.lease("w0")
+        queue.complete("w0", done.digest())
+        queue.lease("w0")
+        queue.fail("w0", failed.digest(), "boom")
+        assert queue.cancel() == [cancelled]
+        assert queue.status()["jobs"] == {QUEUED: 0, LEASED: 0, DONE: 1,
+                                          FAILED: 2}
+        assert queue.submit([done, failed, cancelled]) == 3
+        assert queue.status()["jobs"][QUEUED] == 3
+        grants = [queue.lease("w1") for _ in range(3)]
+        assert [_grant_digest(g) for g in grants] == [
+            done.digest(), failed.digest(), cancelled.digest()]
+        assert all(g["job"]["attempt"] == 0 for g in grants)
+        assert queue.counters["jobs"] == 6
+        assert "steals" not in queue.counters
 
     def test_lease_oldest_first_then_idle(self):
         queue, _ = _queue()
@@ -211,12 +228,11 @@ class TestLeaseQueue:
         spec = _specs(1)[0]
         queue.submit([spec])
         queue.lease("w0")
-        doc = protocol.encode_result(spec, _fake_job(spec), "computed")
-        assert queue.complete("w0", spec.digest(), doc) == "ok"
-        assert queue.complete("w1", spec.digest(), doc) == "stale"
-        results, failed, outstanding, _ = queue.collect()
-        assert len(results) == 1 and not failed and outstanding == 0
-        assert queue.collect()[0] == []   # drained exactly once
+        assert queue.complete("w0", spec.digest()) == "ok"
+        assert queue.complete("w1", spec.digest()) == "stale"
+        assert queue.status()["jobs"][DONE] == 1
+        assert queue.collect() == []
+        assert queue.counters["completions"] == 1
         assert queue.counters["stale_completions"] == 1
 
     def test_heartbeat_extends_lease(self):
@@ -271,9 +287,9 @@ class TestLeaseQueue:
         clock.advance(5.0)
         assert queue.lease("w0") is None
         assert queue.status()["jobs"][FAILED] == 1
-        _, failed, outstanding, _ = queue.collect()
-        assert len(failed) == 1 and "lease expired" in failed[0]["error"]
-        assert outstanding == 0
+        [(failed_spec, error)] = queue.collect()
+        assert failed_spec == spec and "lease expired" in error
+        assert queue.collect() == []      # drained exactly once
 
     def test_worker_fail_report_charges_attempt(self):
         queue, clock = _queue(retries=1, backoff_base=0.1, backoff_cap=0.1)
@@ -285,7 +301,7 @@ class TestLeaseQueue:
         queue.lease("w0")
         queue.fail("w0", spec.digest(), "boom 2")
         assert queue.status()["jobs"][FAILED] == 1
-        assert queue.collect()[1][0]["error"] == "boom 2"
+        assert queue.collect() == [(spec, "boom 2")]
 
     def test_late_completion_after_expiry_still_counts(self):
         """The first finished computation wins even if its lease expired."""
@@ -296,8 +312,7 @@ class TestLeaseQueue:
         queue.lease("w0")
         clock.advance(1.5)
         queue.reap()                # w0's lease expired, job back in queue
-        doc = protocol.encode_result(spec, _fake_job(spec), "computed")
-        assert queue.complete("w0", spec.digest(), doc) == "ok"
+        assert queue.complete("w0", spec.digest()) == "ok"
         assert queue.status()["jobs"][DONE] == 1
         assert queue.lease("w1") is None   # nothing left to steal
 
@@ -306,13 +321,12 @@ class TestLeaseQueue:
         specs = _specs(3)
         queue.submit(specs)
         queue.lease("w0")
-        cancelled = queue.cancel()
-        assert sorted(cancelled) == sorted(s.digest() for s in specs)
+        assert queue.cancel() == specs
         status = queue.status()
         assert status["jobs"][FAILED] == 3
         assert status["leases"] == []
         # cancelled jobs are not reported as fresh failures
-        assert queue.collect()[1] == []
+        assert queue.collect() == []
 
     def test_live_workers_expire_with_ttl(self):
         queue, clock = _queue(lease_seconds=1.0, worker_ttl=2.0)
@@ -350,20 +364,40 @@ class TestLeaseQueue:
 
 
 # ---------------------------------------------------------------------------
-# Sweep server as coordinator + in-process workers (fake jobs: plumbing).
+# Sweep server + in-process workers (fake jobs: plumbing).
 # ---------------------------------------------------------------------------
 
-def _run_workers(url: str, n: int, cache: ResultCache, **kwargs):
-    """Start ``n`` in-process workers; returns (workers, threads)."""
+def _await(condition, timeout: float = 20.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def _status(url: str) -> dict:
+    with DistClient(url) as client:
+        return client.dist_status()
+
+
+def _await_live(url: str, n: int) -> None:
+    """Wait until the server has heard ``n`` workers poll."""
+    with DistClient(url) as client:
+        _await(lambda: client.dist_status()["live_workers"] >= n)
+
+
+def _run_workers(url: str, n: int, cache: ResultCache | None,
+                 job_fn=_fake_job):
+    """Start ``n`` in-process workers and wait until each has polled, so
+    the server leases its misses; returns (workers, threads)."""
     workers, threads = [], []
     for i in range(n):
-        worker = DistWorker(url, f"w{i}", cache=cache, job_fn=_fake_job,
-                            in_process=True, poll_interval=0.01,
-                            max_idle=kwargs.pop("max_idle", None), **kwargs)
+        worker = DistWorker(url, f"w{i}", cache=cache, job_fn=job_fn,
+                            in_process=True, poll_interval=0.01)
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
         workers.append(worker)
         threads.append(thread)
+    _await_live(url, n)
     return workers, threads
 
 
@@ -375,6 +409,12 @@ def _stop_workers(workers, threads):
         assert not thread.is_alive()
 
 
+def _sweep(url: str, specs, cache: ResultCache | None = None):
+    """``specs`` through a scheduler whose backend is the server."""
+    with contextlib.closing(ServeBackend(url)) as backend:
+        return Scheduler(cache=cache, backend=backend).run(specs)
+
+
 class TestDistIntegration:
     def test_sweep_matches_serial_and_leaks_no_leases(self, tmp_path):
         specs = _specs(8)
@@ -383,16 +423,88 @@ class TestDistIntegration:
         queue = LeaseQueue(lease_seconds=5.0)
         with ServerThread(cache=cache, leases=queue) as srv:
             workers, threads = _run_workers(srv.url, 2, cache)
-            sched = Scheduler(cache=cache,
-                              backend=DistBackend(srv.url,
-                                                  poll_interval=0.01))
-            assert sched.run(specs) == expected
-            status = DistClient(srv.url).dist_status()
+            assert _sweep(srv.url, specs, cache) == expected
+            status = _status(srv.url)
             _stop_workers(workers, threads)
         assert status["jobs"] == {QUEUED: 0, LEASED: 0,
                                   DONE: len(specs), FAILED: 0}
         assert status["leases"] == []
         assert queue.counters["completions"] == len(specs)
+        assert srv.server.progress.jobs_done == 0
+
+    def test_submit_miss_is_computed_by_a_live_worker(self, tmp_path):
+        """A ``/v1/submit`` miss is leased to the one live worker; the
+        server's own pool runs nothing."""
+        spec = _specs(1)[0]
+        cache = ResultCache(root=tmp_path / "cache")
+        queue = LeaseQueue(lease_seconds=5.0)
+        with ServerThread(cache=cache, leases=queue) as srv:
+            workers, threads = _run_workers(srv.url, 1, cache)
+            with ServeClient(srv.url) as client:
+                assert client.submit_with_source(spec) == (_fake_job(spec),
+                                                           "computed")
+                served = client.metrics()["serve"]
+            _stop_workers(workers, threads)
+        assert queue.counters["completions"] == served["misses"] == 1
+        assert srv.server.progress.jobs_done == 0
+        assert cache.get(spec) == _fake_job(spec)   # the worker stored it
+
+    def test_submit_and_sweep_of_one_digest_share_one_lease(self, tmp_path):
+        gate = threading.Event()
+
+        def _gated_job(spec):
+            gate.wait(20)
+            return _fake_job(spec)
+
+        spec = _specs(1)[0]
+        cache = ResultCache(root=tmp_path / "cache")
+        queue = LeaseQueue(lease_seconds=5.0)
+        outcomes = {}
+
+        def _submit(url):
+            with ServeClient(url) as client:
+                outcomes["submit"] = client.submit_with_source(spec)
+
+        with ServerThread(cache=cache, leases=queue) as srv:
+            workers, threads = _run_workers(srv.url, 1, cache,
+                                            job_fn=_gated_job)
+            clients = [threading.Thread(target=_submit, args=(srv.url,))]
+            clients[0].start()
+            _await(lambda: queue.counters.get("leases") == 1)
+            clients.append(threading.Thread(target=lambda: outcomes.update(
+                sweep=_sweep(srv.url, [spec]))))
+            clients[1].start()
+            _await(lambda: srv.server.dedup == 1)
+            gate.set()
+            for client in clients:
+                client.join(timeout=20)
+                assert not client.is_alive()
+            _stop_workers(workers, threads)
+        assert outcomes == {"submit": (_fake_job(spec), "computed"),
+                            "sweep": [_fake_job(spec)]}
+        assert queue.counters["jobs"] == queue.counters["leases"] == 1
+        assert queue.counters["completions"] == 1
+        assert (srv.server.misses, srv.server.dedup) == (1, 1)
+
+    def test_quarantined_blob_is_leased_again(self, tmp_path):
+        """The queue already knows a digest whose blob was quarantined
+        after its lease completed; the new miss is leased and resolves."""
+        spec = _specs(1)[0]
+        cache = ResultCache(root=tmp_path / "cache")
+        queue = LeaseQueue(lease_seconds=5.0)
+        with ServerThread(cache=cache, leases=queue) as srv:
+            workers, threads = _run_workers(srv.url, 1, cache)
+            with ServeClient(srv.url, timeout=20, retries=0) as client:
+                assert client.submit(spec) == _fake_job(spec)
+                cache.blob_path(spec.digest()).write_text("{ torn")
+                assert client.submit_with_source(spec) == (_fake_job(spec),
+                                                           "computed")
+            _stop_workers(workers, threads)
+        assert cache.corrupt == 1
+        assert queue.counters["jobs"] == queue.counters["completions"] == 2
+        assert list(cache.quarantine_dir.glob("*.json"))
+        assert ResultCache(root=tmp_path / "cache").get(spec) == \
+            _fake_job(spec)
 
     def test_duplicate_specs_computed_once(self, tmp_path):
         spec = _specs(1)[0]
@@ -401,10 +513,7 @@ class TestDistIntegration:
         queue = LeaseQueue(lease_seconds=5.0)
         with ServerThread(cache=cache, leases=queue) as srv:
             workers, threads = _run_workers(srv.url, 1, cache)
-            sched = Scheduler(cache=cache,
-                              backend=DistBackend(srv.url,
-                                                  poll_interval=0.01))
-            assert sched.run(specs) == [_fake_job(spec)] * 3
+            assert _sweep(srv.url, specs, cache) == [_fake_job(spec)] * 3
             _stop_workers(workers, threads)
         assert queue.counters["jobs"] == 1
         assert queue.counters["completions"] == 1
@@ -425,10 +534,8 @@ class TestDistIntegration:
                 thread.start()
                 workers.append(worker)
                 threads.append(thread)
-            sched = Scheduler(cache=cache,
-                              backend=DistBackend(srv.url,
-                                                  poll_interval=0.01))
-            results = sched.run(specs)
+            _await_live(srv.url, 2)
+            results = _sweep(srv.url, specs, cache)
             _stop_workers(workers, threads)
         for journal in journals:
             journal.close()
@@ -437,9 +544,11 @@ class TestDistIntegration:
         assert len(merged) == len(specs)
         assert [merged.get(s) for s in specs] == results
 
-    def test_terminal_remote_failure_recomputed_locally(self, tmp_path):
-        """A job whose distributed retries are exhausted falls back to the
-        local pool — the sweep still completes with correct results."""
+    def test_terminal_remote_failure_recomputed_locally(self, tmp_path,
+                                                        capsys):
+        """A job whose lease retries are exhausted is computed on the
+        server's own pool — the sweep still completes with correct
+        results, and the fallback is warned about and counted."""
         def _always_raises(spec):
             raise RuntimeError("injected worker bug")
 
@@ -449,35 +558,32 @@ class TestDistIntegration:
         queue = LeaseQueue(lease_seconds=5.0, retries=1, backoff_base=0.01,
                            backoff_cap=0.02)
         with ServerThread(cache=cache, leases=queue) as srv:
-            workers, threads = [], []
-            worker = DistWorker(srv.url, "w0", cache=cache,
-                                job_fn=_always_raises, in_process=True,
-                                poll_interval=0.01)
-            thread = threading.Thread(target=worker.run, daemon=True)
-            thread.start()
-            sched = Scheduler(cache=cache,
-                              backend=DistBackend(srv.url,
-                                                  poll_interval=0.01))
-            assert sched.run(specs) == expected
-            worker.stop()
-            thread.join(timeout=20)
+            workers, threads = _run_workers(srv.url, 1, cache,
+                                            job_fn=_always_raises)
+            assert _sweep(srv.url, specs, cache) == expected
+            _stop_workers(workers, threads)
         assert queue.counters["failures"] == 1
-        # the locally recomputed result was stored for everyone
+        assert queue.counters["fallback_jobs"] == 1
+        assert "degraded" not in queue.counters
+        assert srv.server.progress.jobs_done == 1
+        assert "failed remotely" in capsys.readouterr().err
+        # the server's pool stored the recomputed result for everyone
         assert cache.get(specs[0]) == expected[0]
 
     def test_degrades_to_local_pool_when_no_workers_exist(self, tmp_path):
+        """With no worker registered, misses go straight to the server's
+        pool: the lease queue never sees them."""
         specs = _specs(3)
-        expected = Scheduler().run(specs)
         cache = ResultCache(root=tmp_path / "cache")
         queue = LeaseQueue(lease_seconds=5.0)
-        with ServerThread(cache=cache, leases=queue) as srv:
-            sched = Scheduler(cache=cache,
-                              backend=DistBackend(srv.url,
-                                                  poll_interval=0.02,
-                                                  degrade_after=0.3))
-            assert sched.run(specs) == expected
-        assert queue.counters["cancelled"] == len(specs)
-        assert all(cache.get(s) == e for s, e in zip(specs, expected))
+        with ServerThread(cache=cache, leases=queue,
+                          job_fn=_fake_job) as srv:
+            assert _sweep(srv.url, specs, cache) == [_fake_job(s)
+                                                     for s in specs]
+            status = _status(srv.url)
+        assert status["jobs"] == {QUEUED: 0, LEASED: 0, DONE: 0, FAILED: 0}
+        assert queue.counters == {}
+        assert srv.server.progress.jobs_done == len(specs)
 
     def test_corrupt_verdict_quarantined_and_repaired(self, tmp_path):
         """A server-shipped corruption verdict damages the worker's
@@ -489,10 +595,7 @@ class TestDistIntegration:
         queue = LeaseQueue(lease_seconds=5.0, chaos=chaos)
         with ServerThread(cache=cache, leases=queue) as srv:
             workers, threads = _run_workers(srv.url, 1, cache)
-            sched = Scheduler(cache=cache,
-                              backend=DistBackend(srv.url,
-                                                  poll_interval=0.01))
-            assert sched.run(specs) == expected
+            assert _sweep(srv.url, specs, cache) == expected
             _stop_workers(workers, threads)
         assert chaos.injected.get("cache_corrupt") == len(specs)
         quarantined = list(cache.quarantine_dir.glob("*.json"))
@@ -512,15 +615,11 @@ class TestDistIntegration:
                            backoff_cap=0.05, chaos=chaos)
         with ServerThread(cache=cache, leases=queue) as srv:
             workers, threads = _run_workers(srv.url, 2, cache)
-            sched = Scheduler(cache=cache,
-                              backend=DistBackend(srv.url,
-                                                  poll_interval=0.01))
-            assert sched.run(specs) == expected
+            assert _sweep(srv.url, specs, cache) == expected
             _stop_workers(workers, threads)
         assert chaos.injected.get("crash", 0) > 0
         assert chaos.recovered > 0
         assert queue.status()["jobs"][DONE] == len(specs)
-
 
     def test_stopping_the_server_drains_a_polling_worker(self, tmp_path):
         """A worker polling while the server stops is told ``drain`` and
@@ -528,30 +627,75 @@ class TestDistIntegration:
         cache = ResultCache(root=tmp_path / "cache")
         srv = ServerThread(cache=cache,
                            leases=LeaseQueue(lease_seconds=5.0)).start()
-        worker = DistWorker(srv.url, "w0", cache=cache, job_fn=_fake_job,
-                            in_process=True, poll_interval=0.01)
-        drains: list[bool] = []
-        lease = worker.client.dist_lease
-
-        def recording_lease(worker_id):
-            order, drain = lease(worker_id)
-            drains.append(drain)
-            return order, drain
-
-        worker.client.dist_lease = recording_lease
+        worker, drains = _recording_worker(srv.url, cache)
         completed: list[int] = []
         thread = threading.Thread(
             target=lambda: completed.append(worker.run()), daemon=True)
         thread.start()
-        deadline = time.monotonic() + 20
-        while not drains and time.monotonic() < deadline:
-            time.sleep(0.01)
+        _await(lambda: drains)
         srv.stop()
         thread.join(timeout=20)
         assert not thread.is_alive()
         assert drains and drains[-1] is True
         assert drains.count(True) == 1
         assert completed == [0]
+
+    def test_stopping_the_server_finishes_leased_cells_on_its_pool(
+            self, tmp_path):
+        """A cell still leased when the server stops is computed on the
+        server's pool, so ``stop()`` does not wait on it forever."""
+        gate = threading.Event()
+
+        def _gated_job(spec):
+            gate.wait(20)
+            return _fake_job(spec)
+
+        spec = _specs(1)[0]
+        cache = ResultCache(root=tmp_path / "cache")
+        queue = LeaseQueue(lease_seconds=5.0)
+        srv = ServerThread(cache=cache, leases=queue,
+                           job_fn=_fake_job).start()
+        workers, threads = _run_workers(srv.url, 1, cache,
+                                        job_fn=_gated_job)
+        outcome: list = []
+
+        def _submit():
+            with ServeClient(srv.url, retries=0) as client:
+                try:
+                    outcome.append(client.submit_with_source(spec))
+                except Exception as exc:
+                    outcome.append(exc)
+
+        submitter = threading.Thread(target=_submit, daemon=True)
+        submitter.start()
+        _await(lambda: queue.counters.get("leases") == 1)
+        stopper = threading.Thread(target=srv.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=20)
+        submitter.join(timeout=20)
+        gate.set()
+        _stop_workers(workers, threads)
+        assert not stopper.is_alive() and not submitter.is_alive()
+        assert queue.counters["cancelled"] == queue.counters[
+            "fallback_jobs"] == 1
+        assert srv.server.progress.jobs_done == 1
+        assert len(outcome) == 1     # answered, or refused by a closed port
+
+
+def _recording_worker(url: str, cache: ResultCache | None):
+    """An in-process worker whose lease polls record their drain flag."""
+    worker = DistWorker(url, "w0", cache=cache, job_fn=_fake_job,
+                        in_process=True, poll_interval=0.01)
+    drains: list[bool] = []
+    lease = worker.client.dist_lease
+
+    def recording_lease(worker_id):
+        order, drain = lease(worker_id)
+        drains.append(drain)
+        return order, drain
+
+    worker.client.dist_lease = recording_lease
+    return worker, drains
 
 
 class TestLeaseRetries:
@@ -612,12 +756,9 @@ class TestWorkerLossDrills:
                     args=(srv.url, pool, 0, "w0", killed), daemon=True,
                 )
                 killer.start()
-                sched = Scheduler(cache=cache,
-                                  backend=DistBackend(srv.url,
-                                                      poll_interval=0.02))
-                dist = sched.run(specs)
+                dist = _sweep(srv.url, specs, cache)
                 killer.join(timeout=20)
-                status = DistClient(srv.url).dist_status()
+                status = _status(srv.url)
         assert killed == [True]
         assert dist == serial
         assert status["jobs"][DONE] == len(specs)
@@ -626,7 +767,10 @@ class TestWorkerLossDrills:
         assert counters.get("lease_expired", 0) >= 1
         assert counters.get("requeues", 0) >= 1
 
-    def test_losing_every_worker_degrades_to_local(self, tmp_path):
+    def test_losing_every_worker_degrades_to_local(self, tmp_path, capsys):
+        """SIGKILL the only worker mid-job: once it has been silent for
+        the queue's worker TTL, the server cancels the leased-path jobs
+        and computes them on its own pool."""
         specs = [baseline_job("swim", 2_000, 500),
                  baseline_job("gobmk", 2_000, 500)]
         serial = Scheduler().run(specs)
@@ -643,15 +787,16 @@ class TestWorkerLossDrills:
                     args=(srv.url, pool, 0, "w0", killed), daemon=True,
                 )
                 killer.start()
-                sched = Scheduler(
-                    cache=cache,
-                    backend=DistBackend(srv.url, poll_interval=0.05,
-                                        degrade_after=1.0),
-                )
-                dist = sched.run(specs)
+                dist = _sweep(srv.url, specs, cache)
                 killer.join(timeout=20)
         assert killed == [True]
         assert dist == serial
+        assert queue.counters["degraded"] == 1
+        assert queue.counters["cancelled"] == len(specs)
+        assert queue.counters["fallback_jobs"] == len(specs)
+        assert "completions" not in queue.counters
+        assert srv.server.progress.jobs_done == len(specs)
+        assert "degrading to the server's pool" in capsys.readouterr().err
         assert all(cache.get(s) == r for s, r in zip(specs, serial))
 
 
@@ -676,9 +821,9 @@ def _start_serve_process(cache_dir: Path):
 
 class TestStandaloneServer:
     def test_serve_process_coordinates_a_worker_pool_sweep(self, tmp_path):
-        """``python -m repro.serve`` is the standalone coordinator: a
-        two-worker pool and a DistBackend sweep against it equal serial
-        ``run_job`` and leave no lease held."""
+        """``python -m repro.serve`` with a two-worker pool: a
+        ``ServeBackend`` sweep against it equals serial ``run_job``, every
+        miss is computed by a worker, and no lease is left held."""
         specs = [baseline_job(w, uops=2_000, warmup=500)
                  for w in ("swim", "gobmk", "mcf")]
         serial = [run_job(s) for s in specs]
@@ -687,12 +832,10 @@ class TestStandaloneServer:
         try:
             with WorkerPool(url, 2, cache_root=str(cache.root),
                             poll_interval=0.01):
-                sched = Scheduler(cache=cache,
-                                  backend=DistBackend(url,
-                                                      poll_interval=0.02))
-                dist = sched.run(specs)
+                dist = _sweep(url, specs, cache)
                 with DistClient(url) as client:
                     status = client.dist_status()
+                    served = client.metrics()["serve"]
         finally:
             proc.terminate()
             proc.communicate(timeout=30)
@@ -700,4 +843,23 @@ class TestStandaloneServer:
         assert status["jobs"] == {QUEUED: 0, LEASED: 0,
                                   DONE: len(specs), FAILED: 0}
         assert status["leases"] == []
-        assert status["counters"]["completions"] == len(specs)
+        assert status["counters"]["completions"] == served["misses"] \
+            == len(specs)
+
+    def test_sigterm_drains_workers_and_prints_the_summary(self, tmp_path):
+        """SIGTERM ends ``python -m repro.serve`` the way Ctrl-C does:
+        exit 0, a polling worker hears ``drain``, the summary prints."""
+        proc, url = _start_serve_process(tmp_path / "cache")
+        worker, drains = _recording_worker(url, None)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        try:
+            _await_live(url, 1)
+        finally:
+            proc.send_signal(signal.SIGTERM)
+            out, _ = proc.communicate(timeout=30)
+        thread.join(timeout=20)
+        assert not thread.is_alive()
+        assert proc.returncode == 0
+        assert "[serve] " in out and " request(s): " in out
+        assert drains and drains[-1] is True

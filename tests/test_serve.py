@@ -40,7 +40,7 @@ from repro.exec import (
 from repro.pipeline import SimStats
 from repro.serve import (
     ProtocolError,
-    RemoteScheduler,
+    ServeBackend,
     ServeClient,
     ServerError,
     ServerThread,
@@ -53,7 +53,7 @@ TINY = RunSpec(uops=4_000, warmup=1_000, workloads=("swim", "gobmk"))
 
 @pytest.fixture(autouse=True)
 def _reset_default_scheduler():
-    """RemoteScheduler installs itself globally; leave the default serial."""
+    """ServeBackend tests configure the default; leave it serial."""
     yield
     repro.exec.reset()
 
@@ -732,29 +732,32 @@ class TestClientRetries:
             ServeClient("http://localhost:1", retries=-1)
 
 
-class TestRemoteScheduler:
+class TestServeBackend:
     def test_experiments_run_identically_through_server(self, tmp_path):
         """fig5a through a real server == fig5a computed locally."""
         local = experiments.fig5a(TINY)
 
-        srv = ServerThread(cache=ResultCache(root=tmp_path), jobs=2).start()
-        try:
-            client = ServeClient(srv.url)
-            repro.exec.install_scheduler(RemoteScheduler(client))
-            remote = experiments.fig5a(TINY)
-            client.close()
-        finally:
-            srv.stop()
+        with ServerThread(cache=ResultCache(root=tmp_path), jobs=2) as srv:
+            backend = ServeBackend(srv.url)
+            try:
+                repro.exec.configure(backend=backend)
+                remote = experiments.fig5a(TINY)
+            finally:
+                backend.close()
         assert remote == local
 
-    def test_chunks_large_sweeps(self, server):
-        client = ServeClient(server.url)
-        sched = RemoteScheduler(client)
+    def test_chunks_large_sweeps(self, server, monkeypatch):
+        monkeypatch.setattr(protocol, "MAX_SWEEP_SPECS", 4)
         specs = [baseline_job("swim", 2000 + 2 * i, 500) for i in range(10)]
-        out = sched.run(specs)
+        backend = ServeBackend(server.url)
+        try:
+            sched = repro.exec.Scheduler(backend=backend)
+            out = sched.run(specs)
+        finally:
+            backend.close()
         assert [s.cycles for s in out] == [s.uops for s in specs]
-        assert sched.jobs == 0 and sched.cache is None
-        client.close()
+        assert server.server.requests == 3         # 4 + 4 + 2 specs
+        assert server.server.misses == len(specs)
 
 
 # ---------------------------------------------------------------------------
