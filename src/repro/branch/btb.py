@@ -49,6 +49,7 @@ class BranchTargetBuffer:
         self.ways = ways
         self.sets = sets
         self._index_mask = sets - 1
+        self._set_bits = sets.bit_length() - 1
         self._ways = TableBank(sets * ways, WAY_FIELDS)
         self._sets = TableBank(sets, SET_FIELDS)
         self._tag = self._ways.col("tag")
@@ -59,7 +60,7 @@ class BranchTargetBuffer:
 
     def _set_and_tag(self, pc: int) -> tuple[int, int]:
         index = (pc >> 2) & self._index_mask
-        tag = pc >> 2 >> self.sets.bit_length() - 1
+        tag = pc >> 2 >> self._set_bits
         return index, tag
 
     def _bump_to_mru(self, base: int, slot: int, count: int) -> None:
@@ -74,16 +75,24 @@ class BranchTargetBuffer:
 
     def lookup(self, pc: int) -> int | None:
         """Predicted target of the branch at ``pc``, or None on miss."""
-        set_index, tag = self._set_and_tag(pc)
-        base = set_index * self.ways
+        set_index = (pc >> 2) & self._index_mask
+        tag = pc >> 2 >> self._set_bits
         count = self._count[set_index]
-        tag_col = self._tag
-        for i in range(count):
-            if tag_col[base + i] == tag:
-                target = self._target[base + i]
-                self._bump_to_mru(base, i, count)
+        if count:
+            # MRU way first: a hit there needs no reordering, and tags are
+            # unique within a set, so no older way could match instead.
+            base = set_index * self.ways
+            mru = base + count - 1
+            tag_col = self._tag
+            if tag_col[mru] == tag:
                 self.hits += 1
-                return target
+                return self._target[mru]
+            for i in range(count - 1):
+                if tag_col[base + i] == tag:
+                    target = self._target[base + i]
+                    self._bump_to_mru(base, i, count)
+                    self.hits += 1
+                    return target
         self.misses += 1
         return None
 

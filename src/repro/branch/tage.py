@@ -41,9 +41,11 @@ TAGGED_FIELDS = (
 class _BranchMeta:
     """Provider information carried from predict to train.
 
-    ``slots`` is the ``(indices, tags)`` of every tagged component at
-    predict time (see :class:`~repro.predictors.base.TaggedSlots`), which allocation at
-    train time reuses instead of rehashing.
+    ``slots`` is the packed ``(x, t)`` hash lanes of every tagged
+    component at predict time (:meth:`TaggedSlots.lanes
+    <repro.predictors.base.TaggedSlots.lanes>`); allocation at train time
+    unpacks them instead of rehashing.  ``index`` is the provider's flat
+    bank index and ``tag`` its tag (both 0 for the bimodal provider).
     """
 
     __slots__ = ("provider", "index", "tag", "alt_taken", "provider_weak",
@@ -56,7 +58,7 @@ class _BranchMeta:
         tag: int,
         alt_taken: bool,
         provider_weak: bool,
-        slots: tuple[list[int], list[int]] | None = None,
+        slots: tuple[int, int] | None = None,
     ) -> None:
         self.provider = provider
         self.index = index
@@ -120,6 +122,8 @@ class TAGEBranchPredictor:
             self.history_lengths, self.tagged_index_bits, self.tag_bits,
             tagged_entries,
         )
+        self._index_mask = self._hash.index_mask
+        self._descending = self._hash.descending
 
     def fold_geometry(
         self,
@@ -136,26 +140,32 @@ class TAGEBranchPredictor:
 
     def predict(self, pc: int, hist: HistoryState) -> tuple[bool, _BranchMeta]:
         """Predicted direction plus the metadata train() needs."""
-        slots = self._hash.slots(pc, hist)
-        indices, tags = slots
+        # Longest component first: the first hit provides, the second
+        # (else the bimodal base) is the alternate prediction.
+        lanes = x, t = self._hash.lanes(pc, hist)
         t_tag = self._t_tag
+        imask = self._index_mask
         hit = alt = -1
-        for comp in range(self.components):
-            if t_tag[indices[comp]] == tags[comp]:
-                alt = hit
-                hit = comp
+        for comp, base, shift, tshift, tmask in self._descending:
+            index = base + ((x >> shift) & imask)
+            if t_tag[index] == (t >> tshift) & tmask:
+                if hit >= 0:
+                    alt = index
+                    break
+                hit = index
+                provider = comp + 1
+                tag = (t >> tshift) & tmask
         base_taken = self._b_ctr[(pc >> 2) & self._bimodal_mask] >= 2
         if hit < 0:
-            return base_taken, _BranchMeta(0, 0, 0, base_taken, False, slots)
-        index = indices[hit]
-        ctr = self._t_ctr[index]
+            return base_taken, _BranchMeta(0, 0, 0, base_taken, False, lanes)
+        ctr = self._t_ctr[hit]
         taken = ctr >= 4
         weak = ctr == 3 or ctr == 4
         if alt >= 0:
-            alt_taken = self._t_ctr[indices[alt]] >= 4
+            alt_taken = self._t_ctr[alt] >= 4
         else:
             alt_taken = base_taken
-        meta = _BranchMeta(hit + 1, index, tags[hit], alt_taken, weak, slots)
+        meta = _BranchMeta(provider, hit, tag, alt_taken, weak, lanes)
         # Newly allocated (weak) providers are unreliable: optionally trust
         # the alternate prediction instead.
         if weak and self._use_alt_on_new_alloc >= 8:
@@ -170,7 +180,7 @@ class TAGEBranchPredictor:
         """Update with the resolved direction (meta from the predict call)."""
         slots = meta.slots
         if slots is None:
-            slots = self._hash.slots(pc, hist)
+            slots = self._hash.lanes(pc, hist)
         provider = meta.provider
         if provider == 0:
             index = self._bimodal_index(pc)
@@ -209,32 +219,34 @@ class TAGEBranchPredictor:
         self._tick()
 
     def _allocate(
-        self, slots: tuple[list[int], list[int]], provider: int, taken: bool
+        self, lanes: tuple[int, int], provider: int, taken: bool
     ) -> None:
-        indices, tags = slots
+        """Allocate one entry among the components longer than the
+        provider, at the predict-time hashes ``lanes``; with no candidate,
+        age those components' useful counters instead."""
         gen = self._useful_gen
         t_useful, t_ugen = self._t_useful, self._t_ugen
+        scanned = self._hash.unpack(lanes, provider)
         candidates = []
-        for comp in range(provider, self.components):
-            index = indices[comp]
+        for slot in scanned:
+            index = slot[0]
             if t_ugen[index] != gen:
                 t_useful[index] = 0
                 t_ugen[index] = gen
             if t_useful[index] == 0:
-                candidates.append(comp)
+                candidates.append(slot)
         if not candidates:
             # Every slot was normalized to the current generation above.
-            for index in indices[provider:]:
+            for index, _tag in scanned:
                 t_useful[index] = max(0, t_useful[index] - 1)
             return
         # Bias allocation toward shorter histories (classic TAGE heuristic):
         # pick the first candidate with probability 1/2, else uniformly.
         if len(candidates) > 1 and self._rng.chance(0.5):
-            choice = candidates[0]
+            index, tag = candidates[0]
         else:
-            choice = candidates[self._rng.next_below(len(candidates))]
-        index = indices[choice]
-        self._t_tag[index] = tags[choice]
+            index, tag = candidates[self._rng.next_below(len(candidates))]
+        self._t_tag[index] = tag
         self._t_ctr[index] = 4 if taken else 3
         t_useful[index] = 0
         t_ugen[index] = gen

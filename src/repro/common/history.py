@@ -6,9 +6,11 @@ of recent branch targets).  TAGE hardware keeps, per component, circular
 "folded" registers that are updated incrementally in O(1) per branch;
 :class:`FoldedHistorySet` models exactly that: one :class:`FoldedHistory`
 register per (history length, output width) pair a predictor's geometry
-needs, updated on every pushed bit and snapshotted into an immutable
-:class:`FoldedHistoryState` that the pipeline hands to every predict and
-commit-time train call.  The raw shift registers (:class:`GlobalHistory`)
+needs, snapshotted into an immutable :class:`FoldedHistoryState` that the
+pipeline hands to every predict and commit-time train call.  Branch
+registers are updated on every pushed bit; path registers, which fold
+only the 16 newest path bits, are read from byte tables of the raw path
+register after each push.  The raw shift registers (:class:`GlobalHistory`)
 are kept alongside so on-demand folding stays available as the reference
 formulation — the two are mathematically identical (XOR-folding is linear
 in the history bits), which ``tests/test_history.py`` enforces over
@@ -127,11 +129,12 @@ class FoldLayout:
     """Where every fold register of a :class:`FoldedHistorySet` lives.
 
     The set packs all its branch-history fold registers into one integer
-    and all its path-history registers into another (see
-    :class:`_PackedRegisters`), in four regions laid out in registration
-    order: index folds of the branch history, index folds of the path
-    history, tag folds (``width`` bits) and their ``width - 1`` twins, each
-    twin in a ``width``-bit lane aligned with its tag fold.  A layout maps
+    (see :class:`_PackedRegisters`) and all its path-history registers
+    into another (see :func:`_path_tables`), in four regions laid out in
+    registration order: index folds of the branch history, index folds of
+    the path history, tag folds (``width`` bits) and their ``width - 1``
+    twins, each twin in a ``width``-bit lane aligned with its tag fold.
+    A layout maps
     a fold (by :func:`fold_key`) to its lanes; snapshots share their set's
     layout, so a consumer resolves its lanes once (:meth:`component_lanes`)
     and then reads any snapshot with a few shifts.
@@ -300,7 +303,8 @@ def fold_key(hist_length: int, output_bits: int) -> int:
 
 
 class _PackedRegisters:
-    """:class:`FoldedHistory` registers of one history, packed in one int.
+    """:class:`FoldedHistory` registers of the branch history, packed in
+    one int.
 
     Each lane is ``(history length, register width, lane width)``; the
     register occupies the low ``register width`` bits of its lane (a zero
@@ -327,9 +331,12 @@ class _PackedRegisters:
                 lsbs |= 1 << off
                 wraps[width - 1] = wraps.get(width - 1, 0) | top
                 # The bit leaving a register's window is bit ``length - 1``
-                # of the raw history before the push.
-                evicts[length - 1] = (
-                    evicts.get(length - 1, 0) | 1 << (off + length % width)
+                # of the raw history before the push, keyed by its mask:
+                # ``bits & mask`` is cheaper than shifting the long
+                # register down to that bit.
+                evicted = 1 << length - 1
+                evicts[evicted] = (
+                    evicts.get(evicted, 0) | 1 << (off + length % width)
                 )
             off += lane
         self.tops = tops
@@ -338,15 +345,47 @@ class _PackedRegisters:
         self.evicts = tuple(sorted(evicts.items()))
 
 
+def _path_tables(
+    idx_pairs: list[tuple[int, int]], offsets: list[int]
+) -> tuple[list[int], list[int]]:
+    """The packed path registers as a function of the raw path register.
+
+    A path register of history length ``length`` and width ``width`` is
+    ``fold_bits`` of the ``min(length, PATH_FOLD_BITS)`` newest raw bits,
+    so raw bit ``j`` (0 = newest) lands at bit ``offset + j % width`` of
+    every register whose length exceeds ``j``.  XOR-folding is linear, so
+    the packed registers of raw value ``h`` are ``lo[h & 255] ^ hi[(h >> 8)
+    & 255]``, each table entry the XOR of the columns of its set bits.
+    """
+    cols = [0] * PATH_FOLD_BITS
+    for (length, width), off in zip(idx_pairs, offsets):
+        for j in range(min(length, PATH_FOLD_BITS)):
+            cols[j] ^= 1 << (off + j % width)
+    tables = []
+    for first in (0, 8):
+        table = [0] * 256
+        for v in range(1, 256):
+            # v with its lowest set bit cleared, plus that bit's column.
+            low = (v & -v).bit_length() - 1
+            table[v] = table[v & (v - 1)] ^ cols[first + low]
+        tables.append(table)
+    return tables[0], tables[1]
+
+
 class FoldedHistorySet:
     """Incrementally maintained folded histories for a predictor geometry.
 
     Owns the raw branch/path :class:`GlobalHistory` registers plus one
     circular fold register (:class:`FoldedHistory` semantics) per fold a
     registered geometry needs, packed per history into one int as
-    :class:`FoldLayout` describes.  ``push_outcome``/``push_path`` update
-    every register in O(distinct widths + distinct lengths) per bit,
-    independent of the history lengths; ``state`` returns the current
+    :class:`FoldLayout` describes.  ``push_outcome`` updates every branch
+    register in O(distinct widths + distinct lengths) per bit, independent
+    of the history lengths.  A path register folds at most the
+    :data:`PATH_FOLD_BITS` newest raw path bits, so the packed path
+    registers are a linear function of those bits: ``push_path`` shifts
+    the raw register and reads the packed registers from two 256-entry
+    tables, one per byte (:func:`_path_tables`), whatever the number of
+    bits pushed.  ``state`` returns the current
     :class:`FoldedHistoryState`, rebuilt lazily only after a push, so
     consecutive snapshots between branches share one immutable object.
     ``snapshot``/``restore`` checkpoint the whole set as four ints for
@@ -355,9 +394,12 @@ class FoldedHistorySet:
     ``idx_pairs`` / ``tag_pairs`` are iterables of ``(history_length,
     output_bits)`` as consumed by ``tagged_index`` / ``tagged_tag``, kept
     in the given order so each predictor's folds stay contiguous.
+    ``path_capacity`` must hold the :data:`PATH_FOLD_BITS` bits the path
+    folds read.
     """
 
-    __slots__ = ("branch", "path", "layout", "_b", "_p", "_bv", "_pv", "_state")
+    __slots__ = ("branch", "path", "layout", "_b", "_plo", "_phi", "_bv",
+                 "_pv", "_state")
 
     def __init__(
         self,
@@ -366,6 +408,11 @@ class FoldedHistorySet:
         idx_pairs: "tuple[tuple[int, int], ...] | set | list" = (),
         tag_pairs: "tuple[tuple[int, int], ...] | set | list" = (),
     ) -> None:
+        if path_capacity < PATH_FOLD_BITS:
+            raise ValueError(
+                f"path capacity {path_capacity} holds fewer than the "
+                f"{PATH_FOLD_BITS} bits the path folds read"
+            )
         self.branch = GlobalHistory(branch_capacity)
         self.path = GlobalHistory(path_capacity)
         idx_pairs = list(idx_pairs)
@@ -378,12 +425,14 @@ class FoldedHistorySet:
             + [(length, width, width) for length, width in tag_pairs]
             + [(length, width - 1, width) for length, width in tag_pairs]
         )
-        self._p = _PackedRegisters(
-            [(min(length, PATH_FOLD_BITS), width, width)
-             for length, width in idx_pairs]
-        )
+        path_offsets = []
+        off = 0
+        for _length, width in idx_pairs:
+            path_offsets.append(off)
+            off += width
+        self._plo, self._phi = _path_tables(idx_pairs, path_offsets)
         self.layout = FoldLayout(
-            idx_pairs, tag_pairs, self._b.offsets, self._p.offsets
+            idx_pairs, tag_pairs, self._b.offsets, path_offsets
         )
         self._bv = 0
         self._pv = 0
@@ -404,8 +453,8 @@ class FoldedHistorySet:
             v |= (top & tops) >> shift
         if bit:
             v ^= regs.lsbs
-        for src, lanes in regs.evicts:
-            if (bits >> src) & 1:
+        for evicted, lanes in regs.evicts:
+            if bits & evicted:
                 v ^= lanes
         self._bv = v
         raw._bits = ((bits << 1) | bit) & raw._mask
@@ -413,25 +462,11 @@ class FoldedHistorySet:
 
     def push_path(self, target_pc: int, bits: int = 2) -> None:
         """Shift low-order target-address bits in (path history)."""
-        regs = self._p
         raw = self.path
-        pbits = raw._bits
-        v = self._pv
-        lsbs = regs.lsbs
-        for i in range(bits - 1, -1, -1):
-            bit = (target_pc >> i) & 1
-            top = v & regs.tops
-            v = (v ^ top) << 1
-            for shift, tops in regs.wraps:
-                v |= (top & tops) >> shift
-            if bit:
-                v ^= lsbs
-            for src, lanes in regs.evicts:
-                if (pbits >> src) & 1:
-                    v ^= lanes
-            pbits = (pbits << 1) | bit
-        self._pv = v
-        raw.push(target_pc, bits)
+        h = raw._bits = (
+            (raw._bits << bits) | (target_pc & ((1 << bits) - 1))
+        ) & raw._mask
+        self._pv = self._plo[h & 255] ^ self._phi[(h >> 8) & 255]
         self._state = None
 
     # -- snapshots -----------------------------------------------------------
@@ -466,5 +501,5 @@ class FoldedHistorySet:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"FoldedHistorySet({len(self._b.offsets)} branch / "
-            f"{len(self._p.offsets)} path fold lanes)"
+            f"{len(self.layout.idx)} path fold lanes)"
         )

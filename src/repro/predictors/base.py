@@ -262,7 +262,9 @@ class TaggedSlots:
     tag ``(t >> shift_c) & mask_c`` (the constants are in :attr:`ascending`
     and, longest component first, :attr:`descending`), so a caller can
     search for the longest hit without building both lists, and
-    :meth:`unpack` recovers the pairs later.
+    :meth:`unpack` recovers the pairs later.  The TAGE branch predictor
+    and both D-VTAGEs search ``lanes``; VTAGE and the batch precompute
+    take ``slots``.
 
     The key halves are memoised per key (keys are static PCs or blocks, so
     the memo grows with the program, not the trace), already packed lane by

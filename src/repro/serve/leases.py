@@ -24,6 +24,7 @@ lives in one place.
 from __future__ import annotations
 
 import time
+from collections import OrderedDict
 from typing import Callable, Sequence
 
 import repro.obs as obs
@@ -39,7 +40,7 @@ class _Job:
     """One cell's place in the queue (internal to :class:`LeaseQueue`)."""
 
     __slots__ = ("spec", "digest", "attempts", "not_before", "state",
-                 "worker", "last_worker", "lease_expires", "error")
+                 "worker", "last_worker", "lease_expires")
 
     def __init__(self, spec: JobSpec) -> None:
         self.spec = spec
@@ -50,7 +51,6 @@ class _Job:
         self.worker: str | None = None
         self.last_worker: str | None = None
         self.lease_expires = 0.0
-        self.error: str | None = None
 
 
 class LeaseQueue:
@@ -75,6 +75,11 @@ class LeaseQueue:
     Every transition is mirrored into plain-int :attr:`counters` (always
     on) and ``dist/*`` obs counters (when the obs layer is enabled),
     including per-worker ``jobs`` / ``steals`` / ``lease_expired``.
+
+    Only queued and leased jobs are kept as jobs, in submission order, so
+    :meth:`lease`, :meth:`reap` and :meth:`cancel` cost O(live jobs)
+    however long the server has run.  A job that finishes or fails leaves
+    its digest's final state behind, and :meth:`status` tallies those.
     """
 
     def __init__(
@@ -99,8 +104,12 @@ class LeaseQueue:
         self.worker_ttl = (worker_ttl if worker_ttl is not None
                            else 2.0 * lease_seconds)
         self.chaos = chaos
-        self._jobs: dict[str, _Job] = {}
-        self._order: list[str] = []            # submission order
+        # Live jobs in submission order.  An OrderedDict iterates its
+        # linked list, so the entries of finished jobs cost nothing; a
+        # plain dict would still walk their deleted slots.
+        self._jobs: OrderedDict[str, _Job] = OrderedDict()
+        self._ended: dict[str, str] = {}       # digest -> DONE or FAILED
+        self._tally: dict[str, int] = {DONE: 0, FAILED: 0}
         self._workers: dict[str, float] = {}   # worker id -> last seen
         self._fresh_failures: list[tuple[JobSpec, str]] = []
         self.counters: dict[str, int] = {}
@@ -139,15 +148,12 @@ class LeaseQueue:
         accepted = 0
         for spec in specs:
             digest = spec.digest()
-            job = self._jobs.get(digest)
-            if job is None:
-                self._jobs[digest] = _Job(spec)
-                self._order.append(digest)
-            elif job.state in (QUEUED, LEASED):
+            if digest in self._jobs:
                 continue
-            else:
-                job.state, job.attempts, job.not_before = QUEUED, 0, 0.0
-                job.worker = job.last_worker = job.error = None
+            ended = self._ended.pop(digest, None)
+            if ended is not None:
+                self._tally[ended] -= 1
+            self._jobs[digest] = _Job(spec)
             accepted += 1
             self.count("jobs")
         return accepted
@@ -163,12 +169,10 @@ class LeaseQueue:
         elsewhere).  Returns their specs; cancelled jobs are *not*
         reported through :meth:`collect` — the canceller already knows."""
         cancelled = []
-        for job in self._jobs.values():
-            if job.state in (QUEUED, LEASED):
-                job.state = FAILED
-                job.error = "cancelled"
-                cancelled.append(job.spec)
-                self.count("cancelled")
+        for job in list(self._jobs.values()):
+            self._end(job, FAILED)
+            cancelled.append(job.spec)
+            self.count("cancelled")
         return cancelled
 
     # -- worker side -------------------------------------------------------
@@ -182,8 +186,7 @@ class LeaseQueue:
         """
         self.touch_worker(worker)
         now = self.clock()
-        for digest in self._order:
-            job = self._jobs[digest]
+        for digest, job in self._jobs.items():
             if job.state != QUEUED or job.not_before > now:
                 continue
             job.state = LEASED
@@ -216,13 +219,12 @@ class LeaseQueue:
         """Record a verified completion; returns ``"ok"`` or ``"stale"``."""
         self.touch_worker(worker)
         job = self._jobs.get(digest)
-        if job is None or job.state in (DONE, FAILED):
+        if job is None:
             self.count("stale_completions", worker)
             return "stale"
         # Accept even when the lease moved on: the result is deterministic,
         # and first-completion-wins is exactly the idempotence we want.
-        job.state = DONE
-        job.worker = None
+        self._end(job, DONE)
         self.count("completions", worker)
         if self.chaos is not None:
             self.chaos.note_outcome(digest)
@@ -232,7 +234,7 @@ class LeaseQueue:
         """A worker reports a job raised; charge the attempt and re-queue."""
         self.touch_worker(worker)
         job = self._jobs.get(digest)
-        if job is None or job.state in (DONE, FAILED):
+        if job is None:
             self.count("stale_completions", worker)
             return
         self._requeue(job, error)
@@ -243,7 +245,7 @@ class LeaseQueue:
         """Expire leases whose heartbeats stopped; returns how many."""
         now = self.clock()
         expired = 0
-        for job in self._jobs.values():
+        for job in list(self._jobs.values()):
             if job.state == LEASED and job.lease_expires < now:
                 self.count("lease_expired", job.worker)
                 self._requeue(job, f"lease expired on {job.worker}")
@@ -257,8 +259,7 @@ class LeaseQueue:
         job.attempts += 1
         job.last_worker, job.worker = job.worker, None
         if job.attempts > self.retries:
-            job.state = FAILED
-            job.error = error
+            self._end(job, FAILED)
             self._fresh_failures.append((job.spec, error))
             self.count("failures")
             return
@@ -267,6 +268,12 @@ class LeaseQueue:
             job.digest, job.attempts, self.backoff_base, self.backoff_cap
         )
         self.count("requeues")
+
+    def _end(self, job: _Job, state: str) -> None:
+        """Retire a job: from here on only its digest's tally is kept."""
+        del self._jobs[job.digest]
+        self._ended[job.digest] = state
+        self._tally[state] += 1
 
     # -- reporting ---------------------------------------------------------
 
@@ -281,7 +288,7 @@ class LeaseQueue:
         ]
 
     def status(self) -> dict:
-        states: dict[str, int] = {QUEUED: 0, LEASED: 0, DONE: 0, FAILED: 0}
+        states: dict[str, int] = {QUEUED: 0, LEASED: 0, **self._tally}
         for job in self._jobs.values():
             states[job.state] += 1
         return {

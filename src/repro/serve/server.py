@@ -157,8 +157,10 @@ class SweepServer:
         self.leases = leases if leases is not None else LeaseQueue()
         self.progress = ServeProgress(self._broadcast)
         kwargs = {} if job_fn is None else {"job_fn": job_fn}
+        # No cache on the scheduler: every cell it gets is a miss
+        # ``_obtain`` has just read, so the runner stores results itself.
         self.scheduler = Scheduler(
-            jobs=jobs, cache=self.cache, timeout=timeout, retries=retries,
+            jobs=jobs, timeout=timeout, retries=retries,
             progress=self.progress, chaos=chaos, **kwargs,
         )
         self.host = host
@@ -181,6 +183,8 @@ class SweepServer:
         self._connections: dict[asyncio.Task, asyncio.StreamWriter] = {}
         # Connections whose last lease poll was not answered ``drain``.
         self._pollers: set[asyncio.Task] = set()
+        # Connections between reading a request and answering it.
+        self._busy: set[asyncio.Task] = set()
         self._reaper: asyncio.Task | None = None
         self._closing = False     # also the drain signal for lease polls
         self._dist_routes = {
@@ -218,15 +222,17 @@ class SweepServer:
         return f"http://{self.host}:{self.port}"
 
     async def stop(self) -> None:
-        """Drain workers, stop accepting, drain the runner, close
-        live connections.
+        """Drain workers, stop accepting, drain the runner, answer the
+        requests it resolved, close live connections.
 
         Lease polls answer ``drain`` from here on, and cells still queued
-        or leased are computed on the pool.  Open connections are
-        closed at the transport, which feeds EOF to their handlers — they
-        exit their read loop normally instead of being cancelled
-        (cancellation of streams handlers is noisy on 3.11 and loses
-        in-flight responses).
+        or leased are computed on the pool.  Handlers whose cells the
+        runner's last batches resolved get up to
+        :data:`DRAIN_GRACE_SECONDS` to write their answers.  Open
+        connections are then closed at the transport, which feeds EOF to
+        their handlers — they exit their read loop normally instead of
+        being cancelled (cancellation of streams handlers is noisy on
+        3.11 and loses in-flight responses).
         """
         self._closing = True
         deadline = time.monotonic() + DRAIN_GRACE_SECONDS
@@ -247,6 +253,9 @@ class SweepServer:
             # run_in_executor keeps a potentially long scheduler batch off
             # the event loop while it finishes.
             await self._loop.run_in_executor(None, self._runner.join)
+        if self._busy:
+            # Each busy handler leaves its read loop once it has answered.
+            await asyncio.wait(list(self._busy), timeout=DRAIN_GRACE_SECONDS)
         for writer in list(self._connections.values()):
             try:
                 writer.close()
@@ -328,10 +337,18 @@ class SweepServer:
                 except Exception as exc:
                     self._resolve(digest, None, exc)
                 else:
-                    self._resolve(digest, stats, None)
+                    self._store(digest, spec, stats)
         else:
-            for (digest, _), stats in zip(batch, results):
-                self._resolve(digest, stats, None)
+            for (digest, spec), stats in zip(batch, results):
+                self._store(digest, spec, stats)
+
+    def _store(self, digest: str, spec: JobSpec, stats) -> None:
+        try:
+            self.cache.put(spec, stats)
+        except Exception as exc:    # e.g. a full disk: a 5xx, runner lives
+            self._resolve(digest, None, exc)
+        else:
+            self._resolve(digest, stats, None)
 
     def _resolve(self, digest: str, stats, exc) -> None:
         try:
@@ -423,7 +440,9 @@ class SweepServer:
                     break
                 method, path, headers, body = request
                 keep = headers.get("connection", "").lower() != "close"
+                self._busy.add(task)
                 streamed = await self._dispatch(method, path, body, writer)
+                self._busy.discard(task)
                 obs.histogram("serve/request_ms").observe(
                     (time.perf_counter() - t0) * 1000.0
                 )
@@ -434,6 +453,7 @@ class SweepServer:
         finally:
             self._connections.pop(task, None)
             self._pollers.discard(task)
+            self._busy.discard(task)
             try:
                 writer.close()
                 await writer.wait_closed()

@@ -192,6 +192,17 @@ class TestServer:
         assert server.server.misses == 1
         assert server.server.hits == 1
 
+    def test_one_cache_read_per_pool_miss(self, server):
+        """A miss is read from the cache once, by the request, not again
+        by the pool that computes it."""
+        spec = baseline_job("swim", 2000, 500)
+        cache = server.server.cache
+        with ServeClient(server.url) as client:
+            assert client.submit_with_source(spec)[1] == "computed"
+        assert (cache.misses, cache.hits, cache.stores) == (1, 0, 1)
+        assert server.server.misses == 1
+        assert cache.get(spec) == _fake_job(spec)
+
     def test_sweep_preserves_request_order(self, server):
         specs = [baseline_job(w, 2000 + i, 500)
                  for i, w in enumerate(("swim", "gobmk", "mcf", "gcc"))]
