@@ -6,6 +6,11 @@ where predictor confidence (FPC needs a couple hundred correct predictions
 per entry) has visibly converged for every workload class.  All experiment
 entry points accept ``uops``/``warmup`` overrides so the benches can run
 smaller and EXPERIMENTS.md runs larger.
+
+Traces come from :func:`get_trace`.  A workload's trace generator is
+deterministic, so its first n µ-ops are the same at every trace length: a
+length that is not cached is cut from a longer cached trace of the same
+workload, and only generated when none is cached (DESIGN.md §12).
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import repro.obs as obs
 from repro.bebop import (
     BeBoPEngine,
     BlockDVTAGE,
@@ -42,10 +48,13 @@ from repro.workloads.suite import all_workload_names
 DEFAULT_TRACE_UOPS = 120_000
 DEFAULT_WARMUP_UOPS = 40_000
 
-#: Trace cache keyed by (workload, uop count) — traces are deterministic, so
-#: recomputing an evicted one is pure wall-clock, never a correctness issue.
-#: LRU-bounded: one full-suite pass at a single scale fits, but a multi-scale
-#: run (36 workloads × several uop counts) no longer grows without limit.
+#: Generated traces keyed by (workload, requested uop count).  Traces are
+#: deterministic, so recomputing an evicted one is pure wall-clock, never a
+#: correctness issue.  Only generated traces are stored: a length cut from a
+#: longer trace is rebuilt on each request, and the cached shorter traces of
+#: a workload hold prefixes of its longest one's µ-op list.  LRU-bounded:
+#: one full-suite pass at a single scale fits, but a multi-scale run
+#: (36 workloads × several uop counts) does not grow without limit.
 _TRACE_CACHE: OrderedDict[tuple[str, int], Trace] = OrderedDict()
 _TRACE_CACHE_LIMIT = 48
 
@@ -63,17 +72,53 @@ class RunSpec:
 
 
 def get_trace(name: str, uops: int = DEFAULT_TRACE_UOPS) -> Trace:
-    """Build (or fetch from the LRU cache) the dynamic trace of a workload."""
+    """The dynamic trace ``generate_trace`` gives workload ``name`` at ``uops``.
+
+    An exact (workload, uops) hit returns the cached object.  Otherwise, if
+    a cached trace of the workload has more than ``uops`` µ-ops, the result
+    is cut from it (a new :class:`Trace`, not cached; the source becomes
+    most recent).  Only when no such trace is cached is the trace generated
+    and stored, and every cached shorter trace of the workload is pointed at
+    the new trace's µ-op prefix, which holds the same µ-ops.
+    """
     key = (name, uops)
-    if key in _TRACE_CACHE:
+    cached = _TRACE_CACHE.get(key)
+    if cached is not None:
         _TRACE_CACHE.move_to_end(key)
-        return _TRACE_CACHE[key]
+        return cached
+    longest = max((k for k in _TRACE_CACHE if k[0] == name),
+                  key=lambda k: len(_TRACE_CACHE[k].uops), default=None)
+    if longest is not None and len(_TRACE_CACHE[longest].uops) > uops:
+        _TRACE_CACHE.move_to_end(longest)
+        obs.counter("workloads/trace/sliced").inc()
+        return _prefix(_TRACE_CACHE[longest], uops)
     kernel = build_workload(name)
     trace = generate_trace(kernel.program, uops, name=name, init_mem=kernel.init_mem)
+    obs.counter("workloads/trace/generated").inc()
+    for (other_name, _), short in _TRACE_CACHE.items():
+        if other_name == name and len(short.uops) < len(trace.uops):
+            short.uops = trace.uops[:len(short.uops)]
     _TRACE_CACHE[key] = trace
     while len(_TRACE_CACHE) > _TRACE_CACHE_LIMIT:
         _TRACE_CACHE.popitem(last=False)
     return trace
+
+
+def _prefix(source: Trace, uops: int) -> Trace:
+    """The trace a fresh run of ``source``'s generator for ``uops`` gives.
+
+    ``source`` must hold more than ``uops`` µ-ops.  The generator stops only
+    between instructions, so the cut is the end of the instruction holding
+    µ-op ``uops - 1``: the first last µ-op at or after that index.
+    """
+    uops_list = source.uops
+    cut = max(uops, 0)
+    if cut:
+        while not uops_list[cut - 1].is_last_uop:
+            cut += 1
+    head = uops_list[:cut]
+    return Trace(name=source.name, program=source.program, uops=head,
+                 inst_count=sum(u.is_last_uop for u in head))
 
 
 def clear_trace_cache() -> None:

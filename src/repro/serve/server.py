@@ -201,10 +201,12 @@ class SweepServer:
         """Bind, start the runner thread, begin accepting connections."""
         self._loop = asyncio.get_running_loop()
         self._started = time.monotonic()
-        # Touch every serve/* metric from this thread once, so the runner
-        # thread never races the registry on first creation.
+        # Touch every serve/* metric, and the trace counters a serial
+        # miss bumps, from this thread once, so the runner thread never
+        # races the registry on first creation.
         for name in ("serve/requests", "serve/hits", "serve/misses",
-                     "serve/dedup", "serve/errors/4xx", "serve/errors/5xx"):
+                     "serve/dedup", "serve/errors/4xx", "serve/errors/5xx",
+                     "workloads/trace/generated", "workloads/trace/sliced"):
             obs.counter(name)
         obs.histogram("serve/request_ms")
         self._runner = threading.Thread(

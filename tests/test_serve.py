@@ -203,6 +203,47 @@ class TestServer:
         assert server.server.misses == 1
         assert cache.get(spec) == _fake_job(spec)
 
+    def test_shorter_miss_is_cut_from_the_longer_cached_trace(self, tmp_path):
+        """A never-seen cell shorter than a served one reuses its trace:
+        the trace counters reach /v1/metrics (JSON and Prometheus) and
+        the stats equal a directly generated trace's."""
+        from repro.eval.runner import clear_trace_cache, run_baseline
+        from repro.exec.jobs import run_job, run_job_observed
+        from repro.workloads import build_workload, generate_trace
+
+        clear_trace_cache()
+        obs.enable()
+        srv = ServerThread(cache=ResultCache(root=tmp_path), jobs=1).start()
+        try:
+            long, short = (baseline_job("swim", 2400, 600),
+                           baseline_job("swim", 1701, 425))
+            with ServeClient(srv.url) as client:
+                assert client.submit_with_source(long)[1] == "computed"
+                stats, source = client.submit_with_source(short)
+                doc = client.metrics()
+                text = client.metrics_prometheus().splitlines()
+        finally:
+            srv.stop()
+            obs.disable()
+        assert source == "computed"
+        kernel = build_workload("swim")
+        trace = generate_trace(kernel.program, 1701, name="swim",
+                               init_mem=kernel.init_mem)
+        assert stats == run_baseline(trace, 425)
+        metrics = doc["metrics"]
+        assert metrics["workloads/trace/generated"] == 1
+        assert metrics["workloads/trace/sliced"] == 1
+        assert "repro_workloads_trace_generated 1" in text
+        assert "repro_workloads_trace_sliced 1" in text
+        # A pool job records them in its own registry, merged by the
+        # scheduler into the server's.
+        try:
+            _, snapshot = run_job_observed(run_job,
+                                           baseline_job("swim", 900, 225))
+        finally:
+            clear_trace_cache()
+        assert snapshot["workloads/trace/sliced"] == 1
+
     def test_sweep_preserves_request_order(self, server):
         specs = [baseline_job(w, 2000 + i, 500)
                  for i, w in enumerate(("swim", "gobmk", "mcf", "gcc"))]
