@@ -50,7 +50,7 @@ def test_bench_obs_disabled_overhead(benchmark):
     def run_enabled():
         obs.enable()
         stats = run_bebop_eole(trace, make_bebop_engine(), OBS_SPEC.warmup,
-                               cpi=obs.CPIStackCollector())
+                               probes=obs.Probes(cpi=obs.CPIStackCollector()))
         obs.disable()
         return stats
 

@@ -500,12 +500,13 @@ def export_timeline(path: str, fmt: str, spec: RunSpec) -> None:
     """One short traced run (BeBoP on EOLE_4_60, first workload of the
     run's suite) recorded per-µop and exported to ``path``."""
     from repro.eval.runner import get_trace, make_bebop_engine, run_bebop_eole
-    from repro.obs import TimelineRecorder
+    from repro.obs import Probes, TimelineRecorder
 
     workload = spec.names()[0]
     trace = get_trace(workload, spec.uops)
     rec = TimelineRecorder()
-    run_bebop_eole(trace, make_bebop_engine(), spec.warmup, recorder=rec)
+    run_bebop_eole(trace, make_bebop_engine(), spec.warmup,
+                   probes=Probes(recorder=rec))
     _ensure_parent(path)
     if fmt == "konata":
         lines = rec.export_konata(path)

@@ -4,7 +4,7 @@ All sweep variants in a Fig 6/7 grid consume the same dynamic µ-op
 stream, and everything upstream of the value predictor is
 variant-independent:
 
-* the fetch-block grouping (``group_block_instances``);
+* the fetch-block grouping (``iter_block_instances``);
 * the folded branch/path history (``FoldedHistorySet`` evolves purely
   from the program-order outcome/target stream);
 * BTB redirect detection (lookups/installs happen in program order at
@@ -38,7 +38,7 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.bebop.predictor import dvtage_slots
 from repro.common.history import FoldedHistorySet, FoldedHistoryState
 from repro.isa.instruction import LatencyClass
-from repro.pipeline.core import group_block_instances
+from repro.pipeline.core import iter_block_instances
 from repro.predictors.base import TaggedSlots, table_index
 from repro.predictors.vtage import geometric_history_lengths
 from repro.workloads.trace import Trace
@@ -280,7 +280,7 @@ def precompute_front_end(
             pushed = True
         if pushed:
             epoch += 1
-    groups = group_block_instances(source)
+    groups = list(iter_block_instances(source))
     # Fetch groups with the same first µ-op and length are one static
     # group (fall-through code of one block): they share one meta tuple.
     static: dict[tuple[int, int, int], tuple] = {}

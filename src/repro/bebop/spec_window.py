@@ -120,8 +120,10 @@ class SpeculativeWindow:
         The paper's window provides "last computed/predicted values" (§I):
         an entry starts out holding the predictions made at fetch and is
         patched with actual results as the instance's µ-ops write back
-        (a result-bus write port, like IQ wakeup).  This is what re-anchors
-        a mispredicted chain without waiting for a full pipeline drain.
+        (a result-bus write port, like IQ wakeup).  It does not re-anchor a
+        mispredicted chain: a later fetch composes from the youngest
+        in-flight instance of the block, and the younger instances keep
+        the wrong values until a fetch finds no older instance in flight.
         Returns whether the instance was still in the window.
         """
         tag = self._tags.get(block_pc)

@@ -23,7 +23,7 @@ from __future__ import annotations
 import time
 
 from repro.bebop import BlockDVTAGEConfig, RecoveryPolicy
-from repro.obs import CPIStackCollector
+from repro.obs import CPIStackCollector, Probes
 from repro.pipeline.stats import gmean
 from repro.storage import TABLE_III, TableIIIConfig, breakdown
 from repro.eval.result import ExperimentResult
@@ -457,12 +457,13 @@ def cpi_stack(spec: RunSpec = RunSpec()) -> ExperimentResult:
         stacks: dict[str, object] = {}
 
         collector = CPIStackCollector()
-        run_baseline(trace, spec.warmup, cpi=collector)
+        run_baseline(trace, spec.warmup, probes=Probes(cpi=collector))
         collector.stack.config = "Baseline_6_60"
         stacks["Baseline_6_60"] = collector.stack
 
         collector = CPIStackCollector()
-        run_bebop_eole(trace, make_bebop_engine(), spec.warmup, cpi=collector)
+        run_bebop_eole(trace, make_bebop_engine(), spec.warmup,
+                       probes=Probes(cpi=collector))
         collector.stack.config = "EOLE_4_60_BeBoP"
         stacks["EOLE_4_60_BeBoP"] = collector.stack
 
@@ -507,7 +508,7 @@ def provenance(spec: RunSpec = RunSpec()) -> ExperimentResult:
             rec = TimelineRecorder()
             run_bebop_eole(
                 trace, make_bebop_engine(policy=policy), spec.warmup,
-                recorder=rec,
+                probes=Probes(recorder=rec),
             )
             squash_cost[policy.value] = rec.squash_cost_summary()
             if policy is RecoveryPolicy.DNRDNR:
@@ -567,7 +568,7 @@ def h2p(spec: RunSpec = RunSpec(), top_k: int = 32,
         banks = (BankTelemetry(interval=bank_interval)
                  if bank_interval is not None else None)
         run_bebop_eole(trace, make_bebop_engine(), spec.warmup,
-                       cpi=collector, attrib=attrib, banks=banks)
+                       probes=Probes(cpi=collector, attrib=attrib, banks=banks))
         collector.stack.config = "EOLE_4_60_BeBoP"
         collector.stack.check()
         row: dict[str, object] = {

@@ -26,6 +26,7 @@ from repro.bebop import (
     RecoveryPolicy,
     SpeculativeWindow,
 )
+from repro.obs import Probes
 from repro.pipeline import (
     BASELINE_6_60,
     PipelineModel,
@@ -167,78 +168,46 @@ def make_bebop_engine(
 
 
 def run_baseline(
-    trace: Trace,
-    warmup: int = DEFAULT_WARMUP_UOPS,
-    cpi=None,
-    recorder=None,
-    attrib=None,
-    banks=None,
+    trace: Trace, warmup: int = DEFAULT_WARMUP_UOPS, probes: Probes | None = None
 ) -> SimStats:
     """Baseline_6_60: no value prediction.
 
-    ``cpi`` (here and in the other runners) is an optional
-    :class:`~repro.obs.CPIStackCollector` that receives the run's cycle
-    attribution, ``recorder`` an optional
-    :class:`~repro.obs.TimelineRecorder` capturing per-µop stage timelines
-    and prediction provenance, ``attrib`` an optional
-    :class:`~repro.obs.PCAttribution` charging squash/redirect recovery
-    cycles to static PCs, and ``banks`` an optional
-    :class:`~repro.obs.BankTelemetry` sampling predictor-table occupancy;
-    ``None`` (the default for all) keeps the model on its uninstrumented
-    fast path.
+    ``probes`` (here and in the other runners) is an optional
+    :class:`~repro.obs.Probes` bundle of passive observers — CPI stack,
+    timeline recorder, per-PC attribution, bank telemetry — that ride the
+    run; ``None`` keeps the model on its uninstrumented path.
     """
-    return PipelineModel(BASELINE_6_60).run(
-        trace, warmup_uops=warmup, cpi=cpi, recorder=recorder,
-        attrib=attrib, banks=banks,
-    )
+    return PipelineModel(BASELINE_6_60).run(trace, warmup, probes)
 
 
 def run_instr_vp(
     trace: Trace,
     predictor: ValuePredictor,
     warmup: int = DEFAULT_WARMUP_UOPS,
-    cpi=None,
-    recorder=None,
-    attrib=None,
-    banks=None,
+    probes: Probes | None = None,
 ) -> SimStats:
     """Baseline_VP_6_60 with an instruction-based predictor."""
     model = PipelineModel(baseline_vp_6_60(), InstructionVPAdapter(predictor))
-    return model.run(
-        trace, warmup_uops=warmup, cpi=cpi, recorder=recorder,
-        attrib=attrib, banks=banks,
-    )
+    return model.run(trace, warmup, probes)
 
 
 def run_eole_instr_vp(
     trace: Trace,
     predictor: ValuePredictor,
     warmup: int = DEFAULT_WARMUP_UOPS,
-    cpi=None,
-    recorder=None,
-    attrib=None,
-    banks=None,
+    probes: Probes | None = None,
 ) -> SimStats:
     """EOLE_4_60 with an instruction-based predictor (Fig 5b)."""
     model = PipelineModel(eole_4_60(), InstructionVPAdapter(predictor))
-    return model.run(
-        trace, warmup_uops=warmup, cpi=cpi, recorder=recorder,
-        attrib=attrib, banks=banks,
-    )
+    return model.run(trace, warmup, probes)
 
 
 def run_bebop_eole(
     trace: Trace,
     engine: BeBoPEngine,
     warmup: int = DEFAULT_WARMUP_UOPS,
-    cpi=None,
-    recorder=None,
-    attrib=None,
-    banks=None,
+    probes: Probes | None = None,
 ) -> SimStats:
     """EOLE_4_60 with block-based (BeBoP) value prediction."""
     model = PipelineModel(eole_4_60(), engine)
-    return model.run(
-        trace, warmup_uops=warmup, cpi=cpi, recorder=recorder,
-        attrib=attrib, banks=banks,
-    )
+    return model.run(trace, warmup, probes)

@@ -20,6 +20,8 @@ Typical use::
 Worker processes get a *fresh* registry per job (:func:`scoped_registry`)
 whose snapshot is merged back into the parent by :mod:`repro.exec`, so a
 parallel sweep's counters equal the serial sweep's.
+
+The per-run observers ride one simulation as one :class:`Probes` bundle.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Iterator
 from repro.obs.attrib import ATTRIBUTED_CAUSES, PCAttribution, PCRecord
 from repro.obs.banks import BankTelemetry
 from repro.obs.cpi import CPI_COMPONENTS, CPIStack, CPIStackCollector
+from repro.obs.probes import Probes
 from repro.obs.registry import (
     NULL_METRIC,
     Counter,
@@ -135,6 +138,7 @@ __all__ = [
     "NULL_METRIC",
     "PCAttribution",
     "PCRecord",
+    "Probes",
     "Provenance",
     "SquashEvent",
     "TIMELINE_FORMATS",

@@ -4,7 +4,7 @@
 almost all remaining misprediction cost hides in a handful of
 hard-to-predict (H2P) static instructions.  This collector makes that
 measurable here: it rides a :class:`~repro.pipeline.core.PipelineModel`
-run (the ``attrib`` argument) and charges every squash/redirect recovery
+run (its ``attrib`` probe) and charges every squash/redirect recovery
 cycle — the *same* commit-front deltas the CPI stack attributes to
 ``vp_squash`` and ``branch_redirect`` — to the static PC of the
 mispredicting µ-op.  The pipeline shadows its cause-propagation chain
@@ -28,7 +28,7 @@ per-PC detail of cold PCs is lost.
 Like the CPI-stack collector the attribution is passive: it never reads
 or perturbs machine state, so an attributed run's
 :class:`~repro.pipeline.stats.SimStats` are bit-identical to a plain
-run's, and ``attrib=None`` costs one boolean check per site.
+run's, and a run without one costs one boolean check per site.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ which makes whole-bank questions — how full is the LVT, how
 much useful-bit mass do the tagged components carry, how long do
 entries survive — a cheap columnar read (``dump()``) instead of a
 per-entry crawl.  :class:`BankTelemetry` turns that into time series:
-pass one as the ``banks`` argument of a pipeline run and it snapshots
+pass one as the ``banks`` probe of a pipeline run and it snapshots
 every registered bank on a configurable µ-op cadence, yielding warmup
 curves (occupancy over µ-ops) and an end-of-run utility heatmap
 (per-component occupancy / useful mass / entry age).
@@ -14,7 +14,7 @@ Banks self-describe through a ``table_banks()`` hook on the VP adapter
 (the BeBoP engine forwards its predictor's LVT / VT-0 / tagged banks);
 anything else can be added with :meth:`register`.  Sampling is purely
 read-only — ``dump()`` copies columns — so an instrumented run's stats
-stay bit-identical, and ``banks=None`` costs one ``is None`` check per
+stay bit-identical, and a run without one costs one ``is None`` check per
 fetch group.
 
 Entry *age* is measured in completed sampling intervals: an entry whose

@@ -1,7 +1,7 @@
 """Per-µop pipeline timeline tracing with prediction provenance.
 
 A :class:`TimelineRecorder` rides along one :class:`~repro.pipeline.core.
-PipelineModel` run (the ``recorder`` argument) and captures, for every
+PipelineModel` run (its ``recorder`` probe) and captures, for every
 processed µ-op, the cycle of each pipeline event — ``fetch``, ``decode``
 (block arrival / BeBoP attribution), ``dispatch``, ``issue``, ``execute``
 completion and ``commit`` — plus, for value-predicted µ-ops, a
@@ -19,7 +19,7 @@ completion and ``commit`` — plus, for value-predicted µ-ops, a
 Like the :class:`~repro.obs.cpi.CPIStackCollector`, the recorder is
 passive: it only copies cycles the timing model already computed, so a
 traced run's :class:`~repro.pipeline.stats.SimStats` are bit-identical to
-an untraced run's, and ``recorder=None`` costs one ``is None`` check per
+an untraced run's, and a run without one costs one ``is None`` check per
 instrumentation site.
 
 Two export formats are supported:

@@ -42,6 +42,7 @@ from repro.branch.btb import BranchTargetBuffer
 from repro.branch.tage import TAGEBranchPredictor
 from repro.common.history import FoldedHistorySet
 from repro.isa.instruction import DynMicroOp, LatencyClass
+from repro.obs.probes import Probes
 from repro.pipeline.caches import MemoryHierarchy
 from repro.pipeline.config import CoreConfig
 from repro.pipeline.stats import SimStats
@@ -162,11 +163,6 @@ def iter_block_instances(uops: list[DynMicroOp]) -> Iterator[tuple[int, int]]:
             start = i + 1
 
 
-def group_block_instances(uops: list[DynMicroOp]) -> list[tuple[int, int]]:
-    """All fetch-block instances of the trace (see iter_block_instances)."""
-    return list(iter_block_instances(uops))
-
-
 class PipelineModel:
     """One simulated core; ``run`` executes a trace and returns stats."""
 
@@ -213,66 +209,40 @@ class PipelineModel:
         self,
         trace: Trace,
         warmup_uops: int = 0,
-        timeline: list | None = None,
-        cpi: "CPIStackCollector | None" = None,
-        recorder: "TimelineRecorder | None" = None,
-        attrib: "PCAttribution | None" = None,
-        banks: "BankTelemetry | None" = None,
+        probes: Probes | None = None,
     ) -> SimStats:
         """Simulate a trace; statistics cover µ-ops after ``warmup_uops``.
 
-        When ``timeline`` is a list, one ``(seq, pc, dispatch, complete,
-        commit)`` tuple per processed µ-op is appended — used by tests and
-        examples to inspect the schedule directly.
-
-        When ``cpi`` is a :class:`repro.obs.CPIStackCollector`, every
-        advance of the commit front over the measured window is attributed
-        to a cause (see :mod:`repro.obs.cpi`); the collector is passive, so
-        the returned stats are bit-identical with and without it.
-
-        When ``recorder`` is a :class:`repro.obs.TimelineRecorder`, every
-        processed µ-op (warmup and re-fetched instances included) gets a
-        full per-stage timeline plus, for value-predicted µ-ops, a
-        provenance record filled in by the VP adapter and finalised here at
-        commit (see :mod:`repro.obs.timeline`).  Also passive: stats are
-        bit-identical with and without it.
-
-        When ``attrib`` is a :class:`repro.obs.PCAttribution`, every
-        recovery cycle the CPI stack would charge to ``vp_squash`` or
-        ``branch_redirect`` is additionally charged to the static PC of
-        the mispredicting µ-op: the cause-propagation chain below is
-        shadowed by an owning-PC chain under the same gating, so per-PC
-        cycles sum exactly to those two stack components.  Passive like
-        ``cpi``.
-
-        When ``banks`` is a :class:`repro.obs.BankTelemetry`, the VP
-        adapter's ``table_banks()`` hook (if any) is attached and the
-        banks are snapshotted every ``banks.interval`` µ-ops plus once at
-        the end of the run.  Read-only, so also stats-passive.
+        ``probes`` is the :class:`repro.obs.Probes` bundle of passive
+        observers riding the run (see :mod:`repro.obs.probes`); the
+        returned stats are bit-identical with and without it.  For the
+        per-PC attribution, the CPI stack's cause-propagation chain below
+        is shadowed by an owning-PC chain under the same gating, so per-PC
+        cycles sum exactly to the ``vp_squash`` and ``branch_redirect``
+        stack components.
         """
         cfg = self.config
         uops = trace.uops
         stats = SimStats(workload=trace.name, config=cfg.name)
+        if probes is None:
+            probes = Probes()
+        vp = self.vp
+        probes.start(vp)
         if not uops:
+            probes.finish(stats, 0)
             return stats
 
         # Per-µop timeline tracing (see repro.obs.timeline).  `rec` gates
         # every site like `track` does; adapters that can attribute
         # predictions to their producing component opt in via the
-        # set_provenance hook and fill GroupHandle.prov at fetch.
-        rec = recorder
+        # set_provenance hook and fill GroupHandle.prov at fetch, which
+        # the recorder and the attribution read (`want_prov`).
+        cpi = probes.cpi
+        rec = probes.recorder
+        attrib = probes.attrib
         apc = attrib is not None
-        vp = self.vp
-        if vp is not None:
-            # Attribution wants the providing component per attempt, so it
-            # turns provenance on even without a recorder.
-            set_prov = getattr(vp, "set_provenance", None)
-            if set_prov is not None:
-                set_prov(rec is not None or apc)
-            if banks is not None:
-                bank_source = getattr(vp, "table_banks", None)
-                if bank_source is not None:
-                    banks.attach(bank_source())
+        want_prov = rec is not None or apc
+        banks = probes.banks
         bank_next = banks.interval if banks is not None else 0
 
         # Fetch-block instances are cut on the fly, not listed up front:
@@ -756,14 +726,13 @@ class PipelineModel:
                         redirect_cause = "btb_redirect"
                         redirect_pc = uop.pc
 
-                if timeline is not None:
-                    timeline.append((uop.seq, uop.pc, d, complete, cc))
-                if rec is not None:
+                if want_prov:
                     prov = (
                         handle.prov[k]
                         if handle is not None and handle.prov is not None
                         else None
                     )
+                if rec is not None:
                     if prov is not None:
                         prov.used = predicted_used
                         # Final verdict; the recorder keeps the reference,
@@ -797,15 +766,9 @@ class PipelineModel:
                     if pred is not None:
                         n_vp_predicted += 1
                         if apc:
-                            a_prov = (
-                                handle.prov[k]
-                                if handle is not None
-                                and handle.prov is not None
-                                else None
-                            )
                             attrib.vp_attempt(
                                 uop.pc,
-                                a_prov.provider if a_prov is not None else -1,
+                                prov.provider if prov is not None else -1,
                                 predicted_used,
                             )
                 if predicted_used and eligible and uop.value is not None:
@@ -907,10 +870,5 @@ class PipelineModel:
         stats.late_executed = n_late
         stats.l1d_misses = memory.l1d.misses
         stats.l2_misses = memory.l2.misses
-        if cpi is not None:
-            cpi.finish(stats)
-        if attrib is not None:
-            attrib.finish(stats)
-        if banks is not None:
-            banks.sample(uop_index, final=True)
+        probes.finish(stats, uop_index)
         return stats

@@ -1,6 +1,7 @@
 """Detailed behavioural tests of the timing model's resource constraints."""
 
 from repro.isa import BasicBlock, Opcode, Program, StaticInst
+from repro.obs import Probes, TimelineRecorder
 from repro.pipeline import BASELINE_6_60, PipelineModel, baseline_vp_6_60
 from repro.pipeline.vp import InstructionVPAdapter, PredUse
 from repro.predictors import DVTAGEPredictor
@@ -23,11 +24,12 @@ class TestMemoryDependences:
         b.add(StaticInst(Opcode.STORE, srcs=(1, 3), length=4))
         b.add(StaticInst(Opcode.LOAD, dests=(4,), srcs=(1,), length=4))
         trace = generate_trace(Program([b]), 100)
-        tl = []
-        PipelineModel(BASELINE_6_60).run(trace, timeline=tl)
+        rec = TimelineRecorder()
+        PipelineModel(BASELINE_6_60).run(trace, probes=Probes(recorder=rec))
+        tl = rec.uops()
         # Timeline: ..., div, store-addr, store-data, load
-        div_complete = tl[2][3]
-        load_complete = tl[-1][3]
+        div_complete = tl[2].complete
+        load_complete = tl[-1].complete
         assert load_complete > div_complete  # load waited for the store data
 
     def test_independent_loads_overlap(self):
@@ -38,9 +40,9 @@ class TestMemoryDependences:
             b.add(StaticInst(Opcode.LOAD, dests=(9 + i % 4,), srcs=(1 + i,),
                              length=4))
         trace = generate_trace(Program([b]), 100)
-        tl = []
-        PipelineModel(BASELINE_6_60).run(trace, timeline=tl)
-        load_completes = [t[3] for t in tl[8:]]
+        rec = TimelineRecorder()
+        PipelineModel(BASELINE_6_60).run(trace, probes=Probes(recorder=rec))
+        load_completes = [u.complete for u in rec.uops()[8:]]
         # With 2 load ports and parallel misses, the 8 loads must not be
         # fully serialised (8 x DRAM would be > 1000 cycles apart).
         assert max(load_completes) - min(load_completes) < 600

@@ -36,6 +36,8 @@ from repro.obs import (
     BankTelemetry,
     CPIStackCollector,
     PCAttribution,
+    Probes,
+    TimelineRecorder,
 )
 from repro.predictors.perpath import PerPathStridePredictor
 from repro.workloads.suite import get_spec
@@ -48,50 +50,54 @@ UOPS, WARMUP = 24_000, 8_000
 
 
 def _run_instrumented(key: str):
-    """One golden configuration with every collector riding along."""
+    """One golden configuration with all four probes riding along."""
     workload, config = key.split("/")
     trace = get_trace(workload, _GOLDEN["uops"])
     warmup = _GOLDEN["warmup"]
-    obs = dict(
+    probes = Probes(
         cpi=CPIStackCollector(),
+        recorder=TimelineRecorder(),
         attrib=PCAttribution(),
         banks=BankTelemetry(interval=4_000),
     )
     if config == "baseline":
-        stats = run_baseline(trace, warmup, **obs)
+        stats = run_baseline(trace, warmup, probes)
     elif config == "dvtage":
         stats = run_instr_vp(trace, make_instr_predictor("d-vtage"), warmup,
-                             **obs)
+                             probes)
     elif config == "vtage":
         stats = run_instr_vp(trace, make_instr_predictor("vtage"), warmup,
-                             **obs)
+                             probes)
     elif config == "hybrid":
         stats = run_instr_vp(trace, make_instr_predictor("vtage-2d-stride"),
-                             warmup, **obs)
+                             warmup, probes)
     elif config == "perpath":
-        stats = run_instr_vp(trace, PerPathStridePredictor(), warmup, **obs)
+        stats = run_instr_vp(trace, PerPathStridePredictor(), warmup, probes)
     elif config == "eole-dvtage":
         stats = run_eole_instr_vp(trace, make_instr_predictor("d-vtage"),
-                                  warmup, **obs)
+                                  warmup, probes)
     elif config == "eole-bebop":
-        stats = run_bebop_eole(trace, make_bebop_engine(), warmup, **obs)
+        stats = run_bebop_eole(trace, make_bebop_engine(), warmup, probes)
     else:
         raise ValueError(f"unknown golden config {config!r}")
-    return stats, obs["cpi"], obs["attrib"], obs["banks"]
+    return trace, stats, probes
 
 
 class TestGoldenIdentityInstrumented:
     @pytest.mark.parametrize("key", sorted(_GOLDEN["runs"]))
     def test_attrib_and_banks_are_invisible(self, key):
-        stats, cpi, attrib, banks = _run_instrumented(key)
+        trace, stats, probes = _run_instrumented(key)
         assert dataclasses.asdict(stats) == _GOLDEN["runs"][key], (
-            f"{key}: attribution/bank telemetry perturbed the simulation — "
-            "collectors must be passive"
+            f"{key}: the probes perturbed the simulation — observers must "
+            "be passive"
         )
         # The exact-sum contract holds on every configuration too.
-        want = sum(cpi.stack.components[c] for c in ATTRIBUTED_CAUSES)
-        assert attrib.total_cycles() == want
-        assert sum(attrib.cause_cycles().values()) == want
+        want = sum(probes.cpi.stack.components[c] for c in ATTRIBUTED_CAUSES)
+        assert probes.attrib.total_cycles() == want
+        assert sum(probes.attrib.cause_cycles().values()) == want
+        # Every µ-op is recorded, re-fetched instances once more each.
+        assert probes.recorder.recorded >= len(trace.uops)
+        assert probes.banks.snapshots[-1]["final"]
 
 
 class TestExactSum:
@@ -106,7 +112,7 @@ class TestExactSum:
             cpi = CPIStackCollector()
             attrib = PCAttribution()
             run_bebop_eole(trace, make_bebop_engine(), WARMUP,
-                           cpi=cpi, attrib=attrib)
+                           probes=Probes(cpi=cpi, attrib=attrib))
             category = get_spec(name).category
             want = sum(cpi.stack.components[c] for c in ATTRIBUTED_CAUSES)
             by_class_stack[category] = (
@@ -126,7 +132,7 @@ class TestExactSum:
         trace = get_trace("gobmk", UOPS)
         cpi = CPIStackCollector()
         attrib = PCAttribution()
-        run_baseline(trace, WARMUP, cpi=cpi, attrib=attrib)
+        run_baseline(trace, WARMUP, probes=Probes(cpi=cpi, attrib=attrib))
         cycles = attrib.cause_cycles()
         assert cycles["vp_squash"] == 0
         assert cycles["branch_redirect"] == cpi.stack.components[
@@ -139,7 +145,7 @@ class TestH2PKernel:
         cpi = CPIStackCollector()
         attrib = PCAttribution()
         run_bebop_eole(trace, make_bebop_engine(), WARMUP,
-                       cpi=cpi, attrib=attrib)
+                       probes=Probes(cpi=cpi, attrib=attrib))
         assert attrib.total_cycles() > 0, "kernel must generate recovery cost"
         assert attrib.share(10) >= 0.80
         # The worst PCs are the hard branches / stepping loads by design.
@@ -150,7 +156,7 @@ class TestH2PKernel:
         trace = get_trace("h2p_hard", UOPS)
         attrib = PCAttribution()
         stats = run_bebop_eole(trace, make_bebop_engine(), WARMUP,
-                               attrib=attrib)
+                               probes=Probes(attrib=attrib))
         s = attrib.summary(top=5)
         assert s["workload"] == stats.workload
         assert s["cycles"] == stats.cycles
@@ -198,7 +204,8 @@ class TestBankTelemetry:
     def test_bebop_banks_register_and_sample(self):
         trace = get_trace("gcc", UOPS)
         banks = BankTelemetry(interval=4_000)
-        run_bebop_eole(trace, make_bebop_engine(), WARMUP, banks=banks)
+        run_bebop_eole(trace, make_bebop_engine(), WARMUP,
+                       probes=Probes(banks=banks))
         assert set(banks.bank_names) == {"lvt", "vt0", "tagged"}
         assert banks.samples >= 2
         snaps = banks.snapshots

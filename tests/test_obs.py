@@ -1,5 +1,6 @@
 """Tests for the observability layer (registry, trace, CPI stacks, merge)."""
 
+import dataclasses
 import json
 import re
 
@@ -8,6 +9,7 @@ import pytest
 import repro.exec as rexec
 import repro.obs as obs
 from repro.obs import (
+    BankTelemetry,
     CPI_COMPONENTS,
     CPIStack,
     CPIStackCollector,
@@ -16,6 +18,9 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     NULL_METRIC,
+    PCAttribution,
+    Probes,
+    TimelineRecorder,
     TraceBuffer,
     prometheus_name,
 )
@@ -427,13 +432,13 @@ def _stack_for(workload: str, config: str) -> tuple[CPIStack, SimStats]:
     trace = get_trace(workload, UOPS)
     collector = CPIStackCollector()
     if config == "baseline":
-        stats = run_baseline(trace, WARMUP, cpi=collector)
+        stats = run_baseline(trace, WARMUP, probes=Probes(cpi=collector))
     elif config == "instr_vp":
         stats = run_instr_vp(trace, make_instr_predictor("d-vtage"), WARMUP,
-                             cpi=collector)
+                             probes=Probes(cpi=collector))
     else:  # bebop
         stats = run_bebop_eole(trace, make_bebop_engine(), WARMUP,
-                               cpi=collector)
+                               probes=Probes(cpi=collector))
     return collector.stack, stats
 
 
@@ -464,7 +469,9 @@ class TestCPIStack:
     def test_collector_is_invisible_to_results(self):
         trace = get_trace("swim", UOPS)
         plain = run_baseline(trace, WARMUP)
-        observed = run_baseline(trace, WARMUP, cpi=CPIStackCollector())
+        observed = run_baseline(
+            trace, WARMUP, probes=Probes(cpi=CPIStackCollector())
+        )
         assert plain == observed
 
     def test_obs_enabled_run_bit_identical(self):
@@ -472,7 +479,7 @@ class TestCPIStack:
         plain = run_bebop_eole(trace, make_bebop_engine(), WARMUP)
         obs.enable()
         observed = run_bebop_eole(trace, make_bebop_engine(), WARMUP,
-                                  cpi=CPIStackCollector())
+                                  probes=Probes(cpi=CPIStackCollector()))
         assert len(obs.registry()) > 0  # the engine really recorded metrics
         obs.disable()
         assert plain == observed
@@ -502,6 +509,31 @@ class TestCPIStack:
         d = stack.as_dict()
         assert tuple(d["components"]) == CPI_COMPONENTS
         assert d["cycles"] == stack.cycles
+
+
+class TestProbes:
+    def test_empty_trace_seals_every_probe(self):
+        full = get_trace("swim", UOPS)
+        empty = dataclasses.replace(full, uops=[], inst_count=0)
+        probes = Probes(
+            cpi=CPIStackCollector(),
+            recorder=TimelineRecorder(),
+            attrib=PCAttribution(),
+            banks=BankTelemetry(interval=1_000),
+        )
+        stats = run_bebop_eole(empty, make_bebop_engine(), 0, probes=probes)
+        assert stats == run_bebop_eole(empty, make_bebop_engine(), 0)
+        assert stats.cycles == 0
+        stack = probes.cpi.stack
+        assert stack is not None
+        assert (stack.workload, stack.cycles) == ("swim", 0)
+        stack.check()
+        assert (probes.attrib.workload, probes.attrib.cycles) == ("swim", 0)
+        assert set(probes.banks.bank_names) == {"lvt", "vt0", "tagged"}
+        assert [(s["uop"], s["final"]) for s in probes.banks.snapshots] == [
+            (0, True)
+        ]
+        assert probes.recorder.recorded == 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,10 +5,11 @@ import tracemalloc
 import pytest
 
 from repro.isa import BasicBlock, Opcode, Program, StaticInst
+from repro.obs import Probes, TimelineRecorder
 from repro.pipeline import BASELINE_6_60, PipelineModel, baseline_vp_6_60, eole_4_60
 from repro.eval.runner import make_bebop_engine
 from repro.pipeline import core
-from repro.pipeline.core import group_block_instances
+from repro.pipeline.core import iter_block_instances
 from repro.pipeline.vp import InstructionVPAdapter
 from repro.predictors import DVTAGEPredictor
 from repro.workloads import generate_trace
@@ -40,11 +41,18 @@ def serial_chain_program(n=30, op=Opcode.FADD):
     return Program([b])
 
 
+def run_timeline(model, trace):
+    """Run ``trace`` on ``model``; the per-µ-op timelines, in order."""
+    rec = TimelineRecorder()
+    model.run(trace, probes=Probes(recorder=rec))
+    return rec.uops()
+
+
 class TestGrouping:
     def test_groups_cover_trace(self):
         kr = build_strided_kernel(seed=1, trip=8)
         trace = generate_trace(kr.program, 500, init_mem=kr.init_mem)
-        groups = group_block_instances(trace.uops)
+        groups = list(iter_block_instances(trace.uops))
         assert groups[0][0] == 0
         assert groups[-1][1] == len(trace.uops)
         for (s1, e1), (s2, e2) in zip(groups, groups[1:]):
@@ -53,14 +61,14 @@ class TestGrouping:
     def test_groups_share_block_pc(self):
         kr = build_strided_kernel(seed=1, trip=8)
         trace = generate_trace(kr.program, 500, init_mem=kr.init_mem)
-        for s, e in group_block_instances(trace.uops):
+        for s, e in iter_block_instances(trace.uops):
             pcs = {u.block_pc for u in trace.uops[s:e]}
             assert len(pcs) == 1
 
     def test_taken_branch_ends_group(self):
         kr = build_strided_kernel(seed=1, trip=8)
         trace = generate_trace(kr.program, 500, init_mem=kr.init_mem)
-        for s, e in group_block_instances(trace.uops):
+        for s, e in iter_block_instances(trace.uops):
             for u in trace.uops[s:e - 1]:
                 assert not (u.is_branch and u.branch_taken)
 
@@ -75,9 +83,8 @@ class TestTimingBasics:
     def test_serial_fp_chain_rate(self):
         """A serial FADD chain must run at ~3 cycles per op."""
         trace = generate_trace(serial_chain_program(40, Opcode.FADD), 1000)
-        tl = []
-        PipelineModel(BASELINE_6_60).run(trace, timeline=tl)
-        completes = [t[3] for t in tl[2:]]  # skip the LIs
+        tl = run_timeline(PipelineModel(BASELINE_6_60), trace)
+        completes = [u.complete for u in tl[2:]]  # skip the LIs
         deltas = [b - a for a, b in zip(completes, completes[1:])]
         assert all(d == 3 for d in deltas)
 
@@ -88,10 +95,9 @@ class TestTimingBasics:
         for i in range(512):
             b.add(_li(1 + (i % 8), i))
         trace = generate_trace(Program([b]), 1000)
-        tl = []
-        PipelineModel(BASELINE_6_60).run(trace, timeline=tl)
+        tl = run_timeline(PipelineModel(BASELINE_6_60), trace)
         from collections import Counter
-        per_cycle = Counter(t[4] for t in tl[256:])
+        per_cycle = Counter(u.commit for u in tl[256:])
         assert max(per_cycle.values()) >= 4
 
     def test_issue_width_bounds_throughput(self):
@@ -111,9 +117,8 @@ class TestTimingBasics:
         for i in range(8):
             b.add(StaticInst(Opcode.DIV, dests=(3 + i % 4,), srcs=(1, 2), length=4))
         trace = generate_trace(Program([b]), 100)
-        tl = []
-        PipelineModel(BASELINE_6_60).run(trace, timeline=tl)
-        div_completes = sorted(t[3] for t in tl[2:])
+        tl = run_timeline(PipelineModel(BASELINE_6_60), trace)
+        div_completes = sorted(u.complete for u in tl[2:])
         deltas = [b - a for a, b in zip(div_completes, div_completes[1:])]
         assert all(d >= 25 for d in deltas)
 
@@ -135,19 +140,16 @@ class TestTimingBasics:
     def test_commits_in_order(self):
         kr = build_strided_kernel(seed=1, trip=16)
         trace = generate_trace(kr.program, 2000, init_mem=kr.init_mem)
-        tl = []
-        PipelineModel(BASELINE_6_60).run(trace, timeline=tl)
-        commits = [t[4] for t in tl]
+        tl = run_timeline(PipelineModel(BASELINE_6_60), trace)
+        commits = [u.commit for u in tl]
         assert all(b >= a for a, b in zip(commits, commits[1:]))
 
     def test_commit_width_respected(self):
         kr = build_strided_kernel(seed=1, trip=16)
         trace = generate_trace(kr.program, 3000, init_mem=kr.init_mem)
-        tl = []
-        model = PipelineModel(BASELINE_6_60)
-        model.run(trace, timeline=tl)
+        tl = run_timeline(PipelineModel(BASELINE_6_60), trace)
         from collections import Counter
-        per_cycle = Counter(t[4] for t in tl)
+        per_cycle = Counter(u.commit for u in tl)
         assert max(per_cycle.values()) <= BASELINE_6_60.commit_width
 
     def test_warmup_excluded(self):

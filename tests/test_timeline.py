@@ -7,7 +7,7 @@ import pytest
 
 import repro.obs as obs
 from repro.eval.runner import get_trace, make_bebop_engine, run_bebop_eole
-from repro.obs import Provenance, TimelineRecorder, UopTimeline
+from repro.obs import Probes, Provenance, TimelineRecorder, UopTimeline
 from repro.obs.timeline import TIMELINE_STAGES, provider_label
 from repro.pipeline import BASELINE_6_60, PipelineModel, baseline_vp_6_60
 from repro.pipeline.vp import InstructionVPAdapter, PredUse
@@ -229,7 +229,7 @@ class TestPipelineIntegration:
         rec = TimelineRecorder()
         adapter2 = InstructionVPAdapter(DVTAGEPredictor())
         traced = PipelineModel(baseline_vp_6_60(), adapter2).run(
-            trace, warmup_uops=500, recorder=rec
+            trace, warmup_uops=500, probes=Probes(recorder=rec)
         )
         assert plain == traced
         assert rec.recorded == len(trace.uops)
@@ -237,28 +237,17 @@ class TestPipelineIntegration:
     def test_stage_cycles_monotonic(self):
         trace = _kernel_trace()
         rec = TimelineRecorder()
-        PipelineModel(BASELINE_6_60).run(trace, recorder=rec)
+        PipelineModel(BASELINE_6_60).run(trace, probes=Probes(recorder=rec))
         for u in rec.uops():
             assert (u.fetch <= u.decode <= u.dispatch <= u.issue
                     <= u.complete <= u.commit)
-
-    def test_matches_legacy_timeline_tuples(self):
-        trace = _kernel_trace(1500)
-        rec = TimelineRecorder()
-        legacy: list = []
-        PipelineModel(BASELINE_6_60).run(trace, timeline=legacy, recorder=rec)
-        assert len(legacy) == len(rec.uops())
-        for (seq, pc, d, complete, cc), u in zip(legacy, rec.uops()):
-            assert (seq, pc, d, complete, cc) == (
-                u.seq, u.pc, u.dispatch, u.complete, u.commit
-            )
 
     def test_instr_vp_provenance_and_verdicts(self):
         trace = _kernel_trace()
         rec = TimelineRecorder()
         adapter = InstructionVPAdapter(DVTAGEPredictor())
         stats = PipelineModel(baseline_vp_6_60(), adapter).run(
-            trace, recorder=rec
+            trace, probes=Probes(recorder=rec)
         )
         provs = [u.prov for u in rec.uops() if u.prov is not None]
         assert provs, "D-VTAGE predicted nothing on a strided kernel"
@@ -273,7 +262,7 @@ class TestPipelineIntegration:
         rec = TimelineRecorder()
         stats = PipelineModel(
             baseline_vp_6_60(), _LyingAdapter(DVTAGEPredictor())
-        ).run(trace, recorder=rec)
+        ).run(trace, probes=Probes(recorder=rec))
         assert stats.vp_squashes > 100
         assert len(rec.squashes) == stats.vp_squashes
         # Cost spans result-complete to the refetch barrier: >= the
@@ -286,7 +275,7 @@ class TestPipelineIntegration:
         adapter = InstructionVPAdapter(DVTAGEPredictor())
         model = PipelineModel(baseline_vp_6_60(), adapter)
         rec = TimelineRecorder()
-        model.run(trace, recorder=rec)
+        model.run(trace, probes=Probes(recorder=rec))
         assert adapter._prov is True
         model.run(trace)  # next untraced run switches provenance back off
         assert adapter._prov is False
@@ -297,7 +286,8 @@ class TestBeBoPIntegration:
         trace = get_trace("gcc", 12_000)
         obs.enable()
         rec = TimelineRecorder()
-        run_bebop_eole(trace, make_bebop_engine(), 3_000, recorder=rec)
+        run_bebop_eole(trace, make_bebop_engine(), 3_000,
+                       probes=Probes(recorder=rec))
         snapshot = obs.registry().snapshot()
         obs.disable()
         summary = rec.provenance_summary()
@@ -322,7 +312,8 @@ class TestBeBoPIntegration:
     def test_every_attributed_uop_has_block_provenance(self):
         trace = get_trace("swim", 8_000)
         rec = TimelineRecorder()
-        stats = run_bebop_eole(trace, make_bebop_engine(), 0, recorder=rec)
+        stats = run_bebop_eole(trace, make_bebop_engine(), 0,
+                               probes=Probes(recorder=rec))
         matched = [u.prov for u in rec.uops()
                    if u.prov is not None and u.prov.tag_match]
         assert len(matched) == stats.vp_predicted
@@ -339,13 +330,14 @@ class TestBeBoPIntegration:
         plain = run_bebop_eole(trace, make_bebop_engine(), 2_000)
         rec = TimelineRecorder()
         traced = run_bebop_eole(trace, make_bebop_engine(), 2_000,
-                                recorder=rec)
+                                probes=Probes(recorder=rec))
         assert plain == traced
 
     def test_chrome_export_of_real_run_is_valid(self, tmp_path):
         trace = get_trace("gcc", 12_000)
         rec = TimelineRecorder()
-        run_bebop_eole(trace, make_bebop_engine(), 3_000, recorder=rec)
+        run_bebop_eole(trace, make_bebop_engine(), 3_000,
+                       probes=Probes(recorder=rec))
         assert rec.recorded >= 10_000
         path = tmp_path / "timeline.json"
         rec.export_chrome(path)
