@@ -23,8 +23,7 @@ table-bank occupancy/utility during the H2P runs.
 With ``--timeline OUT`` one additional short traced simulation (BeBoP
 on EOLE_4_60, first workload of the run) is recorded per-µop by a
 :class:`repro.obs.TimelineRecorder` and exported as a Chrome
-``trace_event`` JSON (open in https://ui.perfetto.dev) or, with
-``--timeline-format konata``, as a Konata pipeline log; a
+``trace_event`` JSON (open in https://ui.perfetto.dev); a
 prediction-provenance report section is appended as well.
 
 With ``--resume PATH`` the run keeps a crash-safe JSONL job journal at
@@ -71,7 +70,6 @@ Run:  python examples/run_experiments.py [--quick] [--batch-variants]
                                          [--skip ID ...] [--out report.txt]
                                          [--obs] [--obs-out trace.jsonl]
                                          [--timeline OUT.json]
-                                         [--timeline-format chrome|konata]
                                          [--metrics-out metrics.prom]
                                          [--bank-telemetry]
                                          [--bank-interval N]
@@ -147,11 +145,6 @@ def main() -> int:
                         metavar="UOPS",
                         help="µ-ops between bank-telemetry snapshots "
                              "(default 10000; only with --bank-telemetry)")
-    parser.add_argument("--timeline-format", default="chrome",
-                        choices=("chrome", "konata"),
-                        help="timeline export format: Chrome trace_event "
-                             "JSON for Perfetto (default) or a Konata "
-                             "pipeline log")
     parser.add_argument("--resume", default=None, metavar="JOURNAL",
                         help="crash-safe JSONL job journal: checkpoint "
                              "every finished cell there and, if the file "
@@ -470,7 +463,7 @@ def main() -> int:
                   + (f" ({buf.dropped} older events dropped from the ring)"
                      if buf.dropped else ""))
         if args.timeline:
-            export_timeline(args.timeline, args.timeline_format, spec)
+            export_timeline(args.timeline, spec)
         if args.metrics_out:
             _ensure_parent(args.metrics_out)
             exposition = obs.registry().to_prometheus()
@@ -496,7 +489,7 @@ def _ensure_parent(path: str) -> None:
         os.makedirs(parent, exist_ok=True)
 
 
-def export_timeline(path: str, fmt: str, spec: RunSpec) -> None:
+def export_timeline(path: str, spec: RunSpec) -> None:
     """One short traced run (BeBoP on EOLE_4_60, first workload of the
     run's suite) recorded per-µop and exported to ``path``."""
     from repro.eval.runner import get_trace, make_bebop_engine, run_bebop_eole
@@ -508,15 +501,10 @@ def export_timeline(path: str, fmt: str, spec: RunSpec) -> None:
     run_bebop_eole(trace, make_bebop_engine(), spec.warmup,
                    probes=Probes(recorder=rec))
     _ensure_parent(path)
-    if fmt == "konata":
-        lines = rec.export_konata(path)
-        print(f"[obs ] {lines} Konata log lines ({workload}, "
-              f"{rec.recorded} µops) written to {path}")
-    else:
-        events = rec.export_chrome(path)
-        print(f"[obs ] {events} Chrome trace events ({workload}, "
-              f"{rec.recorded} µops, {len(rec.squashes)} squashes) "
-              f"written to {path}; open in https://ui.perfetto.dev")
+    events = rec.export_chrome(path)
+    print(f"[obs ] {events} Chrome trace events ({workload}, "
+          f"{rec.recorded} µops, {len(rec.squashes)} squashes) "
+          f"written to {path}; open in https://ui.perfetto.dev")
 
 
 if __name__ == "__main__":

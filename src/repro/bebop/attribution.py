@@ -143,9 +143,6 @@ class TagMemo:
         self.monotonic = monotonic
         self._last: dict[object, tuple] = {}
 
-    def __len__(self) -> int:
-        return len(self._last)
-
     def attribute(
         self, key: object, slot_tags: Sequence[int], boundaries: Sequence[int]
     ) -> list[int | None]:

@@ -122,10 +122,6 @@ class BeBoPEngine:
             # must stop shadowing it — see SpeculativeWindow.retire.
             window.retire(pending.block_pc, pending.seq)
 
-    def flush_training(self) -> None:
-        """Apply every deferred update (end of simulation)."""
-        self._apply_until(1 << 62)
-
     # -- fetch ------------------------------------------------------------------
 
     def fetch_group(

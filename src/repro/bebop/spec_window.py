@@ -89,21 +89,15 @@ class SpeculativeWindow:
             if not chain:
                 del self._chains[oldest.tag]
 
-    def lookup(self, block_pc: int) -> list[int] | None:
-        """Predicted values of the most recent in-window instance, if any.
+    def lookup_entry(self, block_pc: int) -> _WindowEntry | None:
+        """The most recent in-window instance of the block, if any.
 
         The hardware probes all entries in parallel and a priority encoder
         picks the matching entry with the highest sequence number (Fig 4);
-        entries are kept in insertion order here, so the last match wins.
-        """
-        entry = self.lookup_entry(block_pc)
-        return entry.values if entry is not None else None
-
-    def lookup_entry(self, block_pc: int) -> _WindowEntry | None:
-        """Like :meth:`lookup` but returns the whole matching entry, so the
-        caller can also see *which* in-flight instance (``seq``) provided
-        the values — the timeline provenance needs it.  Counts one lookup
-        (and possibly one hit) exactly like :meth:`lookup`."""
+        entries are kept per tag in insertion order here, so the last match
+        wins.  The whole entry is returned, so the caller also sees *which*
+        in-flight instance (``seq``) provided the values — the timeline
+        provenance needs it.  Counts one lookup and possibly one hit."""
         if not self.enabled:
             return None
         self.lookups += 1

@@ -4,7 +4,7 @@ Predictions are made at fetch but the predictor is trained at retire, so
 every in-flight prediction block — with everything visible at prediction
 time that update needs (provider component, strides, confidences, the last
 values the adders consumed) — waits in a FIFO queue.  Blocks are pushed at
-prediction time and popped at validation time; each entry is tagged with
+prediction time and removed at validation time; each entry is tagged with
 the sequence number of its block's first instruction so the queue can be
 rolled back on pipeline flushes (§IV-A).
 
@@ -70,18 +70,6 @@ class FifoUpdateQueue:
         self.pushes += 1
         if len(self._queue) > self.high_water_mark:
             self.high_water_mark = len(self._queue)
-
-    def head(self) -> PendingBlock | None:
-        return self._queue[0] if self._queue else None
-
-    def tail(self) -> PendingBlock | None:
-        """The most recently pushed (youngest) block."""
-        return self._queue[-1] if self._queue else None
-
-    def pop(self) -> PendingBlock:
-        if not self._queue:
-            raise IndexError("pop from an empty update queue")
-        return self._queue.pop(0)
 
     def remove(self, block: PendingBlock) -> bool:
         """Drop a specific block (validation popped it). Returns whether it

@@ -1,10 +1,9 @@
-"""Branch Target Buffer and Return Address Stack (Table I).
+"""Branch Target Buffer (Table I).
 
 The BTB is set-associative with LRU replacement; a taken branch whose target
 misses in the BTB costs a front-end redirect even when the direction was
-predicted correctly.  The RAS is a small circular stack; the synthetic ISA
-has no call/return, so the RAS exists for interface completeness and unit
-testing of the structure itself.
+predicted correctly.  Table I's 32-entry return address stack is not
+modelled: the synthetic ISA has no call/return (DESIGN.md §6).
 
 BTB state lives in :mod:`repro.common.tables` banks: one flat
 ``sets * ways`` bank of (tag, target) pairs ordered oldest-first within
@@ -116,33 +115,3 @@ class BranchTargetBuffer:
         self._tag[base + count] = tag
         self._target[base + count] = target
         self._count[set_index] = count + 1
-
-    def storage_bits(self) -> int:
-        # ~30-bit tags + 32-bit (compressed) targets per entry.
-        return self.entries * (30 + 32)
-
-
-class ReturnAddressStack:
-    """Circular return-address stack (32 entries in Table I)."""
-
-    def __init__(self, depth: int = 32) -> None:
-        if depth <= 0:
-            raise ValueError(f"depth must be positive, got {depth}")
-        self.depth = depth
-        self._stack: list[int] = []
-
-    def push(self, return_pc: int) -> None:
-        if len(self._stack) >= self.depth:
-            self._stack.pop(0)  # overflow: lose the oldest
-        self._stack.append(return_pc)
-
-    def pop(self) -> int | None:
-        if not self._stack:
-            return None
-        return self._stack.pop()
-
-    def peek(self) -> int | None:
-        return self._stack[-1] if self._stack else None
-
-    def __len__(self) -> int:
-        return len(self._stack)

@@ -139,9 +139,6 @@ class RunJournal:
             obs.counter("exec/journal/resumed").inc()
         return stats
 
-    def __contains__(self, spec: "JobSpec") -> bool:
-        return spec.digest() in self._done
-
     def __len__(self) -> int:
         return len(self._done)
 

@@ -190,10 +190,6 @@ class FaultPlan:
             return FaultAction("hang", seconds=config.hang_seconds)
         return FaultAction(kind)
 
-    def faults_for(self, digest: str) -> int:
-        """How many faults this plan has injected into job ``digest``."""
-        return self._job_faults.get(digest, 0)
-
     def note_outcome(self, digest: str) -> None:
         """A job completed; if it absorbed any fault, count the recovery."""
         if self._job_faults.get(digest, 0):
@@ -206,7 +202,7 @@ class FaultPlan:
         """Decide (and account) whether this job's cache blob is corrupted.
 
         The decision half of :meth:`corrupt_blob`, split out so a
-        *coordinator* process can draw the verdict and ship the mode to a
+        *server* process can draw the verdict and ship the mode to a
         remote worker as plain data (the worker applies it with
         :func:`corrupt_file` after writing its blob).  Deterministic in
         ``(seed, digest, ordinal)`` like every other verdict.

@@ -45,24 +45,6 @@ def to_signed(value: int, bits: int = WORD_BITS) -> int:
     return value
 
 
-def sign_extend(value: int, from_bits: int, to_bits: int = WORD_BITS) -> int:
-    """Sign-extend the low ``from_bits`` of ``value`` to ``to_bits`` wide.
-
-    The result is returned as an *unsigned* ``to_bits``-wide integer, which is
-    how the datapath would present it on a bus.
-
-    >>> hex(sign_extend(0xFF, 8, 16))
-    '0xffff'
-    >>> sign_extend(0x7F, 8, 16)
-    127
-    """
-    if from_bits > to_bits:
-        raise ValueError(
-            f"cannot sign-extend from {from_bits} bits to narrower {to_bits}"
-        )
-    return to_unsigned(to_signed(value, from_bits), to_bits)
-
-
 def fold_bits(value: int, input_bits: int, output_bits: int) -> int:
     """XOR-fold ``input_bits`` of ``value`` down to ``output_bits``.
 

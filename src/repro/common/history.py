@@ -11,23 +11,23 @@ pipeline hands to every predict and commit-time train call.  Branch
 registers are updated on every pushed bit; path registers, which fold
 only the 16 newest path bits, are read from byte tables of the raw path
 register after each push.  The raw shift registers (:class:`GlobalHistory`)
-are kept alongside so on-demand folding stays available as the reference
-formulation — the two are mathematically identical (XOR-folding is linear
-in the history bits), which ``tests/test_history.py`` enforces over
-randomized push/snapshot/restore sequences.
+are kept alongside: the on-demand fold of ``tagged_index``/``tagged_tag``
+reads them, and it is the reference formulation — the two are
+mathematically identical (XOR-folding is linear in the history bits),
+which ``tests/test_history.py`` enforces over randomized push sequences.
 """
 
 from __future__ import annotations
 
-from repro.common.bits import fold_bits, mask
+from repro.common.bits import mask
 
 
 class GlobalHistory:
-    """A bounded global history register.
+    """A bounded global history register: the ``capacity`` newest bits,
+    newest at the LSB end.
 
-    ``push`` shifts new bits in at the LSB end.  ``snapshot``/``restore``
-    provide O(1) checkpointing, which the pipeline model uses on every branch
-    misprediction or value-misprediction squash.
+    A plain record: :class:`FoldedHistorySet` shifts its pushes into
+    ``_bits`` itself, alongside the fold registers it maintains.
     """
 
     __slots__ = ("capacity", "_mask", "_bits")
@@ -38,40 +38,6 @@ class GlobalHistory:
         self.capacity = capacity
         self._mask = mask(capacity)
         self._bits = 0
-
-    def push(self, value: int, bits: int = 1) -> None:
-        """Shift ``bits`` low-order bits of ``value`` into the history."""
-        self._bits = ((self._bits << bits) | (value & mask(bits))) & self._mask
-
-    def push_outcome(self, taken: bool) -> None:
-        """Shift a single branch outcome bit in."""
-        self.push(1 if taken else 0, 1)
-
-    def push_path(self, target_pc: int, bits: int = 2) -> None:
-        """Shift low-order target-address bits in (path history)."""
-        self.push(target_pc, bits)
-
-    def value(self, length: int | None = None) -> int:
-        """Return the most recent ``length`` bits (default: full register)."""
-        if length is None:
-            return self._bits
-        return self._bits & mask(min(length, self.capacity))
-
-    def folded(self, length: int, output_bits: int) -> int:
-        """Return the most recent ``length`` bits folded to ``output_bits``."""
-        return fold_bits(self.value(length), min(length, self.capacity), output_bits)
-
-    def snapshot(self) -> int:
-        return self._bits
-
-    def restore(self, snapshot: int) -> None:
-        self._bits = snapshot & self._mask
-
-    def clear(self) -> None:
-        self._bits = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"GlobalHistory(capacity={self.capacity}, bits={self._bits:#x})"
 
 
 class FoldedHistory:
@@ -115,12 +81,6 @@ class FoldedHistory:
         v = ((self._value << 1) | (self._value >> self._rot_shift)) & self._out_mask
         self._value = v ^ (inserted_bit & 1) ^ ((evicted_bit & 1) << self._evict_pos)
 
-    def snapshot(self) -> int:
-        return self._value
-
-    def restore(self, snapshot: int) -> None:
-        self._value = snapshot & mask(self.output_bits)
-
     def clear(self) -> None:
         self._value = 0
 
@@ -134,13 +94,15 @@ class FoldLayout:
     registration order: index folds of the branch history, index folds of
     the path history, tag folds (``width`` bits) and their ``width - 1``
     twins, each twin in a ``width``-bit lane aligned with its tag fold.
-    A layout maps
-    a fold (by :func:`fold_key`) to its lanes; snapshots share their set's
-    layout, so a consumer resolves its lanes once (:meth:`component_lanes`)
-    and then reads any snapshot with a few shifts.
+    ``branch_offsets`` holds the lane start of every branch register in
+    that order (index folds, tag folds, twins) and ``path_offsets`` that
+    of every path register.  Snapshots share their set's layout, so a
+    consumer resolves its lanes once (:meth:`component_lanes`) and then
+    reads any snapshot with a few shifts.
     """
 
-    __slots__ = ("idx_pairs", "tag_pairs", "idx", "tag", "_blocks")
+    __slots__ = ("idx_pairs", "tag_pairs", "branch_offsets", "path_offsets",
+                 "_blocks")
 
     def __init__(
         self,
@@ -149,31 +111,11 @@ class FoldLayout:
         branch_offsets: list[int],
         path_offsets: list[int],
     ) -> None:
-        n_idx = len(idx_pairs)
-        n_tag = len(tag_pairs)
         self.idx_pairs = idx_pairs
         self.tag_pairs = tag_pairs
-        #: (fold_key, branch lane, path lane, mask) per index fold.
-        self.idx = tuple(
-            (fold_key(length, width), branch_offsets[i], path_offsets[i],
-             (1 << width) - 1)
-            for i, (length, width) in enumerate(idx_pairs)
-        )
-        #: (fold_key, width lane, width-1 lane, mask) per tag fold.
-        self.tag = tuple(
-            (fold_key(length, width), branch_offsets[n_idx + i],
-             branch_offsets[n_idx + n_tag + i], (1 << width) - 1)
-            for i, (length, width) in enumerate(tag_pairs)
-        )
+        self.branch_offsets = branch_offsets
+        self.path_offsets = path_offsets
         self._blocks: dict[tuple, tuple[int, int, int, int] | None] = {}
-
-    def idx_folds(self, bfolds: int, pfolds: int) -> dict[int, int]:
-        return {key: ((bfolds >> b) ^ (pfolds >> p)) & m
-                for key, b, p, m in self.idx}
-
-    def tag_folds(self, bfolds: int) -> dict[int, int]:
-        return {key: ((bfolds >> f1) ^ ((bfolds >> f2) << 1)) & m
-                for key, f1, f2, m in self.tag}
 
     def component_lanes(
         self,
@@ -199,11 +141,15 @@ class FoldLayout:
             want_tag = list(zip(lengths, tag_bits))
             i = _find_run(self.idx_pairs, want_idx)
             j = _find_run(self.tag_pairs, want_tag)
-            self._blocks[geometry] = (
-                None if i is None or j is None
-                else (self.idx[i][1], self.idx[i][2],
-                      self.tag[j][1], self.tag[j][2])
-            )
+            if i is None or j is None:
+                self._blocks[geometry] = None
+            else:
+                n_idx = len(self.idx_pairs)
+                twin = n_idx + len(self.tag_pairs) + j
+                self._blocks[geometry] = (
+                    self.branch_offsets[i], self.path_offsets[i],
+                    self.branch_offsets[n_idx + j], self.branch_offsets[twin],
+                )
         return self._blocks[geometry]
 
 
@@ -226,26 +172,15 @@ class FoldedHistoryState:
     ``bfolds`` holds every branch-history register, ``pfolds`` every
     path-history register.  Taking a snapshot therefore copies four ints.
 
-    ``idx_folds``/``tag_folds`` unpack them on first use into dicts keyed
-    by :func:`fold_key` of the (history length, output width) pair:
-
-    * ``idx_folds[fold_key(hist_length, index_bits)]`` — the XOR of the
-      folded branch history and the folded path history that
-      ``tagged_index`` mixes into the table index;
-    * ``tag_folds[fold_key(hist_length, tag_bits)]`` — the two-phase folded
-      branch history (``h ^ (h2 << 1)``) that ``tagged_tag`` mixes into the
-      tag.
-
-    ``tagged_index``/``tagged_tag`` consume these by key and fall back to
-    on-demand folding for geometries the owning :class:`FoldedHistorySet`
-    was not configured with, so the values must equal ``fold_bits`` of the
-    raw registers exactly — the set maintains them incrementally in O(1)
-    per pushed bit, which is bit-identical (test-enforced).  Hot consumers
-    skip the dicts and read their lanes directly (see
-    :meth:`FoldLayout.component_lanes`).
+    :class:`~repro.predictors.base.TaggedSlots` reads a registered
+    geometry's folds straight out of ``bfolds``/``pfolds`` (see
+    :meth:`FoldLayout.component_lanes`); every other consumer folds the
+    raw ``branch``/``path`` registers on demand.  The two are bit-identical
+    (test-enforced): the set maintains the folds incrementally in O(1) per
+    pushed bit.
     """
 
-    __slots__ = ("branch", "path", "bfolds", "pfolds", "layout", "_idx", "_tag")
+    __slots__ = ("branch", "path", "bfolds", "pfolds", "layout")
 
     def __init__(
         self,
@@ -260,46 +195,15 @@ class FoldedHistoryState:
         self.bfolds = bfolds
         self.pfolds = pfolds
         self.layout = layout
-        self._idx: dict[int, int] | None = None
-        self._tag: dict[int, int] | None = None
-
-    @property
-    def idx_folds(self) -> dict[int, int]:
-        d = self._idx
-        if d is None:
-            d = self._idx = self.layout.idx_folds(self.bfolds, self.pfolds)
-        return d
-
-    @property
-    def tag_folds(self) -> dict[int, int]:
-        d = self._tag
-        if d is None:
-            d = self._tag = self.layout.tag_folds(self.bfolds)
-        return d
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FoldedHistoryState(branch={self.branch:#x}, path={self.path:#x}, "
-            f"{len(self.layout.idx)} idx folds, {len(self.layout.tag)} tag folds)"
-        )
 
 
 #: Input width of the path-history fold in ``tagged_index`` (the hash uses at
 #: most the 16 most recent path bits regardless of the component's length).
 PATH_FOLD_BITS = 16
 
-#: Output widths must fit the packed :func:`fold_key` encoding.
+#: Output widths must fit the 7-bit width field of the hash memo keys in
+#: :mod:`repro.predictors.base`.
 MAX_FOLD_WIDTH = 127
-
-
-def fold_key(hist_length: int, output_bits: int) -> int:
-    """Dictionary key of a fold in :class:`FoldedHistoryState`.
-
-    Packed into one int (``length * 128 + width``) because the hot lookup
-    path hits these dicts twice per tagged component per µ-op — an int key
-    hashes in O(1) C-level work and needs no per-lookup tuple allocation.
-    """
-    return (hist_length << 7) | output_bits
 
 
 class _PackedRegisters:
@@ -388,8 +292,6 @@ class FoldedHistorySet:
     bits pushed.  ``state`` returns the current
     :class:`FoldedHistoryState`, rebuilt lazily only after a push, so
     consecutive snapshots between branches share one immutable object.
-    ``snapshot``/``restore`` checkpoint the whole set as four ints for
-    squash recovery.
 
     ``idx_pairs`` / ``tag_pairs`` are iterables of ``(history_length,
     output_bits)`` as consumed by ``tagged_index`` / ``tagged_tag``, kept
@@ -480,26 +382,3 @@ class FoldedHistorySet:
                 self.layout,
             )
         return s
-
-    def snapshot(self) -> tuple:
-        """Checkpoint of raw registers and every fold."""
-        return (self.branch.snapshot(), self.path.snapshot(), self._bv, self._pv)
-
-    def restore(self, snap: tuple) -> None:
-        branch, path, self._bv, self._pv = snap
-        self.branch.restore(branch)
-        self.path.restore(path)
-        self._state = None
-
-    def clear(self) -> None:
-        self.branch.clear()
-        self.path.clear()
-        self._bv = 0
-        self._pv = 0
-        self._state = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"FoldedHistorySet({len(self._b.offsets)} branch / "
-            f"{len(self.layout.idx)} path fold lanes)"
-        )

@@ -38,10 +38,6 @@ class XorShift64:
         self._state = x
         return x
 
-    def next_bits(self, bits: int) -> int:
-        """Return the next value truncated to ``bits`` bits."""
-        return self.next_u64() & ((1 << bits) - 1)
-
     def next_below(self, bound: int) -> int:
         """Return a value uniform-ish in ``[0, bound)``.
 
@@ -60,15 +56,6 @@ class XorShift64:
             return False
         return self.next_u64() < int(probability * (WORD_MASK + 1))
 
-    def fork(self) -> "XorShift64":
-        """Return an independent generator seeded from this one.
-
-        The child's seed is scrambled so that it does not share its state
-        (and hence its next outputs) with the parent.
-        """
-        seed = (self.next_u64() * 0x2545F4914F6CDD1D) & WORD_MASK
-        return XorShift64(seed | 1)
-
 
 def deterministic_backoff(key: str, attempt: int, base: float,
                           cap: float) -> float:
@@ -80,7 +67,7 @@ def deterministic_backoff(key: str, attempt: int, base: float,
     ``sha256(key # attempt)`` — a pure function of its inputs, so two
     processes retrying the same key never thunder in lockstep yet every
     rerun of the same scenario waits exactly as long.  Used by the
-    distributed coordinator's lease re-queue and the serve client's
+    sweep server's lease re-queue and the serve client's
     transient-failure retries.
     """
     if attempt < 1:

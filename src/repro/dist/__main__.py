@@ -6,7 +6,7 @@
     python -m repro.serve --port 8200 --cache-dir /shared/cache
 
     # One pull-model worker against it:
-    python -m repro.dist worker --coordinator-url http://host:8200 \
+    python -m repro.dist worker --server-url http://host:8200 \
         --cache-dir /shared/cache --journal /shared/journals/w0.jsonl
 
     # A driver sending its sweeps there; the misses go to the worker:
@@ -28,14 +28,14 @@ import sys
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.dist",
-        description="distributed sweep workers (the coordinator is "
+        description="distributed sweep workers (the server is "
                     "python -m repro.serve)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     cmd = sub.add_parser("worker", help="run one pull-model worker")
-    cmd.add_argument("--coordinator-url", required=True,
-                     help="base URL of the coordinating sweep server")
+    cmd.add_argument("--server-url", required=True,
+                     help="base URL of the sweep server that leases the jobs")
     cmd.add_argument("--worker-id", default=None,
                      help="stable worker identity (default: host-pid)")
     cmd.add_argument("--cache-dir", default=None,
@@ -63,7 +63,7 @@ def main(argv: list[str] | None = None) -> int:
              else ResultCache())
     journal = RunJournal(args.journal) if args.journal else None
     worker = DistWorker(
-        args.coordinator_url,
+        args.server_url,
         args.worker_id,
         cache=cache,
         journal=journal,

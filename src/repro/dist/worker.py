@@ -43,9 +43,9 @@ from repro.exec.jobs import JobSpec, run_job, run_job_observed
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 
-#: Consecutive coordinator round-trip failures a worker tolerates before
-#: giving up (the client's own retry/backoff runs *inside* each of these).
-MAX_COORDINATOR_FAILURES = 5
+#: Consecutive server round-trip failures a worker tolerates before giving
+#: up (the client's own retry/backoff runs *inside* each of these).
+MAX_SERVER_FAILURES = 5
 
 #: Most seconds :meth:`WorkerPool.start` waits for its workers' first
 #: lease polls.
@@ -109,7 +109,7 @@ class DistWorker:
         the window for SIGKILL/lease-expiry drills.
     max_idle:
         Exit after this many consecutive idle seconds (``None`` = wait for
-        the coordinator's drain signal forever).
+        the server's drain signal forever).
     """
 
     def __init__(
@@ -150,14 +150,14 @@ class DistWorker:
     def run(self) -> int:
         """Consume jobs until drained/stopped; returns jobs completed."""
         idle_since: float | None = None
-        coordinator_failures = 0
+        server_failures = 0
         while not self._stop.is_set():
             try:
                 order, drain = self.client.dist_lease(self.worker_id)
-                coordinator_failures = 0
+                server_failures = 0
             except Exception:
-                coordinator_failures += 1
-                if coordinator_failures >= MAX_COORDINATOR_FAILURES:
+                server_failures += 1
+                if server_failures >= MAX_SERVER_FAILURES:
                     break
                 time.sleep(self.poll_interval)
                 continue
@@ -193,7 +193,7 @@ class DistWorker:
             try:
                 self.client.dist_fail(self.worker_id, digest, repr(exc))
             except Exception:
-                pass  # coordinator gone; the lease will expire on its own
+                pass  # server gone; the lease will expire on its own
         finally:
             beat.set()
 
@@ -314,7 +314,7 @@ class WorkerPool:
         )
         cmd = [
             sys.executable, "-m", "repro.dist", "worker",
-            "--coordinator-url", self.url,
+            "--server-url", self.url,
             "--worker-id", worker_id,
             "--poll-interval", str(self.poll_interval),
         ]

@@ -89,12 +89,6 @@ class ExperimentResult(Mapping):
 
     __hash__ = None  # type: ignore[assignment]  # mutable rows
 
-    def __repr__(self) -> str:
-        return (
-            f"ExperimentResult({self.experiment!r}, rows={len(self.rows)}, "
-            f"columns={self.columns!r}, meta={self.meta!r})"
-        )
-
     def as_dict(self) -> dict:
         """The plain rows dict (a copy), shedding all provenance."""
         return dict(self.rows)

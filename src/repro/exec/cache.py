@@ -161,7 +161,7 @@ class ResultCache:
         """The sharded on-disk path a digest's blob lives (or would live) at.
 
         Public because distributed workers need the location of a blob
-        they just stored — e.g. to apply a coordinator-shipped chaos
+        they just stored — e.g. to apply a server-shipped chaos
         corruption verdict to the file — without re-deriving the sharding
         rule.  The path is returned whether or not a blob exists there.
         """

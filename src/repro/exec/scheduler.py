@@ -94,7 +94,8 @@ class SchedulerBackend:
     server, which computes each on its own pool or leases it to a
     :mod:`repro.dist` worker.  These two are the only backends.
 
-    Contract for :meth:`execute`: fill ``results[i]`` for every ``i`` in
+    Each backend defines ``execute(sched, specs, pending, results)``,
+    which must fill ``results[i]`` for every ``i`` in
     ``pending`` (or raise), calling ``sched._complete(i, specs, results)``
     exactly once per index as it finishes.  A backend that already
     persisted every result into the scheduler's cache sets
@@ -108,10 +109,6 @@ class SchedulerBackend:
     writes_cache = False
     #: Shared-front-end batched groups may run before this backend.
     supports_batch = False
-
-    def execute(self, sched: "Scheduler", specs: Sequence[JobSpec],
-                pending: list[int], results: list) -> None:
-        raise NotImplementedError
 
 
 class LocalPoolBackend(SchedulerBackend):

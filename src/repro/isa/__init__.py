@@ -34,7 +34,6 @@ from repro.isa.registers import (
     NUM_ARCH_REGS,
     fp_reg,
     int_reg,
-    reg_name,
 )
 
 __all__ = [
@@ -51,5 +50,4 @@ __all__ = [
     "NUM_ARCH_REGS",
     "int_reg",
     "fp_reg",
-    "reg_name",
 ]

@@ -133,12 +133,6 @@ class MicroOpTemplate:
     is_branch: bool = False
     is_load_imm: bool = False
 
-    @property
-    def produces_value(self) -> bool:
-        """True if this µ-op writes a register readable by later µ-ops,
-        i.e. it is *eligible* for value prediction (Section V-B)."""
-        return self.dest is not None
-
 
 # Temporary (micro-architectural) registers used between µ-ops of one
 # instruction; they live outside the architectural namespace.
@@ -284,11 +278,6 @@ class DynMicroOp:
         self.is_last_uop = is_last_uop
 
     @property
-    def produces_value(self) -> bool:
-        """Eligible for value prediction: writes a 64-bit-or-less register."""
-        return self.dest is not None
-
-    @property
     def is_vp_eligible(self) -> bool:
         """Predictable by the value predictor.
 
@@ -297,9 +286,3 @@ class DynMicroOp:
         queried for them.
         """
         return self.dest is not None and not self.is_load_imm
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DynMicroOp(seq={self.seq}, pc={self.pc:#x}.{self.uop_index}, "
-            f"dest={self.dest}, value={self.value})"
-        )

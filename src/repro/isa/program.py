@@ -94,17 +94,3 @@ class Program:
         if inst.target is None:
             raise ValueError(f"instruction at {inst.pc:#x} has no target")
         return self.block_start_pc[inst.target]
-
-    @property
-    def entry_pc(self) -> int:
-        return self.block_start_pc[self.entry]
-
-    def code_bytes(self) -> int:
-        """Total encoded size of the program."""
-        return sum(inst.length for inst in self.insts)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Program(blocks={len(self.blocks)}, insts={len(self.insts)}, "
-            f"bytes={self.code_bytes()})"
-        )

@@ -30,23 +30,3 @@ def fp_reg(index: int) -> int:
     if not 0 <= index < NUM_FP_REGS:
         raise ValueError(f"FP register index out of range: {index}")
     return NUM_INT_REGS + index
-
-
-def is_fp_reg(reg: int) -> bool:
-    """True if ``reg`` names a floating-point register."""
-    return reg >= NUM_INT_REGS
-
-
-def reg_name(reg: int) -> str:
-    """Human-readable name of a register id.
-
-    >>> reg_name(3)
-    'r3'
-    >>> reg_name(17)
-    'f1'
-    """
-    if not 0 <= reg < NUM_ARCH_REGS:
-        raise ValueError(f"register id out of range: {reg}")
-    if is_fp_reg(reg):
-        return f"f{reg - NUM_INT_REGS}"
-    return f"r{reg}"

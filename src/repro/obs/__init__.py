@@ -42,7 +42,6 @@ from repro.obs.registry import (
     prometheus_name,
 )
 from repro.obs.timeline import (
-    TIMELINE_FORMATS,
     TIMELINE_STAGES,
     Provenance,
     SquashEvent,
@@ -93,10 +92,6 @@ def counter(name: str):
     return _registry.counter(name)
 
 
-def gauge(name: str):
-    return _registry.gauge(name)
-
-
 def histogram(name: str):
     return _registry.histogram(name)
 
@@ -141,7 +136,6 @@ __all__ = [
     "Probes",
     "Provenance",
     "SquashEvent",
-    "TIMELINE_FORMATS",
     "TIMELINE_STAGES",
     "TimelineRecorder",
     "TraceBuffer",
@@ -150,7 +144,6 @@ __all__ = [
     "disable",
     "enable",
     "enabled",
-    "gauge",
     "histogram",
     "prometheus_name",
     "registry",

@@ -180,9 +180,6 @@ class PCAttribution:
 
     # -- reading ------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return len(self._records)
-
     def top(self, n: int | None = None) -> list[PCRecord]:
         """Records ranked costliest-first (all of them when ``n`` is None)."""
         ranked = sorted(self._records.values(), key=self._rank_key)

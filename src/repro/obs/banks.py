@@ -100,10 +100,6 @@ class BankTelemetry:
                 continue
             self.register(**src)
 
-    @property
-    def bank_names(self) -> tuple[str, ...]:
-        return tuple(b["name"] for b in self._banks)
-
     # -- sampling -----------------------------------------------------------
 
     def _sample_bank(self, spec: dict) -> dict:

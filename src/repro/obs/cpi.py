@@ -70,9 +70,6 @@ class CPIStack:
     def fraction(self, cause: str) -> float:
         return self.components[cause] / self.cycles if self.cycles else 0.0
 
-    def cpi_of(self, cause: str) -> float:
-        return self.components[cause] / self.insts if self.insts else 0.0
-
     def check(self) -> None:
         """Raise unless the components sum exactly to ``cycles``."""
         total = sum(self.components.values())

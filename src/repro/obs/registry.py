@@ -96,10 +96,6 @@ class Histogram:
         b = 0 if value <= 1 else max(0, math.ceil(math.log2(value)))
         self.buckets[b] = self.buckets.get(b, 0) + 1
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
     def snapshot(self) -> dict[str, float]:
         if not self.count:
             return {f"{self.name}/count": 0}
@@ -124,7 +120,6 @@ class _NullMetric:
     value = 0
     count = 0
     total = 0.0
-    mean = 0.0
 
     def inc(self, amount: int | float = 1) -> None:
         pass
@@ -216,15 +211,8 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._metrics)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
     def __iter__(self) -> Iterator[str]:
         return iter(sorted(self._metrics))
-
-    def get(self, name: str):
-        """The live metric object, or ``None`` if never created."""
-        return self._metrics.get(name)
 
     def value(self, name: str, default: float = 0.0) -> float:
         """Scalar value of a counter/gauge (``default`` if absent)."""

@@ -22,14 +22,11 @@ traced run's :class:`~repro.pipeline.stats.SimStats` are bit-identical to
 an untraced run's, and a run without one costs one ``is None`` check per
 instrumentation site.
 
-Two export formats are supported:
-
-* **Chrome** ``trace_event`` JSON (:meth:`TimelineRecorder.export_chrome`)
-  — loadable in ``chrome://tracing`` or https://ui.perfetto.dev; one track
-  per pipeline stage, cycle numbers as microsecond timestamps, squashes as
-  instant events, provenance attached to the commit-stage slice;
-* **Konata/Kanata** logs (:meth:`TimelineRecorder.export_konata`) — for
-  the Konata pipeline visualizer (`Kanata 0004` format).
+The export is Chrome ``trace_event`` JSON
+(:meth:`TimelineRecorder.export_chrome`), loadable in ``chrome://tracing``
+or https://ui.perfetto.dev: one track per pipeline stage, cycle numbers as
+microsecond timestamps, squashes as instant events, provenance attached to
+the commit-stage slice.
 
 This module is dependency-free like the rest of :mod:`repro.obs`: the
 pipeline and the BeBoP engine import it, never the other way around.
@@ -44,13 +41,6 @@ from dataclasses import dataclass
 
 #: Pipeline stages in track order (Chrome trace thread ids follow it).
 TIMELINE_STAGES = ("fetch", "decode", "dispatch", "issue", "execute", "commit")
-
-#: Export formats understood by the CLI (`--timeline-format`).
-TIMELINE_FORMATS = ("chrome", "konata")
-
-#: Konata stage mnemonics, parallel to the event cycles we emit.
-_KONATA_STAGES = (("F", "fetch"), ("Dc", "decode"), ("Ds", "dispatch"),
-                  ("Is", "issue"), ("Cm", "complete"))
 
 
 def provider_label(provider: int) -> str:
@@ -115,16 +105,6 @@ class UopTimeline:
     complete: int
     commit: int
     prov: Provenance | None = None
-
-    def stage_cycles(self) -> dict[str, int]:
-        return {
-            "fetch": self.fetch,
-            "decode": self.decode,
-            "dispatch": self.dispatch,
-            "issue": self.issue,
-            "execute": self.complete,
-            "commit": self.commit,
-        }
 
 
 @dataclass(slots=True)
@@ -205,9 +185,6 @@ class TimelineRecorder:
     def dropped(self) -> int:
         """µ-op records lost to the capacity bound (oldest evicted first)."""
         return self.recorded - len(self._uops)
-
-    def __len__(self) -> int:
-        return len(self._uops)
 
     def uops(self) -> list[UopTimeline]:
         """Recorded µ-op timelines, oldest first."""
@@ -372,54 +349,3 @@ class TimelineRecorder:
         with open(path, "w") as f:
             json.dump(trace, f)
         return len(trace["traceEvents"])
-
-    # -- Konata export ------------------------------------------------------
-
-    def to_konata(self) -> str:
-        """The timeline as a Konata (`Kanata 0004`) pipeline log.
-
-        Stages: ``F`` fetch, ``Dc`` decode/attribution, ``Ds`` dispatch,
-        ``Is`` issue/execute, ``Cm`` completed-awaiting-commit; retirement
-        (``R``) at the commit cycle, flushed retirement type for µ-ops
-        whose used prediction squashed.
-        """
-        lines = ["Kanata\t0004"]
-        events: list[tuple[int, int, str]] = []
-        order = 0
-        for lane_id, u in enumerate(self._uops):
-            label = f"{u.pc:#x} seq={u.seq}"
-            if u.prov is not None and u.prov.tag_match:
-                label += (f" vp={u.prov.provider_name()}"
-                          f"/{u.prov.source}/{u.prov.verdict}")
-            events.append((u.fetch, order, f"I\t{lane_id}\t{u.seq}\t0"))
-            order += 1
-            events.append((u.fetch, order, f"L\t{lane_id}\t0\t{label}"))
-            order += 1
-            for mnemonic, attr in _KONATA_STAGES:
-                cycle = u.complete if attr == "complete" else getattr(u, attr)
-                events.append((cycle, order, f"S\t{lane_id}\t0\t{mnemonic}"))
-                order += 1
-            retire_type = (
-                1 if u.prov is not None and u.prov.verdict == "squash" else 0
-            )
-            events.append(
-                (u.commit, order, f"R\t{lane_id}\t{u.seq}\t{retire_type}")
-            )
-            order += 1
-        events.sort()
-        current = events[0][0] if events else 0
-        lines.append(f"C=\t{current}")
-        for cycle, _, line in events:
-            if cycle > current:
-                lines.append(f"C\t{cycle - current}")
-                current = cycle
-            lines.append(line)
-        return "\n".join(lines) + "\n"
-
-    def export_konata(self, path) -> int:
-        """Write the Konata log to ``path``; returns the line count."""
-        self._warn_dropped()
-        text = self.to_konata()
-        with open(path, "w") as f:
-            f.write(text)
-        return text.count("\n")

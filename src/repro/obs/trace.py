@@ -74,26 +74,13 @@ class TraceBuffer:
         """Events lost to the ring bound."""
         return self.emitted - len(self._events)
 
-    def __len__(self) -> int:
-        return len(self._events)
-
     def events(self, kind: str | None = None) -> list[dict]:
         """Buffered events oldest-first, optionally filtered by kind."""
         if kind is None:
             return list(self._events)
         return [e for e in self._events if e["kind"] == kind]
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.emitted = 0
-
     # -- export ------------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """The buffer as JSON Lines (one event per line, oldest first)."""
-        return "\n".join(
-            json.dumps(e, sort_keys=True, default=str) for e in self._events
-        )
 
     def export_jsonl(self, path, header: dict | None = None) -> int:
         """Write events (plus an optional leading header record) to ``path``

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 
 @dataclass
@@ -14,8 +13,6 @@ class SimStats:
     Ad-hoc side-channel counters belong in :mod:`repro.obs` (namespaced
     metrics on the registry), not here: the dataclass fields are the stable
     result schema that the on-disk cache serialises and equality compares.
-    Namespaced metrics attach via :meth:`attach_metrics` and read back
-    through :attr:`metrics`, excluded from both.
     """
 
     workload: str = ""
@@ -40,29 +37,10 @@ class SimStats:
     l1d_misses: int = 0
     l2_misses: int = 0
 
-    def __post_init__(self) -> None:
-        # Non-field state: excluded from ==, repr and dataclasses.asdict,
-        # so attaching metrics can never perturb cached or compared results.
-        self._metrics: Mapping[str, float] | None = None
-
-    def attach_metrics(self, snapshot: Mapping[str, float]) -> None:
-        """Associate a namespaced metrics snapshot (``repro.obs``) with
-        this run."""
-        self._metrics = snapshot
-
-    @property
-    def metrics(self) -> Mapping[str, float]:
-        """Namespaced metrics recorded for this run (empty if obs was off)."""
-        return self._metrics if self._metrics is not None else {}
-
     @property
     def ipc(self) -> float:
         """Committed instructions (not µ-ops) per cycle."""
         return self.insts / self.cycles if self.cycles else 0.0
-
-    @property
-    def uops_per_cycle(self) -> float:
-        return self.uops / self.cycles if self.cycles else 0.0
 
     @property
     def vp_accuracy(self) -> float:
@@ -79,26 +57,6 @@ class SimStats:
     def branch_mpki(self) -> float:
         """Branch mispredictions per kilo-instruction."""
         return 1000.0 * self.branch_mispredicts / self.insts if self.insts else 0.0
-
-    def summary(self) -> str:
-        """One-line human-readable digest."""
-        return (
-            f"{self.workload:12s} {self.config:18s} IPC={self.ipc:5.3f} "
-            f"cov={self.vp_coverage:5.1%} acc={self.vp_accuracy:6.2%} "
-            f"brMPKI={self.branch_mpki:5.2f} squashes={self.vp_squashes}"
-        )
-
-
-def speedup(with_stats: SimStats, over: SimStats) -> float:
-    """Speedup of one run over another on the same workload."""
-    if with_stats.workload != over.workload:
-        raise ValueError(
-            f"speedup across different workloads: "
-            f"{with_stats.workload!r} vs {over.workload!r}"
-        )
-    if with_stats.ipc == 0 or over.ipc == 0:
-        raise ValueError("cannot compute speedup with zero IPC")
-    return with_stats.ipc / over.ipc
 
 
 def gmean(values: list[float]) -> float:

@@ -133,10 +133,6 @@ class InstructionVPAdapter:
             _, pc, uop_index, hist, actual, prediction = q.popleft()
             train(pc, uop_index, hist, actual, prediction)
 
-    def flush_training(self) -> None:
-        """Apply all deferred updates (end of simulation)."""
-        self._apply_until(1 << 62)
-
     def fetch_group(
         self,
         uops: list[DynMicroOp],

@@ -90,11 +90,6 @@ class Prediction(PredUse):
         self.conf = conf
         self.meta = meta
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Prediction(value={self.value:#x}, confident={self.confident}, "
-            f"provider={self.provider})"
-        )
 
 
 class ValuePredictor(abc.ABC):
@@ -135,14 +130,6 @@ class ValuePredictor(abc.ABC):
         have nothing to repair.
         """
 
-    @abc.abstractmethod
-    def storage_bits(self) -> int:
-        """Total storage of the structure in bits (for budget reporting)."""
-
-    def storage_kb(self) -> float:
-        """Storage in the paper's KB (1 KB = 1000 bytes, see DESIGN.md)."""
-        return self.storage_bits() / 8 / 1000
-
     def fold_geometry(
         self,
     ) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]]:
@@ -167,9 +154,9 @@ def mix_pc(pc: int, uop_index: int) -> int:
 
 
 # Pure-function memos for the key-dependent fold halves of the hashes below,
-# keyed by the packed (static PC ⊕ µ-op index) << 7 | width — same encoding
-# as repro.common.history.fold_key.  Bounded by the static code footprint of
-# the traced workloads times the handful of table geometries in play, so the
+# keyed by the packed (static PC ⊕ µ-op index) << 7 | width (widths stay
+# below repro.common.history.MAX_FOLD_WIDTH).  Bounded by the static code
+# footprint of the traced workloads times the handful of table geometries in play, so the
 # memos stay small while removing a 64-bit XOR-fold from every table lookup.
 _KEY_INDEX_FOLDS: dict[int, int] = {}
 _KEY_TAG_FOLDS: dict[int, int] = {}
@@ -205,20 +192,11 @@ def tagged_index(
 ) -> int:
     """TAGE-style index hash of PC, folded branch history and path history.
 
-    When ``hist`` is a :class:`~repro.common.history.FoldedHistoryState`
-    carrying a precomputed fold for this (history length, width) pair, the
-    fold is consumed directly — O(1) instead of re-folding up to
-    ``hist_length`` bits; otherwise (plain :class:`HistoryState`, or a
-    geometry the fold set was not configured with) it is computed on demand.
-    Both paths are bit-identical by construction (test-enforced).
+    Folds the raw history registers on demand; :class:`TaggedSlots` computes
+    the same hash for a whole geometry from a
+    :class:`~repro.common.history.FoldedHistoryState`'s packed folds.
     """
-    folds = getattr(hist, "idx_folds", None)
-    if folds is not None:
-        hp = folds.get((hist_length << 7) | index_bits)
-        if hp is None:
-            hp = _hist_index_fold(hist.branch, hist.path, hist_length, index_bits)
-    else:
-        hp = _hist_index_fold(hist.branch, hist.path, hist_length, index_bits)
+    hp = _hist_index_fold(hist.branch, hist.path, hist_length, index_bits)
     # Every term is already < 2**index_bits, so no final mask is needed.
     return (
         table_index(key, index_bits)
@@ -232,15 +210,9 @@ def tagged_tag(key: int, hist: HistoryState, hist_length: int, tag_bits: int) ->
 
     Uses a different folding phase than the index so that index and tag are
     decorrelated, as in TAGE implementations.  Like :func:`tagged_index`,
-    consumes the precomputed fold when ``hist`` carries one.
+    folds the raw branch register on demand.
     """
-    folds = getattr(hist, "tag_folds", None)
-    if folds is not None:
-        h = folds.get((hist_length << 7) | tag_bits)
-        if h is None:
-            h = _hist_tag_fold(hist.branch, hist_length, tag_bits)
-    else:
-        h = _hist_tag_fold(hist.branch, hist_length, tag_bits)
+    h = _hist_tag_fold(hist.branch, hist_length, tag_bits)
     memo_key = (key << 7) | tag_bits
     kf = _KEY_TAG_FOLDS.get(memo_key)
     if kf is None:

@@ -372,14 +372,3 @@ class DVTAGEPredictor(ValuePredictor):
             if self._l_tag[index] == tag:
                 self._l_inflight[index] = count
                 self._spec_dirty.add(index)
-
-    # -- reporting ----------------------------------------------------------
-
-    def storage_bits(self) -> int:
-        lvt_bits = self.base_entries * (self.lvt_tag_bits + 64)
-        vt0_bits = self.base_entries * (self.stride_bits + self.fpc.bits)
-        tagged_bits = 0
-        for comp in range(self.components):
-            per_entry = self.tag_bits[comp] + self.stride_bits + self.fpc.bits + 1
-            tagged_bits += self.tagged_entries * per_entry
-        return lvt_bits + vt0_bits + tagged_bits

@@ -165,14 +165,6 @@ class FCMPredictor(ValuePredictor):
             hist[base + lane] = hist[base + lane + 1]
         hist[base + self.order - 1] = _value_hash(value)
 
-    def storage_bits(self) -> int:
-        vht_entry = self.tag_bits + self.order * _HASH_BITS
-        if self.differential:
-            vht_entry += 64  # the last value
-        vpt_value = self.stride_bits if self.differential else 64
-        vpt_entry = vpt_value + self.fpc.bits
-        return self.vht_entries * vht_entry + self.vpt_entries * vpt_entry
-
 
 class DFCMPredictor(FCMPredictor):
     """Differential FCM (Goeman et al. [13]): strides in the VPT."""

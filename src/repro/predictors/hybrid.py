@@ -92,6 +92,3 @@ class VTAGE2DStrideHybrid(ValuePredictor):
     def squash(self, surviving: dict[tuple[int, int], int] | None = None) -> None:
         self.vtage.squash(surviving)
         self.stride.squash(surviving)
-
-    def storage_bits(self) -> int:
-        return self.vtage.storage_bits() + self.stride.storage_bits()

@@ -36,14 +36,12 @@ class LastValuePredictor(ValuePredictor):
         self,
         entries: int = 8192,
         tag_bits: int = 5,
-        value_bits: int = 64,
         fpc: FPCPolicy | None = None,
     ) -> None:
         self.entries = entries
         self.tag_bits = tag_bits
-        self.value_bits = value_bits
         violations: list[str] = []
-        require_positive(violations, self, "entries", "tag_bits", "value_bits")
+        require_positive(violations, self, "entries", "tag_bits")
         require_power_of_two(violations, self, "entries")
         if violations:
             raise ConfigError(type(self).__name__, violations)
@@ -91,6 +89,3 @@ class LastValuePredictor(ValuePredictor):
         else:
             self._conf[index] = self.fpc.reset_level()
             self._value[index] = actual
-
-    def storage_bits(self) -> int:
-        return self.entries * (self.tag_bits + self.value_bits + self.fpc.bits)

@@ -183,8 +183,3 @@ class PerPathStridePredictor(ValuePredictor):
             if self._h_tag[index] == tag:
                 self._h_inflight[index] = count
                 self._spec_dirty.add(index)
-
-    def storage_bits(self) -> int:
-        vht = self.vht_entries * (self.tag_bits + 64)
-        sht = self.sht_entries * (self.stride_bits + self.fpc.bits)
-        return vht + sht

@@ -180,12 +180,6 @@ class _BaseStride(ValuePredictor):
                 self._inflight[index] = count
                 self._spec_dirty.add(index)
 
-    def storage_bits(self) -> int:
-        per_entry = self.tag_bits + 64 + self.stride_bits + self.fpc.bits
-        if self.two_delta:
-            per_entry += self.stride_bits
-        return self.entries * per_entry
-
 
 class StridePredictor(_BaseStride):
     """Baseline stride predictor ([7]/[11] in the paper)."""

@@ -290,13 +290,3 @@ class VTAGEPredictor(ValuePredictor):
         if self._t_ugen[index] == self._useful_gen:
             return self._t_useful[index]
         return 0
-
-    # -- reporting ----------------------------------------------------------
-
-    def storage_bits(self) -> int:
-        base_bits = self.base_entries * (64 + self.fpc.bits)
-        tagged_bits = 0
-        for comp in range(self.components):
-            per_entry = self.tag_bits[comp] + 64 + self.fpc.bits + 1
-            tagged_bits += self.tagged_entries * per_entry
-        return base_bits + tagged_bits

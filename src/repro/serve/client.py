@@ -180,12 +180,10 @@ class ServeClient:
 
     # -- the service API ---------------------------------------------------
 
-    def submit(self, spec: JobSpec) -> SimStats:
-        """Submit one cell; blocks until its verified result arrives."""
-        return self.submit_with_source(spec)[0]
-
     def submit_with_source(self, spec: JobSpec) -> tuple[SimStats, str]:
-        """Like :meth:`submit`, also reporting cache/inflight/computed."""
+        """Submit one cell; blocks until its verified result arrives.
+
+        Also reports where it came from: cache, inflight or computed."""
         doc = self._request("POST", protocol.ROUTE_SUBMIT,
                             protocol.encode_submit(spec))
         _, stats, source = protocol.decode_result(

@@ -79,7 +79,9 @@ class LeaseQueue:
     Only queued and leased jobs are kept as jobs, in submission order, so
     :meth:`lease`, :meth:`reap` and :meth:`cancel` cost O(live jobs)
     however long the server has run.  A job that finishes or fails leaves
-    its digest's final state behind, and :meth:`status` tallies those.
+    nothing behind but one more ``done`` or ``failed`` event in the
+    tallies :meth:`status` reports; a digest that is submitted and
+    finishes again counts again.
     """
 
     def __init__(
@@ -108,8 +110,7 @@ class LeaseQueue:
         # linked list, so the entries of finished jobs cost nothing; a
         # plain dict would still walk their deleted slots.
         self._jobs: OrderedDict[str, _Job] = OrderedDict()
-        self._ended: dict[str, str] = {}       # digest -> DONE or FAILED
-        self._tally: dict[str, int] = {DONE: 0, FAILED: 0}
+        self._tally: dict[str, int] = {DONE: 0, FAILED: 0}  # finish events
         self._workers: dict[str, float] = {}   # worker id -> last seen
         self._fresh_failures: list[tuple[JobSpec, str]] = []
         self.counters: dict[str, int] = {}
@@ -150,9 +151,6 @@ class LeaseQueue:
             digest = spec.digest()
             if digest in self._jobs:
                 continue
-            ended = self._ended.pop(digest, None)
-            if ended is not None:
-                self._tally[ended] -= 1
             self._jobs[digest] = _Job(spec)
             accepted += 1
             self.count("jobs")
@@ -270,9 +268,8 @@ class LeaseQueue:
         self.count("requeues")
 
     def _end(self, job: _Job, state: str) -> None:
-        """Retire a job: from here on only its digest's tally is kept."""
+        """Retire a job: from here on it is one more ``state`` event."""
         del self._jobs[job.digest]
-        self._ended[job.digest] = state
         self._tally[state] += 1
 
     # -- reporting ---------------------------------------------------------

@@ -76,9 +76,6 @@ class Trace:
     inst_count: int = 0
     metadata: dict[str, object] = field(default_factory=dict)
 
-    def __len__(self) -> int:
-        return len(self.uops)
-
 
 def _decode_inst(
     program: Program, inst: StaticInst, nxt: int, first: dict[str, int]

@@ -128,7 +128,8 @@ class TestTagMemo:
                 assert update.reassign(key, tags, boundaries) == (
                     update_tag_assignment(tags, boundaries, False, monotonic)
                 )
-            assert len(fetch) == len(update) == len({k for k, _, _ in calls})
+            assert (len(fetch._last) == len(update._last)
+                    == len({k for k, _, _ in calls}))
 
     def test_reuses_last_result_per_key(self):
         memo = TagMemo()

@@ -112,6 +112,8 @@ def test_tage_slots_match_reference(front_end):
 
 
 def test_no_fold_dicts_materialised(front_end):
-    """The fast path never unpacks a snapshot into its fold dicts."""
+    """Snapshots carry only the packed folds; the fast path reads its lanes
+    straight out of them and builds no per-fold dicts."""
     _configs, fe, _geos = front_end
-    assert all(s._idx is None and s._tag is None for s in fe.states)
+    assert all(not hasattr(s, "idx_folds") and not hasattr(s, "tag_folds")
+               for s in fe.states)

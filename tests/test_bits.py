@@ -6,7 +6,6 @@ from repro.common.bits import (
     WORD_MASK,
     fold_bits,
     mask,
-    sign_extend,
     to_signed,
     to_unsigned,
 )
@@ -61,23 +60,23 @@ class TestToSigned:
 
 
 class TestSignExtend:
+    """Sign extension of a narrow field as the model does it: ``to_signed``
+    at the field width, then ``to_unsigned`` at the wider one."""
+
     def test_extends_negative(self):
-        assert sign_extend(0xFF, 8, 16) == 0xFFFF
+        assert to_unsigned(to_signed(0xFF, 8), 16) == 0xFFFF
 
     def test_keeps_positive(self):
-        assert sign_extend(0x7F, 8, 16) == 0x7F
+        assert to_unsigned(to_signed(0x7F, 8), 16) == 0x7F
 
     def test_same_width(self):
-        assert sign_extend(0xAB, 8, 8) == 0xAB
-
-    def test_narrowing_raises(self):
-        with pytest.raises(ValueError):
-            sign_extend(0xFF, 16, 8)
+        assert to_unsigned(to_signed(0xAB, 8), 8) == 0xAB
 
     def test_stride_semantics(self):
         # A -3 stride stored in 8 bits must add as -3 in 64 bits.
         stored = to_unsigned(-3, 8)
-        assert to_signed(sign_extend(stored, 8, 64), 64) == -3
+        assert to_signed(stored, 8) == -3
+        assert to_unsigned(100 + to_signed(stored, 8), 64) == 97
 
 
 class TestFoldBits:

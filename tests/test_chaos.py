@@ -163,7 +163,7 @@ class TestFaultPlanDeterminism:
         assert plan.job_fault(digest) == FaultAction("exception")
         assert plan.job_fault(digest) == FaultAction("exception")
         assert plan.job_fault(digest) is None     # budget spent
-        assert plan.faults_for(digest) == 2
+        assert plan._job_faults.get(digest, 0) == 2
 
     def test_serial_downgrades_crash_and_hang(self):
         plan = FaultPlan(ChaosConfig(crash_rate=1.0))
@@ -536,7 +536,10 @@ class TestSchedulerResume:
             counted.append(spec.workload)
             return _fake_job(spec)
 
-        out = Scheduler(job_fn=counting, journal=resumed_journal).run(specs)
+        try:
+            out = Scheduler(job_fn=counting, journal=resumed_journal).run(specs)
+        finally:
+            resumed_journal.close()
         assert out == full                        # bit-identical rows
         assert len(counted) == 2                  # only the unfinished jobs
         assert resumed_journal.hits == 3

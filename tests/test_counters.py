@@ -1,51 +1,34 @@
-"""Unit tests for saturating and forward probabilistic counters."""
+"""Unit tests for the FPC confidence policy and its saturating variant."""
 
 import pytest
 
-from repro.common.counters import (
+from repro.predictors.confidence import (
     PAPER_FPC_PROBABILITIES,
-    ForwardProbabilisticCounter,
-    SaturatingCounter,
+    FPCPolicy,
+    saturating_policy,
 )
-from repro.common.rng import XorShift64
 
 
 class TestSaturatingCounter:
+    """``saturating_policy``: every correct prediction advances the level."""
+
     def test_initial(self):
-        c = SaturatingCounter(bits=2)
-        assert c.value == 0
-        assert c.max_value == 3
+        p = saturating_policy(bits=2)
+        assert p.reset_level() == 0
+        assert p.max_level == 3
 
     def test_saturates_up(self):
-        c = SaturatingCounter(bits=2)
+        p = saturating_policy(bits=2)
+        level = p.reset_level()
         for _ in range(10):
-            c.increment()
-        assert c.value == 3
-        assert c.is_saturated
-
-    def test_saturates_down(self):
-        c = SaturatingCounter(bits=2, initial=1)
-        for _ in range(10):
-            c.decrement()
-        assert c.value == 0
+            level = p.advance(level)
+        assert level == 3
+        assert p.is_confident(level)
 
     def test_reset(self):
-        c = SaturatingCounter(bits=3, initial=5)
-        c.reset()
-        assert c.value == 0
-
-    def test_reset_out_of_range(self):
-        c = SaturatingCounter(bits=2)
-        with pytest.raises(ValueError):
-            c.reset(4)
-
-    def test_bad_width(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=0)
-
-    def test_bad_initial(self):
-        with pytest.raises(ValueError):
-            SaturatingCounter(bits=2, initial=4)
+        p = saturating_policy(bits=3)
+        assert p.advance(5) == 6
+        assert p.reset_level() == 0
 
 
 class TestFPCProbabilities:
@@ -66,41 +49,33 @@ class TestFPCProbabilities:
 
 
 class TestForwardProbabilisticCounter:
+    """``FPCPolicy`` driving integer confidence levels."""
+
     def test_first_step_always_advances(self):
-        c = ForwardProbabilisticCounter()
-        c.on_correct()
-        assert c.value == 1
+        assert FPCPolicy().advance(0) == 1
 
     def test_reset_on_incorrect(self):
-        c = ForwardProbabilisticCounter(initial=5)
-        c.on_incorrect()
-        assert c.value == 0
+        assert FPCPolicy.reset_level() == 0
 
     def test_confident_only_at_max(self):
-        c = ForwardProbabilisticCounter()
-        assert not c.is_confident
-        c.set(c.max_value)
-        assert c.is_confident
+        p = FPCPolicy()
+        assert not p.is_confident(p.max_level - 1)
+        assert p.is_confident(p.max_level)
 
     def test_eventually_saturates(self):
-        c = ForwardProbabilisticCounter(rng=XorShift64(7))
+        p = FPCPolicy(seed=7)
+        level = 0
         for _ in range(5000):
-            c.on_correct()
-        assert c.is_confident
-
-    def test_set_out_of_range(self):
-        c = ForwardProbabilisticCounter()
-        with pytest.raises(ValueError):
-            c.set(8)
+            level = p.advance(level)
+        assert p.is_confident(level)
 
     def test_wrong_probability_count(self):
         with pytest.raises(ValueError):
-            ForwardProbabilisticCounter(bits=2, probabilities=(1.0,) * 7)
+            FPCPolicy(bits=2, probabilities=(1.0,) * 7)
 
     def test_deterministic_with_seed(self):
-        a = ForwardProbabilisticCounter(rng=XorShift64(3))
-        b = ForwardProbabilisticCounter(rng=XorShift64(3))
+        a, b = FPCPolicy(seed=3), FPCPolicy(seed=3)
+        la = lb = 0
         for _ in range(500):
-            a.on_correct()
-            b.on_correct()
-        assert a.value == b.value
+            la, lb = a.advance(la), b.advance(lb)
+        assert la == lb

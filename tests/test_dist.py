@@ -207,7 +207,8 @@ class TestLeaseQueue:
         assert queue.status()["jobs"] == {QUEUED: 0, LEASED: 0, DONE: 1,
                                           FAILED: 2}
         assert queue.submit([done, failed, cancelled]) == 3
-        assert queue.status()["jobs"][QUEUED] == 3
+        assert queue.status()["jobs"] == {QUEUED: 3, LEASED: 0, DONE: 1,
+                                          FAILED: 2}
         grants = [queue.lease("w1") for _ in range(3)]
         assert [_grant_digest(g) for g in grants] == [
             done.digest(), failed.digest(), cancelled.digest()]
@@ -217,7 +218,7 @@ class TestLeaseQueue:
 
     def test_finished_jobs_leave_only_tallies(self):
         """20K finished jobs: lease, reap and cancel visit the live jobs
-        alone, while status still counts every finished digest."""
+        alone, while status still counts every finish event."""
         queue, _ = _queue(retries=0)
         specs = _specs(20_003)
         queue.submit(specs[:20_000])
@@ -233,10 +234,10 @@ class TestLeaseQueue:
         assert list(queue._jobs) == [s.digest() for s in specs[20_000:]
                                      + specs[:1]]
         assert queue.status()["jobs"] == {QUEUED: 4, LEASED: 0, DONE: 15_000,
-                                          FAILED: 4_999}
+                                          FAILED: 5_000}
         assert len(queue.collect()) == 5_000
         assert len(queue.cancel()) == 4 and queue._jobs == {}
-        assert queue.status()["jobs"][FAILED] == 5_003
+        assert queue.status()["jobs"][FAILED] == 5_004
 
     def test_lease_oldest_first_then_idle(self):
         queue, _ = _queue()
@@ -518,7 +519,7 @@ class TestDistIntegration:
         with ServerThread(cache=cache, leases=queue) as srv:
             workers, threads = _run_workers(srv.url, 1, cache)
             with ServeClient(srv.url, timeout=20, retries=0) as client:
-                assert client.submit(spec) == _fake_job(spec)
+                assert client.submit_with_source(spec)[0] == _fake_job(spec)
                 cache.blob_path(spec.digest()).write_text("{ torn")
                 assert client.submit_with_source(spec) == (_fake_job(spec),
                                                            "computed")

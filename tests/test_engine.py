@@ -39,7 +39,7 @@ class TestEngineFlow:
         engine = make_engine()
         kernel = build_strided_kernel(seed=1, trip=16)
         run_workload(engine, kernel, uops=5000, warmup=0)
-        engine.flush_training()
+        engine._apply_until(1 << 62)       # apply every deferred update
         assert engine.fifo.pushes > 0
         assert len(engine.fifo) == 0  # everything retired or squashed
 
@@ -100,8 +100,8 @@ class TestSquashBehaviour:
         engine.window.insert(0x40_0040, seq=10, values=[1] * 6)
         engine.window.insert(0x40_0080, seq=20, values=[2] * 6)
         engine.branch_squash(flush_seq=15, cycle=100)
-        assert engine.window.lookup(0x40_0080) is None
-        assert engine.window.lookup(0x40_0040) is not None
+        assert engine.window.lookup_entry(0x40_0080) is None
+        assert engine.window.lookup_entry(0x40_0040) is not None
 
     def test_vp_squash_same_block_repred_drops_head(self):
         from repro.bebop.update_queue import PendingBlock
@@ -113,7 +113,7 @@ class TestSquashBehaviour:
         engine.fifo.push(pending)
         handle = GroupHandle([None], HistoryState(), ctx=pending)
         engine.vp_squash(handle, flush_seq=7, next_block_pc=0x40_0040, cycle=50)
-        assert engine.window.lookup(0x40_0040) is None
+        assert engine.window.lookup_entry(0x40_0040) is None
         assert len(engine.fifo) == 0
 
     def test_vp_squash_dnrdnr_keeps_head(self):
@@ -126,7 +126,7 @@ class TestSquashBehaviour:
         engine.fifo.push(pending)
         handle = GroupHandle([None], HistoryState(), ctx=pending)
         engine.vp_squash(handle, flush_seq=7, next_block_pc=0x40_0040, cycle=50)
-        assert engine.window.lookup(0x40_0040) is not None
+        assert engine.window.lookup_entry(0x40_0040) is not None
         assert len(engine.fifo) == 1
 
     def test_vp_squash_different_block_keeps_head(self):
@@ -140,4 +140,4 @@ class TestSquashBehaviour:
         handle = GroupHandle([None], HistoryState(), ctx=pending)
         # Bnew != Bflush: operate as usual (§IV-A), head stays.
         engine.vp_squash(handle, flush_seq=7, next_block_pc=0x40_0100, cycle=50)
-        assert engine.window.lookup(0x40_0040) is not None
+        assert engine.window.lookup_entry(0x40_0040) is not None

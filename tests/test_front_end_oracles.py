@@ -3,7 +3,7 @@
 * ``FoldedHistorySet`` reads its path folds from byte tables of the raw
   path register; here they must equal one incrementally updated
   :class:`FoldedHistory` register per fold and ``fold_bits`` of the raw
-  register, after every push, snapshot, restore and clear.
+  register, after every push.
 * ``TAGEBranchPredictor`` predicts over packed hash lanes, longest
   component first, and unpacks them only to allocate; :class:`ListTAGE`
   keeps the list-based ``predict``/``_allocate`` it replaced, and the two
@@ -44,23 +44,13 @@ class IncrementalPathFolds:
                 reg.update(bit, (self.raw >> (reg.history_length - 1)) & 1)
             self.raw = (self.raw << 1) | bit
 
-    def snapshot(self):
-        return self.raw, [reg.snapshot() for reg in self.regs]
-
-    def restore(self, snap):
-        self.raw, values = snap
-        for reg, value in zip(self.regs, values):
-            reg.restore(value)
-
-    def clear(self):
-        self.raw = 0
-        for reg in self.regs:
-            reg.clear()
-
 
 def _path_lanes(state):
     """Every path fold of a snapshot, unpacked from ``pfolds``."""
-    return [(state.pfolds >> p) & m for _key, _b, p, m in state.layout.idx]
+    layout = state.layout
+    return [(state.pfolds >> p) & ((1 << width) - 1)
+            for p, (_length, width) in zip(layout.path_offsets,
+                                           layout.idx_pairs)]
 
 
 _idx_geometries = st.lists(
@@ -78,9 +68,6 @@ _path_ops = st.lists(
     st.one_of(
         st.tuples(st.just("path"), st.integers(0, 0xFFFFF), st.integers(0, 20)),
         st.tuples(st.just("outcome"), st.booleans(), st.just(0)),
-        st.tuples(st.just("snap"), st.just(0), st.just(0)),
-        st.tuples(st.just("restore"), st.integers(0, 9), st.just(0)),
-        st.tuples(st.just("clear"), st.just(0), st.just(0)),
     ),
     max_size=80,
 )
@@ -92,24 +79,14 @@ _path_ops = st.lists(
 def test_path_folds_match_incremental_registers(idx_pairs, path_capacity, ops):
     hset = FoldedHistorySet(640, path_capacity, idx_pairs, [])
     ref = IncrementalPathFolds(idx_pairs)
-    snaps = []
     for kind, a, b in ops:
         if kind == "path":
             hset.push_path(a, b)
             ref.push(a, b)
-        elif kind == "outcome":
+        else:
             hset.push_outcome(a)
-        elif kind == "snap":
-            snaps.append((hset.snapshot(), ref.snapshot()))
-        elif kind == "restore" and snaps:
-            mine, theirs = snaps[a % len(snaps)]
-            hset.restore(mine)
-            ref.restore(theirs)
-        elif kind == "clear":
-            hset.clear()
-            ref.clear()
         state = hset.state()
-        raw = hset.path.value()
+        raw = state.path
         assert raw == ref.raw & mask(path_capacity)
         lanes = _path_lanes(state)
         assert lanes == [reg.value for reg in ref.regs]
@@ -118,11 +95,6 @@ def test_path_folds_match_incremental_registers(idx_pairs, path_capacity, ops):
                       PATH_FOLD_BITS, width)
             for length, width in idx_pairs
         ]
-    # Every snapshot taken along the way still reads back exactly.
-    for mine, theirs in snaps:
-        hset.restore(mine)
-        ref.restore(theirs)
-        assert _path_lanes(hset.state()) == [reg.value for reg in ref.regs]
 
 
 def test_path_capacity_below_the_fold_input_is_rejected():

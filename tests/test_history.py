@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.bits import fold_bits, mask
+from repro.common.bits import fold_bits
 from repro.common.history import (
-    PATH_FOLD_BITS,
     FoldedHistory,
     FoldedHistorySet,
     GlobalHistory,
-    fold_key,
 )
 from repro.predictors.base import (
     HistoryState,
@@ -21,54 +19,25 @@ from repro.predictors.base import (
 
 
 class TestGlobalHistory:
+    """The raw registers, as :class:`FoldedHistorySet` pushes into them."""
+
     def test_push_outcome(self):
-        h = GlobalHistory(8)
+        h = FoldedHistorySet(8, 16)
         h.push_outcome(True)
         h.push_outcome(False)
         h.push_outcome(True)
-        assert h.value() == 0b101
+        assert h.state().branch == 0b101
 
     def test_capacity_truncates(self):
-        h = GlobalHistory(4)
+        h = FoldedHistorySet(4, 16)
         for _ in range(10):
             h.push_outcome(True)
-        assert h.value() == 0b1111
-
-    def test_value_with_length(self):
-        h = GlobalHistory(16)
-        h.push(0b110101, 6)
-        assert h.value(3) == 0b101
-        assert h.value(6) == 0b110101
-
-    def test_value_length_beyond_capacity(self):
-        h = GlobalHistory(4)
-        h.push(0b1111, 4)
-        assert h.value(100) == 0b1111
+        assert h.state().branch == 0b1111
 
     def test_push_path(self):
-        h = GlobalHistory(8)
+        h = FoldedHistorySet(8, 16)
         h.push_path(0b111, bits=2)
-        assert h.value() == 0b11
-
-    def test_snapshot_restore(self):
-        h = GlobalHistory(16)
-        h.push(0b1010, 4)
-        snap = h.snapshot()
-        h.push(0b1111, 4)
-        assert h.value() != 0b1010
-        h.restore(snap)
-        assert h.value() == 0b1010
-
-    def test_clear(self):
-        h = GlobalHistory(8)
-        h.push(0xFF, 8)
-        h.clear()
-        assert h.value() == 0
-
-    def test_folded_matches_fold_bits(self):
-        h = GlobalHistory(64)
-        h.push(0xDEAD_BEEF, 32)
-        assert h.folded(32, 7) == fold_bits(h.value(32), 32, 7)
+        assert h.state().path == 0b11
 
     def test_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -106,31 +75,11 @@ class TestFoldedHistory:
 class TestFoldedHistorySet:
     """The incremental fold registers against the on-demand reference.
 
-    ``FoldedHistorySet`` and ``tagged_index``/``tagged_tag``'s fallback path
-    must be bit-identical by construction (XOR-folding is linear in the
-    history bits); these properties enforce it over randomized sequences of
-    outcome pushes, path pushes, snapshots and restores.
+    ``FoldedHistorySet`` and ``tagged_index``/``tagged_tag``'s on-demand
+    fold must be bit-identical by construction (XOR-folding is linear in
+    the history bits); these properties enforce it over randomized
+    sequences of outcome and path pushes.
     """
-
-    @staticmethod
-    def _reference_folds(hset, idx_pairs, tag_pairs):
-        """On-demand folds of the raw registers (the pre-existing slow path)."""
-        branch = hset.branch.value()
-        path = hset.path.value()
-        idx = {}
-        for length, width in idx_pairs:
-            h = fold_bits(branch & mask(length), length, width)
-            p = fold_bits(
-                path & mask(min(length, PATH_FOLD_BITS)), PATH_FOLD_BITS, width
-            )
-            idx[fold_key(length, width)] = h ^ p
-        tag = {}
-        for length, width in tag_pairs:
-            h = fold_bits(branch & mask(length), length, width)
-            if width > 1:
-                h ^= fold_bits(branch & mask(length), length, width - 1) << 1
-            tag[fold_key(length, width)] = h
-        return idx, tag
 
     _pairs = st.lists(
         st.tuples(st.integers(1, 64), st.integers(1, 12)),
@@ -141,32 +90,38 @@ class TestFoldedHistorySet:
         st.one_of(
             st.tuples(st.just("outcome"), st.booleans()),
             st.tuples(st.just("path"), st.integers(0, 0xFFFF)),
-            st.tuples(st.just("snap"), st.just(0)),
-            st.tuples(st.just("restore"), st.integers(0, 9)),
         ),
         max_size=60,
     )
 
     @settings(max_examples=60, deadline=None)
-    @given(idx_pairs=_pairs, tag_pairs=_pairs, ops=_ops)
-    def test_incremental_folds_match_reference(self, idx_pairs, tag_pairs, ops):
-        hset = FoldedHistorySet(640, 64, idx_pairs, tag_pairs)
-        snaps = []
+    @given(geometry=_pairs, index_bits=st.integers(1, 12), other=_pairs,
+           ops=_ops, key=st.integers(0, 0xFFFF_FFFF))
+    def test_incremental_folds_match_reference(
+        self, geometry, index_bits, other, ops, key
+    ):
+        """After every push, ``TaggedSlots`` reading the packed registers
+        equals the on-demand fold of the raw registers."""
+        lengths = tuple(length for length, _w in geometry)
+        tag_bits = tuple(width for _l, width in geometry)
+        hset = FoldedHistorySet(
+            640, 64,
+            other + [(length, index_bits) for length in lengths],
+            other + list(geometry),
+        )
+        assert hset.layout.component_lanes(lengths, index_bits, tag_bits)
+        hashes = TaggedSlots(lengths, index_bits, tag_bits, 1 << index_bits)
         for kind, arg in ops:
             if kind == "outcome":
                 hset.push_outcome(arg)
-            elif kind == "path":
+            else:
                 hset.push_path(arg)
-            elif kind == "snap":
-                snaps.append(hset.snapshot())
-            elif snaps:
-                hset.restore(snaps[arg % len(snaps)])
             state = hset.state()
-            ref_idx, ref_tag = self._reference_folds(hset, idx_pairs, tag_pairs)
-            assert state.branch == hset.branch.value()
-            assert state.path == hset.path.value()
-            assert state.idx_folds == ref_idx
-            assert state.tag_folds == ref_tag
+            assert state.branch == hset.branch._bits
+            assert state.path == hset.path._bits
+            slow = HistoryState(branch=state.branch, path=state.path)
+            assert hashes.slots(key, state) == hashes.slots(key, slow)
+            assert hashes.lanes(key, state) == hashes.lanes(key, slow)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -245,16 +200,6 @@ class TestFoldedHistorySet:
         assert hset.state() is s1          # no push: same immutable snapshot
         hset.push_outcome(False)
         assert hset.state() is not s1      # push invalidates the cache
-
-    def test_restore_invalidates_state(self):
-        hset = FoldedHistorySet(64, 16, [(8, 4)], [])
-        snap = hset.snapshot()
-        hset.push_outcome(True)
-        before = hset.state()
-        hset.restore(snap)
-        after = hset.state()
-        assert after is not before
-        assert after.idx_folds == {fold_key(8, 4): 0}
 
     def test_width_out_of_range_rejected(self):
         with pytest.raises(ValueError):

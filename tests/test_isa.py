@@ -9,10 +9,8 @@ from repro.isa import (
     crack,
     fp_reg,
     int_reg,
-    reg_name,
 )
 from repro.isa.instruction import TEMP_REG_BASE
-from repro.isa.registers import NUM_ARCH_REGS, is_fp_reg
 
 
 class TestRegisters:
@@ -29,16 +27,6 @@ class TestRegisters:
             int_reg(16)
         with pytest.raises(ValueError):
             fp_reg(16)
-
-    def test_is_fp(self):
-        assert not is_fp_reg(int_reg(3))
-        assert is_fp_reg(fp_reg(3))
-
-    def test_names(self):
-        assert reg_name(int_reg(3)) == "r3"
-        assert reg_name(fp_reg(1)) == "f1"
-        with pytest.raises(ValueError):
-            reg_name(NUM_ARCH_REGS)
 
 
 class TestStaticInst:
@@ -68,7 +56,7 @@ class TestCrack:
         assert uop.dest == 1
         assert uop.srcs == (2, 3)
         assert uop.latency_class is LatencyClass.ALU
-        assert uop.produces_value
+        assert uop.dest is not None
 
     def test_load(self):
         inst = StaticInst(Opcode.LOAD, dests=(4,), srcs=(5,), imm=8, length=4)
@@ -102,13 +90,13 @@ class TestCrack:
         inst = StaticInst(Opcode.LI, dests=(1,), imm=5, length=2)
         (uop,) = crack(inst)
         assert uop.is_load_imm
-        assert uop.produces_value
+        assert uop.dest is not None
 
     def test_branch_no_result(self):
         inst = StaticInst(Opcode.BNE, srcs=(1, 2), target="x", length=2)
         (uop,) = crack(inst)
         assert uop.is_branch
-        assert not uop.produces_value
+        assert uop.dest is None
 
     def test_fp_latency_classes(self):
         fadd = StaticInst(Opcode.FADD, dests=(17,), srcs=(17, 18), length=4)

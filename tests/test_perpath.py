@@ -66,11 +66,6 @@ class TestPerPathStride:
         idx, _ = p._vht_slot(PC)
         assert p._h_inflight[idx] == 1
 
-    def test_storage(self):
-        p = PerPathStridePredictor(vht_entries=1024, sht_entries=1024,
-                                   stride_bits=8)
-        assert p.storage_bits() == 1024 * (5 + 64) + 1024 * (8 + 3)
-
     def test_bad_entries(self):
         with pytest.raises(ValueError):
             PerPathStridePredictor(vht_entries=1000)

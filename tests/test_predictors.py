@@ -71,10 +71,6 @@ class TestLastValuePredictor:
         p = LastValuePredictor()
         assert p.predict(PC, 0, HistoryState()) is None
 
-    def test_storage_bits(self):
-        p = LastValuePredictor(entries=1024, tag_bits=5)
-        assert p.storage_bits() == 1024 * (5 + 64 + 3)
-
     def test_bad_entry_count(self):
         with pytest.raises(ValueError):
             LastValuePredictor(entries=1000)
@@ -174,12 +170,6 @@ class TestVTAGE:
         used, correct = drive(VTAGEPredictor(), [5] * N)
         assert used > N * 0.9 and correct == used
 
-    def test_storage_bits(self):
-        p = VTAGEPredictor(base_entries=8192, tagged_entries=1024, components=6)
-        base = 8192 * (64 + 3)
-        tagged = sum(1024 * (13 + i + 64 + 3 + 1) for i in range(6))
-        assert p.storage_bits() == base + tagged
-
     def test_history_lengths_geometric(self):
         p = VTAGEPredictor()
         assert p.history_lengths == (2, 4, 8, 16, 32, 64)
@@ -234,11 +224,6 @@ class TestDVTAGE:
         used, correct = drive(p, strided(N, stride=3))
         assert used > N * 0.9 and correct == used
 
-    def test_storage_smaller_with_partial_strides(self):
-        full = DVTAGEPredictor(stride_bits=64).storage_bits()
-        partial = DVTAGEPredictor(stride_bits=8).storage_bits()
-        assert partial < full
-
 
 class TestHybrid:
     def test_covers_strided_and_correlated(self):
@@ -247,10 +232,6 @@ class TestHybrid:
         values, hist_fn = history_correlated(N * 2)
         used_h, correct_h = drive(VTAGE2DStrideHybrid(), values, hist_fn=hist_fn)
         assert used_h > N and correct_h / used_h > 0.99
-
-    def test_storage_is_sum(self):
-        h = VTAGE2DStrideHybrid()
-        assert h.storage_bits() == h.vtage.storage_bits() + h.stride.storage_bits()
 
     def test_disagreement_blocks_use(self):
         """Both confident with different values -> not confident."""
@@ -288,9 +269,6 @@ class TestFCM:
         used, correct = drive(DFCMPredictor(), values)
         assert used > N
         assert correct / used > 0.99
-
-    def test_storage_accounts_orders(self):
-        assert FCMPredictor(order=4).storage_bits() > FCMPredictor(order=1).storage_bits()
 
     def test_bad_order(self):
         with pytest.raises(ValueError):

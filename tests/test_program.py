@@ -72,11 +72,7 @@ class TestProgramLayout:
     def test_entry_defaults_to_first(self):
         p = make_counting_loop()
         assert p.entry == "entry"
-        assert p.entry_pc == CODE_BASE_ADDRESS
-
-    def test_code_bytes(self):
-        p = make_counting_loop()
-        assert p.code_bytes() == sum(i.length for i in p.insts)
+        assert p.block_start_pc[p.entry] == CODE_BASE_ADDRESS
 
 
 class TestTraceGenerator:

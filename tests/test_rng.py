@@ -18,11 +18,6 @@ class TestXorShift64:
         rng = XorShift64(0)
         assert rng.next_u64() != 0
 
-    def test_next_bits_range(self):
-        rng = XorShift64(9)
-        for _ in range(100):
-            assert 0 <= rng.next_bits(5) < 32
-
     def test_next_below_range(self):
         rng = XorShift64(11)
         for _ in range(200):
@@ -41,11 +36,6 @@ class TestXorShift64:
         rng = XorShift64(17)
         hits = sum(rng.chance(1 / 16) for _ in range(16000))
         assert 700 <= hits <= 1300  # ~1000 expected
-
-    def test_fork_independent(self):
-        rng = XorShift64(23)
-        fork = rng.fork()
-        assert fork.next_u64() != rng.next_u64()
 
     def test_values_are_64_bit(self):
         rng = XorShift64(29)

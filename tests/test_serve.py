@@ -257,7 +257,7 @@ class TestServer:
         other = baseline_job("gobmk", 4000, 500)
         with ServeClient(server.url) as client:
             assert client.result(spec.digest()) is None   # not cached yet
-            computed = client.submit(spec)
+            computed = client.submit_with_source(spec)[0]
             cached = client.result(spec.digest())
             assert cached == computed
             assert client.result(other.digest()) is None
@@ -291,7 +291,7 @@ class TestServer:
             health = client.health()
             assert health["ok"] is True
             assert protocol.ROUTE_SUBMIT  # route constants exist
-            client.submit(baseline_job("swim", 2000, 500))
+            client.submit_with_source(baseline_job("swim", 2000, 500))
             metrics = client.metrics()
         serve = metrics["serve"]
         assert serve["requests"] >= 2
@@ -304,7 +304,7 @@ class TestServer:
             r'(?:[+-]?(?:\d+(?:\.\d+)?(?:[eE][+-]?\d+)?|Inf|NaN))$'
         )
         with ServeClient(server.url) as client:
-            client.submit(baseline_job("swim", 2000, 500))
+            client.submit_with_source(baseline_job("swim", 2000, 500))
             text = client.metrics_prometheus()
             doc = client.metrics()   # JSON stays the default, unchanged
         assert doc["v"] == protocol.PROTOCOL_VERSION and "serve" in doc
@@ -331,7 +331,7 @@ class TestServer:
         obs.enable()
         try:
             with ServeClient(server.url) as client:
-                client.submit(baseline_job("swim", 2000, 500))
+                client.submit_with_source(baseline_job("swim", 2000, 500))
                 text = client.metrics_prometheus()
             # The request-latency histogram lives only in the registry.
             assert "# TYPE repro_serve_request_ms histogram" in text
@@ -402,7 +402,7 @@ class TestServer:
         """A keep-alive client reconnects transparently mid-session."""
         spec = baseline_job("swim", 2000, 500)
         with ServeClient(server.url) as client:
-            client.submit(spec)
+            client.submit_with_source(spec)
             client._conn.close()              # stale socket, client keeps it
             assert client.submit_with_source(spec)[1] == "cache"
 
@@ -640,7 +640,7 @@ class TestHostileRequests:
         # A keep-alive client whose idle connection was closed reconnects.
         spec = baseline_job("swim", 2000, 500)
         with ServeClient(server.url, retries=0) as client:
-            client.submit(spec)
+            client.submit_with_source(spec)
             time.sleep(0.6)
             assert client.submit_with_source(spec)[1] == "cache"
             assert client.retried == 0
@@ -774,7 +774,7 @@ class TestClientRetries:
     def test_zero_retries_still_has_the_keepalive_fast_path(self, server):
         spec = baseline_job("swim", 2000, 500)
         with ServeClient(server.url, retries=0) as client:
-            client.submit(spec)
+            client.submit_with_source(spec)
             client._conn.close()
             assert client.submit_with_source(spec)[1] == "cache"
             assert client.retried == 0
@@ -839,7 +839,7 @@ class TestServeChaos:
         try:
             with ServeClient(srv.url) as client:
                 with pytest.raises(ServerError) as err:
-                    client.submit(baseline_job("swim", 2000, 500))
+                    client.submit_with_source(baseline_job("swim", 2000, 500))
                 assert err.value.status == 500
                 assert "boom" in str(err.value)
                 # The server stays healthy and accounts the failure.
@@ -854,7 +854,7 @@ class TestServeChaos:
         try:
             spec = baseline_job("swim", 2000, 500)
             with ServeClient(srv.url) as client:
-                first = client.submit(spec)
+                first = client.submit_with_source(spec)[0]
                 cache._path(spec).write_text('{"tampered": true}')
                 again, source = client.submit_with_source(spec)
             assert source == "computed"               # not served corrupt
@@ -921,7 +921,7 @@ class TestGoldenOverHTTP:
     @pytest.mark.parametrize("key", _HTTP_KEYS)
     def test_http_result_bit_identical_to_golden(self, golden_server, key):
         with ServeClient(golden_server.url) as client:
-            stats = client.submit(_golden_spec(key))
+            stats = client.submit_with_source(_golden_spec(key))[0]
         assert dataclasses.asdict(stats) == _GOLDEN["runs"][key], (
             f"{key}: HTTP result diverged from the golden record — the "
             "serve path must be bit-identical to direct execution"

@@ -11,16 +11,22 @@ BLOCK_A = 0x40_0040
 BLOCK_B = 0x40_0080
 
 
+def values_of(window, block_pc):
+    """Predicted values of the block's most recent in-window instance."""
+    entry = window.lookup_entry(block_pc)
+    return entry.values if entry is not None else None
+
+
 class TestBasics:
     def test_empty_lookup(self):
         w = SpeculativeWindow(8)
-        assert w.lookup(BLOCK_A) is None
+        assert values_of(w, BLOCK_A) is None
 
     def test_insert_lookup(self):
         w = SpeculativeWindow(8)
         w.insert(BLOCK_A, seq=1, values=[1, 2, 3])
-        assert w.lookup(BLOCK_A) == [1, 2, 3]
-        assert w.lookup(BLOCK_B) is None
+        assert values_of(w, BLOCK_A) == [1, 2, 3]
+        assert values_of(w, BLOCK_B) is None
 
     def test_most_recent_wins(self):
         """Fig 4: the priority encoder prefers the highest sequence number."""
@@ -28,14 +34,14 @@ class TestBasics:
         w.insert(BLOCK_A, seq=1, values=[1])
         w.insert(BLOCK_B, seq=2, values=[2])
         w.insert(BLOCK_A, seq=3, values=[3])
-        assert w.lookup(BLOCK_A) == [3]
+        assert values_of(w, BLOCK_A) == [3]
 
     def test_values_copied_on_insert(self):
         w = SpeculativeWindow(8)
         values = [1, 2]
         w.insert(BLOCK_A, 1, values)
         values[0] = 99
-        assert w.lookup(BLOCK_A) == [1, 2]
+        assert values_of(w, BLOCK_A) == [1, 2]
 
     def test_capacity_circular_overwrite(self):
         """Head overruns tail: oldest entries are lost (§IV)."""
@@ -43,14 +49,14 @@ class TestBasics:
         w.insert(BLOCK_A, 1, [1])
         w.insert(BLOCK_B, 2, [2])
         w.insert(BLOCK_B + 16, 3, [3])
-        assert w.lookup(BLOCK_A) is None
+        assert values_of(w, BLOCK_A) is None
         assert len(w) == 2
 
     def test_zero_capacity_disabled(self):
         w = SpeculativeWindow(0)
         assert not w.enabled
         w.insert(BLOCK_A, 1, [1])
-        assert w.lookup(BLOCK_A) is None
+        assert values_of(w, BLOCK_A) is None
 
     def test_infinite_capacity(self):
         w = SpeculativeWindow(None)
@@ -70,20 +76,20 @@ class TestSquash:
         w.insert(BLOCK_B, 5, [5])
         dropped = w.squash(flush_seq=3)
         assert dropped == 1
-        assert w.lookup(BLOCK_B) is None
-        assert w.lookup(BLOCK_A) == [1]
+        assert values_of(w, BLOCK_B) is None
+        assert values_of(w, BLOCK_A) == [1]
 
     def test_keeps_equal_by_default(self):
         w = SpeculativeWindow(8)
         w.insert(BLOCK_A, 3, [3])
         assert w.squash(flush_seq=3) == 0
-        assert w.lookup(BLOCK_A) == [3]
+        assert values_of(w, BLOCK_A) == [3]
 
     def test_drop_equal_for_repred(self):
         w = SpeculativeWindow(8)
         w.insert(BLOCK_A, 3, [3])
         assert w.squash(flush_seq=3, drop_equal=True) == 1
-        assert w.lookup(BLOCK_A) is None
+        assert values_of(w, BLOCK_A) is None
 
 
 class TestWritebackCorrection:
@@ -91,28 +97,28 @@ class TestWritebackCorrection:
         w = SpeculativeWindow(8)
         w.insert(BLOCK_A, 1, [10, 20, 30])
         assert w.correct_entry(BLOCK_A, 1, {1: 99})
-        assert w.lookup(BLOCK_A) == [10, 99, 30]
+        assert values_of(w, BLOCK_A) == [10, 99, 30]
 
     def test_correct_entry_requires_seq_match(self):
         w = SpeculativeWindow(8)
         w.insert(BLOCK_A, 1, [10])
         assert not w.correct_entry(BLOCK_A, 2, {0: 99})
-        assert w.lookup(BLOCK_A) == [10]
+        assert values_of(w, BLOCK_A) == [10]
 
     def test_correct_entry_out_of_range_slot_ignored(self):
         w = SpeculativeWindow(8)
         w.insert(BLOCK_A, 1, [10])
         w.correct_entry(BLOCK_A, 1, {5: 99})
-        assert w.lookup(BLOCK_A) == [10]
+        assert values_of(w, BLOCK_A) == [10]
 
     def test_retire_invalidates(self):
         w = SpeculativeWindow(8)
         w.insert(BLOCK_A, 1, [10])
         w.insert(BLOCK_A, 2, [20])
         assert w.retire(BLOCK_A, 1)
-        assert w.lookup(BLOCK_A) == [20]
+        assert values_of(w, BLOCK_A) == [20]
         assert w.retire(BLOCK_A, 2)
-        assert w.lookup(BLOCK_A) is None
+        assert values_of(w, BLOCK_A) is None
 
     def test_retire_missing_is_false(self):
         w = SpeculativeWindow(8)
@@ -123,7 +129,7 @@ class TestWritebackCorrection:
         for seq, block in enumerate((BLOCK_A, BLOCK_B, BLOCK_A), start=1):
             w.insert(block, seq, [seq])
         assert not w.retire(BLOCK_A, 1)      # evicted by the third insert
-        assert w.lookup(BLOCK_A) == [3]
+        assert values_of(w, BLOCK_A) == [3]
         assert w.retire(BLOCK_B, 2)
 
 

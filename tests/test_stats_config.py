@@ -1,4 +1,4 @@
-"""Tests for SimStats, speedup/gmean helpers and CoreConfig."""
+"""Tests for SimStats, the gmean helper and CoreConfig."""
 
 import pytest
 
@@ -8,14 +8,13 @@ from repro.pipeline.config import (
     baseline_vp_6_60,
     eole_4_60,
 )
-from repro.pipeline.stats import SimStats, gmean, speedup
+from repro.pipeline.stats import SimStats, gmean
 
 
 class TestSimStats:
     def test_ipc(self):
         s = SimStats(cycles=100, insts=150, uops=200)
         assert s.ipc == 1.5
-        assert s.uops_per_cycle == 2.0
 
     def test_zero_cycles(self):
         s = SimStats()
@@ -33,30 +32,8 @@ class TestSimStats:
         s = SimStats(insts=10_000, branch_mispredicts=25)
         assert s.branch_mpki == 2.5
 
-    def test_summary_contains_key_fields(self):
-        s = SimStats(workload="swim", config="x", cycles=10, insts=20)
-        text = s.summary()
-        assert "swim" in text and "IPC" in text
-
 
 class TestSpeedupHelpers:
-    def test_speedup(self):
-        a = SimStats(workload="w", cycles=100, insts=200)
-        b = SimStats(workload="w", cycles=100, insts=100)
-        assert speedup(a, b) == 2.0
-
-    def test_speedup_workload_mismatch(self):
-        a = SimStats(workload="w1", cycles=1, insts=1)
-        b = SimStats(workload="w2", cycles=1, insts=1)
-        with pytest.raises(ValueError):
-            speedup(a, b)
-
-    def test_speedup_zero_ipc(self):
-        a = SimStats(workload="w", cycles=1, insts=0)
-        b = SimStats(workload="w", cycles=1, insts=1)
-        with pytest.raises(ValueError):
-            speedup(a, b)
-
     def test_gmean(self):
         assert abs(gmean([2.0, 8.0]) - 4.0) < 1e-12
         assert gmean([1.0]) == 1.0

@@ -1,5 +1,5 @@
 """Per-µop timeline tracing: recorder semantics, pipeline integration,
-provenance analytics and the Chrome/Konata exports."""
+provenance analytics and the Chrome export."""
 
 import json
 
@@ -38,20 +38,18 @@ class TestRecorder:
     def test_records_and_lengths(self):
         rec = TimelineRecorder()
         _record(rec, 5)
-        assert len(rec) == 5
+        assert len(rec.uops()) == 5
         assert rec.recorded == 5
         assert rec.dropped == 0
         u = rec.uops()[0]
         assert isinstance(u, UopTimeline)
-        assert u.stage_cycles() == {
-            "fetch": 0, "decode": 1, "dispatch": 3, "issue": 4,
-            "execute": 5, "commit": 8,
-        }
+        assert (u.fetch, u.decode, u.dispatch, u.issue, u.complete,
+                u.commit) == (0, 1, 3, 4, 5, 8)
 
     def test_capacity_bound_drops_oldest_first(self):
         rec = TimelineRecorder(capacity=3)
         _record(rec, 10)
-        assert len(rec) == 3
+        assert len(rec.uops()) == 3
         assert rec.recorded == 10
         assert rec.dropped == 7
         assert [u.seq for u in rec.uops()] == [7, 8, 9]
@@ -168,8 +166,8 @@ class TestChromeExport:
             err = capsys.readouterr().err
             assert "3 of 5" in err and "truncated" in err
             assert obs.registry().value("obs/timeline/dropped") == 3
-            # The Konata exporter warns (and counts) the same way.
-            rec.export_konata(tmp_path / "konata.log")
+            # A re-export warns and counts again.
+            rec.export_chrome(tmp_path / "trace.json")
             assert "3 of 5" in capsys.readouterr().err
             assert obs.registry().value("obs/timeline/dropped") == 6
         finally:
@@ -180,26 +178,6 @@ class TestChromeExport:
         _record(rec, 3)
         rec.export_chrome(tmp_path / "trace.json")
         assert capsys.readouterr().err == ""
-
-
-class TestKonataExport:
-    def test_header_and_retirement(self, tmp_path):
-        rec = TimelineRecorder()
-        _record(rec, 3, prov_every=1)
-        rec.uops()[1].prov.verdict = "squash"
-        path = tmp_path / "konata.log"
-        lines_written = rec.export_konata(path)
-        lines = path.read_text().splitlines()
-        assert lines_written == len(lines)
-        assert lines[0] == "Kanata\t0004"
-        assert lines[1].startswith("C=\t")
-        retire = [l for l in lines if l.startswith("R\t")]
-        assert len(retire) == 3
-        # The squashed µ-op retires with flush type 1.
-        assert [l.split("\t")[3] for l in retire] == ["0", "1", "0"]
-        # Cycle advances are deltas.
-        assert all(int(l.split("\t")[1]) > 0 for l in lines
-                   if l.startswith("C\t"))
 
 
 class _LyingAdapter(InstructionVPAdapter):

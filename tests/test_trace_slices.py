@@ -43,7 +43,7 @@ def slots(uops) -> list[tuple]:
 
 
 def assert_same_trace(got, want) -> None:
-    assert len(got) == len(want)
+    assert len(got.uops) == len(want.uops)
     assert slots(got.uops) == slots(want.uops)
     assert got.inst_count == want.inst_count
     assert got.name == want.name
@@ -95,7 +95,7 @@ def test_cut_ends_the_instruction_the_length_falls_inside():
     assert len(inner) > 20
     for n in inner[:20]:
         got = runner.get_trace(CRACKED, n)
-        assert len(got) == n + 1
+        assert len(got.uops) == n + 1
         assert_same_trace(got, fresh(CRACKED, n))
         assert got.program is source.program
 
@@ -128,7 +128,7 @@ def test_equal_length_source_is_not_cut():
     """Only a cached trace with more µ-ops than asked for is cut."""
     inner = next(i + 1 for i, u in enumerate(fresh(CRACKED, 1000).uops)
                  if not u.is_last_uop)
-    n = len(runner.get_trace(CRACKED, inner))
+    n = len(runner.get_trace(CRACKED, inner).uops)
     assert n == inner + 1
     with obs.scoped_registry() as reg:
         got = runner.get_trace(CRACKED, n)

@@ -1,7 +1,5 @@
 """Unit tests for the FIFO update queue (paper §III-D-c)."""
 
-import pytest
-
 from repro.bebop.update_queue import FifoUpdateQueue, PendingBlock
 from repro.predictors.base import HistoryState
 
@@ -16,26 +14,16 @@ class TestFifoUpdateQueue:
         a, b = make_block(1), make_block(2)
         q.push(a)
         q.push(b)
-        assert q.pop() is a
-        assert q.pop() is b
-
-    def test_pop_empty_raises(self):
-        with pytest.raises(IndexError):
-            FifoUpdateQueue().pop()
-
-    def test_head_tail(self):
-        q = FifoUpdateQueue()
-        assert q.head() is None and q.tail() is None
-        a, b = make_block(1), make_block(2)
-        q.push(a)
-        q.push(b)
-        assert q.head() is a and q.tail() is b
+        assert q._queue == [a, b]
+        assert q.remove(a)
+        assert q._queue == [b]
 
     def test_high_water_mark(self):
         q = FifoUpdateQueue()
-        for i in range(5):
-            q.push(make_block(i))
-        q.pop()
+        blocks = [make_block(i) for i in range(5)]
+        for block in blocks:
+            q.push(block)
+        q.remove(blocks[0])
         q.push(make_block(9))
         assert q.high_water_mark == 5
         assert q.pushes == 6
@@ -61,7 +49,7 @@ class TestFifoUpdateQueue:
         q.push(b)
         assert q.remove(a)
         assert not q.remove(a)
-        assert q.head() is b
+        assert q._queue == [b]
 
     def test_retired_accumulation(self):
         block = make_block(1)

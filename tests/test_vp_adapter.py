@@ -30,9 +30,6 @@ class RecordingPredictor(ValuePredictor):
     def squash(self, surviving=None):
         self.calls.append(("squash", dict(surviving or {})))
 
-    def storage_bits(self):
-        return 0
-
 
 class TestInstructionVPAdapter:
     def test_fetch_group_shapes(self):
@@ -68,7 +65,7 @@ class TestInstructionVPAdapter:
         uops = [make_uop(0, 0x400000, value=5)]
         handle = ad.fetch_group(uops, 0, HistoryState())
         ad.commit_uop(handle, 0, uops[0], cycle=1000)
-        ad.flush_training()
+        ad._apply_until(1 << 62)           # apply every deferred update
         assert ("train", 0x400000, 5) in pred.calls
 
     def test_surviving_counts_from_deferred(self):

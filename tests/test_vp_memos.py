@@ -36,7 +36,7 @@ def bebop_memos(trace):
     PipelineModel(eole_4_60(), engine).run(trace)
     p = engine.predictor
     return {"blocks": (len(p._blocks), "blocks"),
-            "tag_updates": (len(p._tag_updates), "blocks")}
+            "tag_updates": (len(p._tag_updates._last), "blocks")}
 
 
 @pytest.mark.parametrize("memos", [dvtage_memos, bebop_memos],

@@ -101,12 +101,3 @@ class TestDVTAGEInternals:
         on = DVTAGEPredictor(propagate_confidence=True)
         off = DVTAGEPredictor(propagate_confidence=False)
         assert on.propagate_confidence and not off.propagate_confidence
-
-    def test_partial_stride_storage_in_tables(self):
-        p8 = DVTAGEPredictor(stride_bits=8)
-        p64 = DVTAGEPredictor(stride_bits=64)
-        # 8-bit strides shrink VT0 + tagged but not the LVT.
-        diff = p64.storage_bits() - p8.storage_bits()
-        per_entry_savings = 56  # 64-8 bits per stride slot
-        expected = (p64.base_entries + p64.tagged_entries * 6) * per_entry_savings
-        assert diff == expected
